@@ -1,65 +1,35 @@
 # Modified Bessel function of the second kind, order zero.
 #
-# Small arguments: ascending series with the log term,
-#   K0(w) = -(log(w/2) + gamma) * I0(w) + sum_{k>=1} (w^2/4)^k / (k!)^2 * H_k
-# with I0(w) = sum_k (w^2/4)^k / (k!)^2 and H_k the k-th harmonic number.
+# K0 comes from scipy.special.kv, the AMOS algorithm (D. E. Amos, ACM TOMS
+# 12 (1986), Algorithm 644), which accepts complex arguments and stays
+# within a few ulps of a high-precision reference on the real axis.  AMOS
+# refuses |w| above about 1.07e9 (scipy then returns NaN); past 1e9 two
+# terms of the asymptotic series,
+#   K0(w) ~ sqrt(pi/(2w)) e^{-w} (1 - 1/(8w)),
+# are exact to double precision (the next term is 9/(128 w^2) < 1e-19).
 #
-# Large arguments: the asymptotic expansion
-#   K0(w) ~ sqrt(pi/(2w)) e^{-w} * sum_k (-1)^k mu_k / (k! (8w)^k),
-#   mu_k = (1*3*...*(2k-1))^2,
-# truncated at the smallest term.
-#
-# The switch point 9.0 balances series round-off (which grows like e^x eps)
-# against the asymptotic truncation floor (which shrinks like e^{-2x});
-# both branches stay below 1e-10 absolute error there.  Relative error is
-# ~1e-13 except within a factor of two of the switch point, where the
-# asymptotic truncation floor allows up to ~1e-7 relative (still under
-# 1e-10 absolute because K0(9) ~ 5e-5).
-#
-# Both branches accept complex arguments with positive real part; the
-# public entry point is restricted to positive real x.
+# The public wrappers only add the domain guards: kernels need Re w > 0,
+# the real entry point needs x > 0.
 
 import math
 
 import numpy as np
+from scipy.special import kv
 
 from .errors import NonpositiveArgument
 
-_SPLIT = 9.0
-_EULER_GAMMA = float(np.euler_gamma)
+_AMOS_RANGE = 1e9
 
 
-def _k0_series(w: complex) -> complex:
-    # ascending series; converges for any w, used for |w| <= _SPLIT
-    q = w * w / 4.0
-    term = 1.0 + 0.0j
-    i0 = term
-    s = 0.0 + 0.0j
-    h = 0.0
-    for k in range(1, 80):
-        term *= q / (k * k)
-        h += 1.0 / k
-        i0 += term
-        s += term * h
-        if abs(term) * (h + 1.0) < 1e-18 * (abs(i0) + abs(s) + 1.0):
-            break
-    return -(np.log(w / 2.0) + _EULER_GAMMA) * i0 + s
-
-
-def _k0_asymptotic(w: complex) -> complex:
-    # truncate at the smallest term; valid for Re w > 0, |w| >= _SPLIT
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    prev = 1.0
-    for k in range(1, 40):
-        term *= -((2 * k - 1) ** 2) / (8.0 * w * k)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
-        if prev < 1e-17:
-            break
-    return np.sqrt(np.pi / (2.0 * w)) * np.exp(-w) * total
+def _k0(w) -> np.ndarray:
+    """K0 on a complex array with Re w > 0 (no domain check)."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    out = kv(0, w)
+    far = np.abs(w) > _AMOS_RANGE
+    if far.any():
+        wf = w[far]
+        out[far] = np.sqrt(np.pi / (2.0 * wf)) * np.exp(-wf) * (1.0 - 1.0 / (8.0 * wf))
+    return out
 
 
 def k0_right_half_plane(w: complex) -> complex:
@@ -67,9 +37,7 @@ def k0_right_half_plane(w: complex) -> complex:
     w = complex(w)
     if w.real <= 0.0:
         raise NonpositiveArgument(f"K0 evaluated at Re w <= 0: {w!r}")
-    if abs(w) <= _SPLIT:
-        return complex(_k0_series(w))
-    return complex(_k0_asymptotic(w))
+    return complex(_k0(w)[0])
 
 
 def k0_bessel(x: float) -> float:

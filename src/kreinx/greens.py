@@ -12,8 +12,11 @@ and the finite diagonal limit ``lim_{r->0} (g0 - gz)(r)``, which removes
 the kernel singularity once and for all at the zero-energy anchor (no
 arbitrary spectral shift enters).
 
-Dimension 2 uses the in-package K0 evaluation, which also accepts the
-complex arguments arising for z off the positive real axis.
+Dimension 2 takes K0 from ``scipy.special.kv`` (the AMOS algorithm, see
+``bessel``), which also accepts the complex arguments arising for z off
+the positive real axis.  The trace matrix and source superpositions are
+array expressions over all radii at once; the scalar ``LaplacianKernel``
+methods evaluate one radius at a time and serve as their reference.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .bessel import k0_right_half_plane
+from .bessel import _k0, k0_right_half_plane
 from .errors import (
     BranchCut,
     EvaluationAtSingularity,
@@ -97,6 +100,31 @@ class LaplacianKernel:
         return kappa / (4.0 * math.pi)
 
 
+def _g0_array(dim: int, r: np.ndarray) -> np.ndarray:
+    """g0 on an array of radii r > 0; same arithmetic as LaplacianKernel.g0."""
+    if dim == 1:
+        return -r / 2.0
+    if dim == 2:
+        return -np.log(r) / (2.0 * math.pi)
+    return 1.0 / (4.0 * math.pi * r)
+
+
+def _gz_array(dim: int, r: np.ndarray, kappa: complex) -> np.ndarray:
+    """gz on an array of radii (r > 0 in dims 2 and 3), kappa = sqrt(z)."""
+    if dim == 1:
+        return np.exp(-kappa * r) / (2.0 * kappa)
+    if dim == 2:
+        return _k0(kappa * r) / (2.0 * math.pi)
+    return np.exp(-kappa * r) / (4.0 * math.pi * r)
+
+
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights of n uniform nodes with step h."""
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    return w
+
+
 def g0(dim: int, r: float) -> float:
     return LaplacianKernel(dim).g0(r)
 
@@ -112,10 +140,11 @@ def renormalized_diagonal(dim: int, z: complex) -> complex:
 class PointSet:
     """Finitely many pairwise-distinct interaction points in dim 1, 2 or 3.
 
-    One-dimensional points may be given as plain floats.
+    One-dimensional points may be given as plain floats.  ``distances``
+    is the read-only matrix of pairwise Euclidean distances.
     """
 
-    __slots__ = ("dim", "points")
+    __slots__ = ("dim", "points", "distances")
 
     def __init__(self, dim: int, points):
         if dim not in (1, 2, 3):
@@ -139,22 +168,23 @@ class PointSet:
         else:
             d = pts[:, None, :] - pts[None, :, :]
             dist = np.sqrt((d * d).sum(-1))
-            np.fill_diagonal(dist, np.inf)
-            if pts.shape[0] > 1 and float(dist.min()) <= 0.0:
+            off_diagonal = dist[~np.eye(pts.shape[0], dtype=bool)]
+            if off_diagonal.size and float(off_diagonal.min()) <= 0.0:
                 problems.append("coincident points are not allowed")
         if problems:
             raise InvariantError(problems)
         pts.flags.writeable = False
+        dist.flags.writeable = False
         self.dim = dim
         self.points = pts
+        self.distances = dist
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        d = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt((d * d).sum(-1))
+        return self.distances
 
     def displacements_1d(self) -> np.ndarray:
         """Signed pairwise displacements y_j - y_k (dim 1 only)."""
@@ -173,15 +203,13 @@ def gamma_matrix(ps: PointSet, z: complex) -> np.ndarray:
     Entry (j, k) is ``(g0 - gz)(|y_j - y_k|)`` for j != k; the diagonal
     carries the renormalized limit.  Hermitian for real z > 0.
     """
-    kernel = LaplacianKernel(ps.dim)
-    n = ps.n_points
-    out = np.full((n, n), kernel.renormalized_diagonal(z), dtype=complex)
-    dist = ps.distance_matrix()
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                r = dist[j, k]
-                out[j, k] = kernel.g0(r) - kernel.gz(r, z)
+    diagonal = LaplacianKernel(ps.dim).renormalized_diagonal(z)
+    kappa = _sqrt_principal(z)
+    # a unit radius on the diagonal keeps the kernels finite there; adding
+    # zero leaves every off-diagonal distance exact
+    r = ps.distance_matrix() + np.eye(ps.n_points)
+    out = _g0_array(ps.dim, r) - _gz_array(ps.dim, r, kappa)
+    np.fill_diagonal(out, diagonal)
     return out
 
 
@@ -213,11 +241,8 @@ def gbreve_apply_1d(ps: PointSet, z: complex, xs, fs) -> np.ndarray:
         raise GridTooCoarse(
             f"step {h:.3e} exceeds 1/(4 Re sqrt(z)) = {1.0 / (4.0 * kappa.real):.3e}"
         )
-    w = np.full(xs.size, h)
-    w[0] = w[-1] = h / 2.0
     r = np.abs(ps.points[:, 0][:, None] - xs[None, :])
-    kernel = np.exp(-kappa * r) / (2.0 * kappa)
-    return kernel @ (w * fs)
+    return _gz_array(1, r, kappa) @ (_trapezoid_weights(xs.size, h) * fs)
 
 
 def point_source_sum(ps: PointSet, z: complex, coeffs, xs) -> np.ndarray:
@@ -238,18 +263,11 @@ def point_source_sum(ps: PointSet, z: complex, coeffs, xs) -> np.ndarray:
     d = pts[:, None, :] - ps.points[None, :, :]
     r = np.sqrt((d * d).sum(-1))
     kappa = _sqrt_principal(z)
-    if ps.dim == 1:
-        kernel = np.exp(-kappa * r) / (2.0 * kappa)
-    else:
-        if np.any(r == 0.0):
-            raise EvaluationAtSingularity(
-                "evaluation point coincides with an interaction point"
-            )
-        if ps.dim == 2:
-            kernel = np.vectorize(k0_right_half_plane)(kappa * r) / (2.0 * math.pi)
-        else:
-            kernel = np.exp(-kappa * r) / (4.0 * math.pi * r)
-    out = kernel @ coeffs
+    if ps.dim > 1 and np.any(r == 0.0):
+        raise EvaluationAtSingularity(
+            "evaluation point coincides with an interaction point"
+        )
+    out = _gz_array(ps.dim, r, kappa) @ coeffs
     return complex(out[0]) if scalar else out
 
 
@@ -403,10 +421,8 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
                 f"step {h:.3e} exceeds 1/(4 Re sqrt(z)) "
                 f"= {1.0 / (4.0 * kappa.real):.3e}"
             )
-        w = np.full(xs.size, h)
-        w[0] = w[-1] = h / 2.0
         r = np.abs(xs[:, None] - xs[None, :])
-        return (np.exp(-kappa * r) / (2.0 * kappa)) @ (w * f)
+        return _gz_array(1, r, kappa) @ (_trapezoid_weights(xs.size, h) * f)
 
     def gbreve_apply(self, z: complex, f):
         return gbreve_apply_1d(self.ps, z, self.xs, f)

@@ -227,9 +227,7 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 def random_model(
     seed_or_rng, n: int, n_charges: int, *, magnitude_range=(0.1, 10.0)
 ) -> MatrixModel:
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator
-    ) else seed_or_rng
+    rng = np.random.default_rng(seed_or_rng)
     if not 1 <= n_charges <= n:
         raise InvariantError("need 1 <= n_charges <= n")
     q, r = np.linalg.qr(_complex_gaussian(rng, (n, n)))
@@ -250,9 +248,7 @@ def random_model(
 def random_theta(seed_or_rng, n_charges: int, *, scale: float = 1.0):
     from .krein import ThetaMatrix
 
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator
-    ) else seed_or_rng
+    rng = np.random.default_rng(seed_or_rng)
     m = scale * _complex_gaussian(rng, (n_charges, n_charges))
     return ThetaMatrix((m + m.conj().T) / 2.0)
 

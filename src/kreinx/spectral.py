@@ -33,6 +33,7 @@ from .errors import (
 from .greens import (
     LaplacianPointEvaluator,
     PointSet,
+    _trapezoid_weights,
     gbreve_g_radial_3d,
     point_source_sum,
     quadrature_grid_1d,
@@ -252,8 +253,7 @@ def eigenfunction_l2_norm(ps: PointSet, q, z0, *, grid_step: float = 1e-3) -> fl
     if ps.dim == 1:
         xs = quadrature_grid_1d(ps, z0, z0, step=grid_step)
         vals = eigenfunction_eval(ps, q, z0, xs)
-        w = np.full(xs.size, grid_step)
-        w[0] = w[-1] = grid_step / 2.0
+        w = _trapezoid_weights(xs.size, grid_step)
         return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
     if ps.dim == 3:
         s = gbreve_g_radial_3d(ps, z0, z0)

@@ -20,7 +20,7 @@ from .greens import (
     LaplacianPointEvaluator,
     gamma_matrix,
 )
-from .krein import ExtensionProblem, ThetaMatrix, krein_apply
+from .krein import ExtensionProblem, ThetaMatrix, _maxabs, krein_apply
 from .matrixmodel import (
     MatrixEvaluator,
     MatrixModel,
@@ -92,11 +92,6 @@ def merge_reports(reports, seed=None, model_summary="") -> VerificationReport:
         seed=seed,
         model_summary=model_summary,
     )
-
-
-def _maxabs(m) -> float:
-    m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def rel_residual(lhs, rhs) -> float:

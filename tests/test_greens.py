@@ -78,6 +78,15 @@ class TestGz:
             with pytest.raises(BranchCut):
                 gz(1, 1.0, z)
 
+    def test_dim2_beyond_amos_argument_range(self):
+        # |sqrt(z) r| > 1e9, where scipy's K0 routine gives up: the
+        # asymptotic fallback against a 40-digit reference
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for r, z in ((1.5e9, -1.0 + 4e-7j), (1.2e9, -4.0 + 1e-6j)):
+            ref = complex(mp.besselk(0, mp.mpc(np.sqrt(complex(z)) * r))) / (2.0 * np.pi)
+            assert abs(gz(2, r, z) - ref) <= 1e-14 * abs(ref)
+
     def test_dim1_kernel_solves_defining_equation(self):
         # away from the origin the kernel solves u'' = z u to O(h^2)
         z = 2.0 + 0.5j
@@ -181,6 +190,13 @@ class TestGammaMatrix:
         rhs = gamma_matrix(ps, z).conj().T
         assert rel_err(lhs, rhs) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_branch_cut(self, dim):
+        ps = PointSet(dim, np.eye(2, dim) if dim > 1 else [0.0, 1.0])
+        for z in (0.0, -1.0, -2.5 + 0.0j):
+            with pytest.raises(BranchCut):
+                gamma_matrix(ps, z)
+
     @settings(max_examples=20, deadline=None)
     @given(shift=st.floats(-50.0, 50.0))
     def test_translation_invariance(self, shift):
@@ -188,6 +204,45 @@ class TestGammaMatrix:
         ps = PointSet(3, base)
         ps_shifted = PointSet(3, base + shift)
         assert rel_err(gamma_matrix(ps_shifted, 2.0), gamma_matrix(ps, 2.0)) <= 1e-12
+
+
+def _scalar_gamma_matrix(ps, z):
+    """Reference: the scalar LaplacianKernel methods, one entry at a time."""
+    kernel = LaplacianKernel(ps.dim)
+    dist = ps.distance_matrix()
+    n = ps.n_points
+    out = np.full((n, n), kernel.renormalized_diagonal(z), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                out[j, k] = kernel.g0(dist[j, k]) - kernel.gz(dist[j, k], z)
+    return out
+
+
+class TestGammaMatrixAgainstScalarKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    @pytest.mark.parametrize("z", [0.3, 4.0, 2.0 + 1.5j, -1.0 + 0.5j, 0.7 - 3.0j])
+    def test_array_kernel_matches_scalar_loop(self, dim, n, z):
+        rng = np.random.default_rng([dim, n])
+        ps = PointSet(dim, rng.uniform(0.0, 4.0, size=(n, dim)))
+        got = gamma_matrix(ps, z)
+        want = _scalar_gamma_matrix(ps, z)
+        if dim == 2:
+            # np.log against math.log may differ in the last bit
+            assert rel_err(got, want) <= 1e-12
+        else:
+            assert np.array_equal(got, want)
+        if complex(z).imag == 0.0:
+            assert np.array_equal(got, got.T)
+
+    def test_far_apart_points_in_the_plane(self):
+        # kappa r beyond the argument range of scipy's K0 routine: the far
+        # entry reduces to g0 alone, as K0 has underflowed to zero there
+        ps = PointSet(2, [[0.0, 0.0], [2e9, 0.0]])
+        got = gamma_matrix(ps, 1.0)
+        assert np.all(np.isfinite(got))
+        assert got[0, 1] == pytest.approx(g0(2, 2e9), rel=1e-15)
 
 
 class TestGbreveApply1D:
@@ -260,3 +315,21 @@ class TestPointSourceSum:
         ps = PointSet(3, [[0.0, 0.0, 0.0]])
         with pytest.raises(EvaluationAtSingularity):
             point_source_sum(ps, 1.0, [1.0], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("z", [1.3, 1.3 + 0.7j])
+    def test_dim2_matches_scalar_kernel_sum(self, z):
+        ps = PointSet(2, [[0.0, 0.0], [1.0, 0.5], [-0.3, 1.2]])
+        coeffs = np.array([1.0, -0.5 + 0.25j, 2.0j])
+        xs = np.array([[0.4, -0.2], [2.0, 1.0], [-1.0, 3.0], [0.0, 1e-3]])
+        got = point_source_sum(ps, z, coeffs, xs)
+        want = [
+            sum(c * gz(2, float(np.hypot(*(x - y))), z) for c, y in zip(coeffs, ps.points))
+            for x in xs
+        ]
+        assert rel_err(got, want) <= 1e-13
+        assert point_source_sum(ps, z, coeffs, xs[1]) == pytest.approx(want[1], rel=1e-13)
+
+    def test_dim2_singularity_guard(self):
+        ps = PointSet(2, [[0.0, 0.0], [1.0, 0.5]])
+        with pytest.raises(EvaluationAtSingularity):
+            point_source_sum(ps, 1.0, [1.0, 1.0], [[0.4, -0.2], [1.0, 0.5]])
