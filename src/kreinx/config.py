@@ -11,7 +11,7 @@ carries every violation found, not just the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .errors import InvariantError, KreinxError, SchemaError
@@ -58,6 +58,12 @@ class ProblemConfig:
     z: Optional[complex] = None
     f: Optional[tuple] = None
     grid1d: Optional[Grid1D] = None
+    # the MatrixModel parse_config builds while checking the matrix
+    # invariants, kept for build_problem; derived data, so it takes no
+    # part in equality and dataclasses.replace does not copy it
+    matrix_model: Optional[MatrixModel] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def with_scan(self, a=None, b=None, grid=None) -> "ProblemConfig":
         base = self.scan or ScanWindow(a=0.0, b=0.0)
@@ -100,6 +106,16 @@ def _int_entry(v, path, errs) -> int:
     return 0
 
 
+def _complex_row(row, path, errs) -> tuple:
+    # plain numbers take the fast branch; the entry path is formatted
+    # only for an entry that needs checking
+    return tuple([
+        complex(c) if type(c) is float or type(c) is int
+        else _complex_entry(c, f"{path}[{j}]", errs)
+        for j, c in enumerate(row)
+    ])
+
+
 def _complex_matrix(v, path, errs) -> tuple:
     if not (isinstance(v, list) and v and all(isinstance(r, list) for r in v)):
         errs.append(f"{path}: expected a nested list of rows, got {v!r}")
@@ -108,10 +124,7 @@ def _complex_matrix(v, path, errs) -> tuple:
     if len(widths) != 1:
         errs.append(f"{path}: rows have unequal lengths {sorted(widths)}")
         return ()
-    return tuple(
-        tuple(_complex_entry(c, f"{path}[{i}][{j}]", errs) for j, c in enumerate(row))
-        for i, row in enumerate(v)
-    )
+    return tuple([_complex_row(row, f"{path}[{i}]", errs) for i, row in enumerate(v)])
 
 
 def _point_rows(v, dim, path, errs) -> tuple:
@@ -251,9 +264,7 @@ def parse_config(text: str) -> ProblemConfig:
     f = None
     if "f" in raw:
         if isinstance(raw["f"], list) and raw["f"]:
-            f = tuple(
-                _complex_entry(v, f"f[{i}]", errs) for i, v in enumerate(raw["f"])
-            )
+            f = _complex_row(raw["f"], "f", errs)
         else:
             errs.append("f: expected a nonempty list")
 
@@ -289,12 +300,15 @@ def parse_config(text: str) -> ProblemConfig:
         f=f,
         grid1d=grid1d,
     )
-    _check_invariants(cfg)
+    object.__setattr__(cfg, "matrix_model", _check_invariants(cfg))
     return cfg
 
 
-def _check_invariants(cfg: ProblemConfig) -> None:
+def _check_invariants(cfg: ProblemConfig) -> Optional[MatrixModel]:
+    """Raise InvariantError with every violation; return the MatrixModel
+    built for the check (None for the other backends)."""
     viols = []
+    model = None
 
     n = len(cfg.theta)
     if any(len(row) != n for row in cfg.theta):
@@ -326,7 +340,7 @@ def _check_invariants(cfg: ProblemConfig) -> None:
         if rows != n:
             viols.append(f"theta is {n}x{n} but tau has {rows} rows")
         try:
-            MatrixModel(cfg.matrix_a, cfg.matrix_tau)
+            model = MatrixModel(cfg.matrix_a, cfg.matrix_tau)
         except InvariantError as exc:
             viols.extend(exc.violations)
 
@@ -352,6 +366,7 @@ def _check_invariants(cfg: ProblemConfig) -> None:
 
     if viols:
         raise InvariantError(viols)
+    return model
 
 
 def serialize_config(cfg: ProblemConfig) -> str:
@@ -405,7 +420,9 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
     """Construct the evaluator + coupling pair described by the config."""
     theta = ThetaMatrix(cfg.theta)
     if cfg.backend == "matrix":
-        model = MatrixModel(cfg.matrix_a, cfg.matrix_tau)
+        model = cfg.matrix_model
+        if model is None:
+            model = MatrixModel(cfg.matrix_a, cfg.matrix_tau)
         problem = ExtensionProblem(
             MatrixEvaluator(model), theta, cfg.tol_linear, cfg.tol_root
         )

@@ -221,6 +221,17 @@ def _uniform_step(xs: np.ndarray) -> float:
     return h
 
 
+def _resolved_kappa(h: float, z: complex) -> complex:
+    """sqrt(z), once the grid step h resolves the kernel decay length:
+    raises GridTooCoarse when h exceeds a quarter of 1 / Re sqrt(z)."""
+    kappa = _sqrt_principal(z)
+    if h > 1.0 / (4.0 * kappa.real):
+        raise GridTooCoarse(
+            f"step {h:.3e} exceeds 1/(4 Re sqrt(z)) = {1.0 / (4.0 * kappa.real):.3e}"
+        )
+    return kappa
+
+
 def gbreve_apply_1d(ps: PointSet, z: complex, xs, fs) -> np.ndarray:
     """Traces of the resolvent image of grid samples, dim 1.
 
@@ -236,11 +247,7 @@ def gbreve_apply_1d(ps: PointSet, z: complex, xs, fs) -> np.ndarray:
     if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
         raise InvariantError("xs and fs must be equal-length 1-d arrays")
     h = _uniform_step(xs)
-    kappa = _sqrt_principal(z)
-    if h > 1.0 / (4.0 * kappa.real):
-        raise GridTooCoarse(
-            f"step {h:.3e} exceeds 1/(4 Re sqrt(z)) = {1.0 / (4.0 * kappa.real):.3e}"
-        )
+    kappa = _resolved_kappa(h, z)
     r = np.abs(ps.points[:, 0][:, None] - xs[None, :])
     return _gz_array(1, r, kappa) @ (_trapezoid_weights(xs.size, h) * fs)
 
@@ -399,7 +406,8 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
 
     Functions are represented by their samples on the grid; the base
     resolvent action is trapezoid convolution with the decaying kernel,
-    so all actions (and hence the assembled perturbed resolvent) carry
+    done in O(n) time and memory by the exponential-kernel recurrence, so
+    all actions (and hence the assembled perturbed resolvent) carry
     O(h^2) quadrature error.
     """
 
@@ -410,19 +418,32 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
         self.xs = xs
 
     def r_apply(self, z: complex, f):
+        """Trapezoid convolution of the samples with ``gz(|x - y|)``.
+
+        The kernel ``e^{-kappa |x - y|}`` is separable on a uniform grid,
+        so with ``q = e^{-kappa h}`` (|q| < 1) the sum is a forward and a
+        backward first-order recurrence over the weighted samples; both
+        count the diagonal term, which is subtracted once.  O(n) time and
+        memory, exactly the dense trapezoid sum up to rounding.
+        """
         f = np.asarray(f, dtype=complex)
         if f.shape != self.xs.shape:
             raise InvariantError("sample vector does not match the grid")
-        xs = self.xs
-        h = float(xs[1] - xs[0])
-        kappa = _sqrt_principal(z)
-        if h > 1.0 / (4.0 * kappa.real):
-            raise GridTooCoarse(
-                f"step {h:.3e} exceeds 1/(4 Re sqrt(z)) "
-                f"= {1.0 / (4.0 * kappa.real):.3e}"
-            )
-        r = np.abs(xs[:, None] - xs[None, :])
-        return _gz_array(1, r, kappa) @ (_trapezoid_weights(xs.size, h) * f)
+        h = float(self.xs[1] - self.xs[0])
+        kappa = _resolved_kappa(h, z)
+        wf = (_trapezoid_weights(f.size, h) * f).tolist()
+        q = complex(np.exp(-kappa * h))
+        out = []
+        acc = 0j
+        for v in wf:
+            acc = q * acc + v
+            out.append(acc)
+        acc = 0j
+        for i in range(len(wf) - 1, -1, -1):
+            v = wf[i]
+            acc = q * acc + v
+            out[i] += acc - v
+        return np.array(out) / (2.0 * kappa)
 
     def gbreve_apply(self, z: complex, f):
         return gbreve_apply_1d(self.ps, z, self.xs, f)

@@ -82,6 +82,68 @@ class TestParse:
         assert cfg.z == 2.0j
 
 
+MATRIX_2 = {
+    "backend": "matrix",
+    "matrix": {"a": [[1.0, 0.0], [0.0, -1.0]], "tau": [[1.0, 1.0]]},
+    "theta": [[1.0]],
+}
+
+
+class TestMatrixEntries:
+    def test_bad_entry_message_names_its_path(self):
+        a = [[1.0, 0.0, 0.0], [0.0, 2.0, "x"], [0.0, 0.0, 3.0]]
+        bad = dict(MATRIX_2, matrix={"a": a, "tau": [[1.0, 0.0, 0.0]]})
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(bad))
+        assert err.value.violations == (
+            "matrix.a[1][2]: expected a number or [re, im] pair, got 'x'",
+        )
+
+    def test_json_true_entry_rejected(self):
+        bad = dict(MATRIX_2, matrix={"a": [[1.0, 0.0], [0.0, True]], "tau": [[1.0, 1.0]]})
+        with pytest.raises(SchemaError, match=r"matrix\.a\[1\]\[1\]: .* got True"):
+            parse_config(json.dumps(bad))
+
+    def test_bad_f_entry_message(self):
+        bad = dict(MATRIX_2, f=[1.0, None])
+        with pytest.raises(SchemaError, match=r"f\[1\]: expected a number"):
+            parse_config(json.dumps(bad))
+
+    def test_integer_and_float_entries_parse_alike(self):
+        cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1, [2, -3]])))
+        same = parse_config(json.dumps(dict(MATRIX_2, f=[1.0, [2.0, -3.0]])))
+        assert cfg == same
+        assert cfg.f == (1.0 + 0j, 2.0 - 3.0j)
+        assert cfg.matrix_a == ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
+
+
+class TestMatrixModelReuse:
+    def test_build_problem_reuses_the_parsed_model(self):
+        cfg = parse_config(json.dumps(MATRIX_2))
+        assert cfg.matrix_model is not None
+        assert build_problem(cfg).model is cfg.matrix_model
+
+    def test_replaced_config_builds_its_own_model(self):
+        cfg = parse_config(json.dumps(MATRIX_2))
+        assert cfg.with_scan(a=0.5, b=2.0).matrix_model is None
+        built = build_problem(cfg.with_scan(a=0.5, b=2.0))
+        assert built.model is not cfg.matrix_model
+        assert list(built.model.eigs) == list(cfg.matrix_model.eigs)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ({"a": [[1.0, 1.0], [0.0, -1.0]], "tau": [[1.0, 1.0]]}, "not hermitian"),
+        ({"a": [[1.0, 0.0], [0.0, 0.0]], "tau": [[1.0, 1.0]]}, "injective"),
+        ({"a": [[1.0, 0.0], [0.0, -1.0]], "tau": [[1.0, 1.0], [2.0, 2.0]]}, "full row rank"),
+    ])
+    def test_model_violations_still_raised(self, matrix, message):
+        theta = [[1.0, 0.0], [0.0, 1.0]] if len(matrix["tau"]) == 2 else [[1.0]]
+        with pytest.raises(InvariantError, match=message):
+            parse_config(json.dumps(dict(MATRIX_2, matrix=matrix, theta=theta)))
+
+    def test_laplacian_config_has_no_model(self):
+        assert parse_config(json.dumps(MINIMAL_3D)).matrix_model is None
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("payload", [
         MINIMAL_3D,

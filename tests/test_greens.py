@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from kreinx import (
@@ -18,6 +19,7 @@ from kreinx import (
     renormalized_diagonal,
 )
 from kreinx.greens import (
+    LaplacianGrid1DEvaluator,
     gbreve_g_quadrature_1d,
     gbreve_g_radial_3d,
     point_source_sum,
@@ -284,6 +286,70 @@ class TestGbreveApply1D:
         xs = np.linspace(-10.0, 10.0, 21)  # step 1.0 > 1/(4 sqrt(z))
         with pytest.raises(GridTooCoarse):
             gbreve_apply_1d(ps, 1.0, xs, np.zeros_like(xs))
+
+
+def _dense_r_apply(xs, z, f):
+    """Reference: the trapezoid convolution as a dense kernel, one scalar
+    ``LaplacianKernel(1).gz`` call per node pair."""
+    kernel = LaplacianKernel(1)
+    n = xs.size
+    h = float(xs[1] - xs[0])
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2.0
+    out = np.zeros(n, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i] += kernel.gz(abs(float(xs[i] - xs[j])), z) * w[j] * f[j]
+    return out
+
+
+def _gaussian_resolvent(xs, z, width):
+    """Closed form of ``int gz(|x - y|) exp(-y^2 / (2 s^2)) dy`` in dim 1.
+
+    The half-line ``y < x`` contributes
+    ``s sqrt(pi/2) e^{kappa^2 s^2 / 2 - kappa x} erfc((kappa s^2 - x) / (s sqrt 2))``
+    and ``y > x`` the same with x -> -x.  With ``erfc = e^{-w^2} erfcx`` the
+    exponentials combine to ``e^{-x^2 / (2 s^2)}``; that form is used where
+    Re w >= 0, since erfcx overflows for Re w << 0.
+    """
+    kappa = np.sqrt(complex(z))
+    s = float(width)
+
+    def half(u):
+        w = (kappa * s * s - u) / (s * np.sqrt(2.0))
+        out = np.empty(u.shape, dtype=complex)
+        big = w.real >= 0.0
+        out[big] = np.exp(-(u[big] ** 2) / (2.0 * s * s)) * special.erfcx(w[big])
+        out[~big] = np.exp(kappa**2 * s * s / 2.0 - kappa * u[~big]) * special.erfc(w[~big])
+        return s * np.sqrt(np.pi / 2.0) * out
+
+    return (half(xs) + half(-xs)) / (2.0 * kappa)
+
+
+class TestGridResolvent1D:
+    @pytest.mark.parametrize("n", [2, 3, 50, 400])
+    @pytest.mark.parametrize("z", [2.0, 1.3 + 0.8j, -1.0 + 0.5j])
+    def test_recurrence_matches_dense_kernel(self, n, z):
+        rng = np.random.default_rng(n)
+        xs = np.linspace(-2.0, -2.0 + 0.05 * (n - 1), n)
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
+        assert rel_err(ev.r_apply(z, f), _dense_r_apply(xs, z, f)) <= 1e-12
+
+    def test_gaussian_on_1e5_nodes_within_h_squared(self):
+        xs = np.linspace(-20.0, 20.0, 100_000)
+        h = xs[1] - xs[0]
+        z = 1.5 + 0.7j
+        f = np.exp(-(xs**2) / (2.0 * 0.7**2))
+        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
+        err = np.max(np.abs(ev.r_apply(z, f) - _gaussian_resolvent(xs, z, 0.7)))
+        assert err <= h * h
+
+    def test_grid_too_coarse(self):
+        xs = np.linspace(-10.0, 10.0, 21)  # step 1.0 > 1/(4 sqrt(z))
+        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
+        with pytest.raises(GridTooCoarse, match="exceeds"):
+            ev.r_apply(1.0, np.zeros_like(xs))
 
 
 class TestProductMatrices:
