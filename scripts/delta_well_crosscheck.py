@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         ps = PointSet(1, [0.0])
         problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix([[alpha]]))
         closed = 1.0 / (4.0 * alpha**2)
-        rep = scan_spectrum(problem, (0.5 * closed, 2.0 * closed), 128)
+        rep = scan_spectrum(problem, (0.5 * closed, 2.0 * closed))
         z0 = rep.roots[0].z0
         e_fd = fd_ground_energy(1.0 / alpha, args.length, args.h)
         print(f"{alpha:>8g} {z0:>16.10f} {-e_fd:>16.10f} {abs(z0 + e_fd) / z0:>12.2e}")

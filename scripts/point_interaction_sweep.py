@@ -26,7 +26,6 @@ from kreinx.csvio import emit_csv
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--alphas", default="-0.02,-0.05,-0.1,-0.2,-0.5")
-    ap.add_argument("--grid", type=int, default=128)
     ap.add_argument("-o", "--output", default="-")
     args = ap.parse_args(argv)
 
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
         ps = PointSet(3, [[0.0, 0.0, 0.0]])
         problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix([[alpha]]))
         closed = 16.0 * np.pi**2 * alpha**2
-        rep = scan_spectrum(problem, (0.5 * closed, 2.0 * closed), args.grid)
+        rep = scan_spectrum(problem, (0.5 * closed, 2.0 * closed))
         z0 = rep.roots[0].z0
         rows.append([alpha, z0, -z0, closed, abs(z0 - closed) / closed])
 

@@ -106,7 +106,7 @@ def cmd_spectrum(args) -> int:
     if cfg.scan is None:
         raise InvariantError(["spectrum needs a scan window (config 'scan' or --a/--b)"])
     built = build_problem(cfg)
-    report = scan_spectrum(built.problem, (cfg.scan.a, cfg.scan.b), cfg.scan.grid)
+    report = scan_spectrum(built.problem, (cfg.scan.a, cfg.scan.b))
     n = built.problem.theta.n
     schema = (
         ["root_index", "z0", "energy", "multiplicity", "residual"]
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None, help="validated (>= 3) but ignored")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_spectrum)

@@ -11,6 +11,7 @@ carries every violation found, not just the first.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -72,11 +73,15 @@ class ProblemConfig:
             b=base.b if b is None else float(b),
             grid=base.grid if grid is None else int(grid),
         )
+        if new.grid < 3:
+            raise InvariantError(["scan.grid must be at least 3"])
         return replace(self, scan=new)
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if type(v) is int:  # float() overflows beyond the largest float
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float)
 
 
 def _complex_entry(v, path, errs) -> complex:
@@ -107,10 +112,10 @@ def _int_entry(v, path, errs) -> int:
 
 
 def _complex_row(row, path, errs) -> tuple:
-    # plain numbers take the fast branch; the entry path is formatted
+    # plain floats take the fast branch; the entry path is formatted
     # only for an entry that needs checking
     return tuple([
-        complex(c) if type(c) is float or type(c) is int
+        complex(c) if type(c) is float
         else _complex_entry(c, f"{path}[{j}]", errs)
         for j, c in enumerate(row)
     ])
@@ -150,7 +155,7 @@ def _point_rows(v, dim, path, errs) -> tuple:
 def parse_config(text: str) -> ProblemConfig:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise SchemaError([f"not valid JSON: {exc}"])
     if not isinstance(raw, dict):
         raise SchemaError(["top level must be a JSON object"])

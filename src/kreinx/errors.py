@@ -98,6 +98,12 @@ class CsvWriteError(KreinxError):
     """CSV output refused (non-finite value or schema mismatch) or failed."""
 
 
-class BranchCrossingAmbiguity(UserWarning):
-    """Two eigenvalue branches change sign in the same scan cell; the
-    sorted-branch tracking may mislabel them.  Rescan with a finer grid."""
+class PencilNotMonotone(KreinxError):
+    """A sorted pencil eigenvalue branch does not increase across a scan
+    window, so the evaluator is not Nevanlinna there and the inertia
+    count does not certify the roots."""
+
+
+class InertiaMismatch(KreinxError):
+    """The roots a scan located do not account for the Sylvester inertia
+    count of its window."""

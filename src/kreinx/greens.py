@@ -214,6 +214,8 @@ def gamma_matrix(ps: PointSet, z: complex) -> np.ndarray:
 
 
 def _uniform_step(xs: np.ndarray) -> float:
+    if xs.ndim != 1 or xs.size < 2:
+        raise InvariantError("grid must be a 1-d array of at least two nodes")
     steps = np.diff(xs)
     h = float(steps[0])
     if h <= 0.0 or np.max(np.abs(steps - h)) > 1e-9 * abs(h):

@@ -1,11 +1,14 @@
 """Locate resolvent poles of the perturbed operator on the real line.
 
 A pole inside the base resolvent set is a point where the hermitian
-pencil ``theta + gamma(lambda)`` becomes singular.  The scan tracks the
-sorted eigenvalue branches of the pencil on a grid, brackets every sign
-change, and refines each bracket by bisection; determinants are avoided
-on purpose (they under/overflow and miss even-multiplicity touches,
-which are reported as warnings instead of roots).
+pencil ``theta + gamma(lambda)`` becomes singular.  On a real gap of the
+base resolvent set ``gamma`` is a matrix Nevanlinna function whose
+derivative, the product matrix ``gbreve_g(lambda, lambda)``, is positive
+definite, so every sorted eigenvalue branch of the pencil is strictly
+increasing.  Sylvester inertia at the two window ends therefore
+certifies the number of roots, and each root is the one zero of its
+branch, found by ``brentq``; determinants are avoided on purpose (they
+under/overflow).
 
 Energy convention for physics-facing output: a pole z0 of the perturbed
 Laplacian-like operator corresponds to the bound-state energy
@@ -16,18 +19,19 @@ scalar coupling ``alpha`` matches the delta well of strength
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
-    BranchCrossingAmbiguity,
+    InertiaMismatch,
     IntervalOutsideResolventSet,
     InvariantError,
     NotAPole,
     OracleDegenerate,
+    PencilNotMonotone,
     UnsupportedAction,
 )
 from .greens import (
@@ -41,9 +45,6 @@ from .greens import (
 from .krein import ExtensionProblem, admissible_real, gamma_theta, hermitian_part
 from .matrixmodel import MatrixEvaluator, woodbury_extension
 from .verify import CheckResult
-
-DEFAULT_GRID = 512
-BISECTION_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class SpectralRoot:
 @dataclass(frozen=True)
 class ScanDiagnostics:
     interval: tuple
-    grid: int
     warnings: tuple
 
 
@@ -84,107 +84,80 @@ def _branch_values(problem: ExtensionProblem, lam: float) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(gamma_theta(problem, lam)))
 
 
-def _bisect_branch(problem, k, lo, hi, flo, fhi):
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 4e-16 * max(1.0, abs(mid)):
-            break
-        fm = float(_branch_values(problem, mid)[k])
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
+    """Find all pencil roots in the closed window ``interval`` = (a, b).
 
+    The window must lie inside the base operator's real resolvent set,
+    where every sorted pencil branch is strictly increasing.  The roots
+    in [a, b], counted with multiplicity, are then exactly the branches
+    k with ``ea[k] <= 0 <= eb[k]`` for the branch values ``ea``, ``eb``
+    at the ends (Sylvester inertia).  Each is solved by ``brentq`` (a
+    branch that is zero at an end has its root there).  A root where m
+    pencil eigenvalues are at most ``tol_root`` in magnitude is reported
+    once with multiplicity m and covers m branches; a point that does
+    not refine below ``tol_root`` is dropped with a note.
 
-def scan_spectrum(problem: ExtensionProblem, interval, grid: int = DEFAULT_GRID) -> SpectrumReport:
-    """Find all pencil roots in ``interval`` = (a, b).
-
-    The interval must lie inside the base operator's real resolvent set.
-    Every sign change of every sorted eigenvalue branch over the grid is
-    bracketed and refined by bisection until the pencil's smallest
-    eigenvalue magnitude at the root is at most ``tol_root``; refined
-    roots closer than the merge tolerance are reported once with the
-    eigenvalue count as multiplicity.  Cells where several branches
-    change sign raise a BranchCrossingAmbiguity warning (rescan with a
-    finer grid); near-touches without a sign change are reported in the
-    diagnostics, not as roots.
+    Raises PencilNotMonotone when a branch does not increase from a to b
+    (an evaluator that is not Nevanlinna on the window), and
+    InertiaMismatch when the roots found do not account for the count.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise InvariantError(f"need a < b, got ({a!r}, {b!r})")
-    if grid < 3:
-        raise InvariantError("grid must have at least 3 points")
     if not problem.evaluator.interval_in_resolvent_set(a, b):
         raise IntervalOutsideResolventSet(
             f"[{a!r}, {b!r}] is not inside the base real resolvent set"
         )
 
-    lam = np.linspace(a, b, int(grid))
-    n = problem.theta.n
-    branches = np.empty((len(lam), n))
-    for i, x in enumerate(lam):
-        branches[i] = _branch_values(problem, float(x))
+    ea = _branch_values(problem, a)
+    eb = _branch_values(problem, b)
+    if not np.all(eb > ea):
+        k = int(np.argmin(eb - ea))
+        raise PencilNotMonotone(
+            f"pencil branch {k} does not increase over [{a!r}, {b!r}]: "
+            f"{ea[k]:.3e} at a, {eb[k]:.3e} at b"
+        )
+    # branch k crosses zero left of branch k - 1, so walking down from the
+    # highest bracketed branch yields the roots in increasing order
+    lowest = int(np.sum(eb < 0.0))
+    k = int(np.sum(ea <= 0.0)) - 1
+    count = k + 1 - lowest
+
+    values = {a: ea, b: eb}
+
+    def branches_at(x):
+        if x not in values:
+            values[x] = _branch_values(problem, x)
+        return values[x]
 
     notes = []
-    raw_positions = []
-    changes_per_cell = np.zeros(len(lam) - 1, dtype=int)
-    for k in range(n):
-        e = branches[:, k]
-        scale = float(np.max(np.abs(e))) + 1.0
-        touch_tol = np.sqrt(problem.tol_root) * scale
-        for i in range(len(lam) - 1):
-            if e[i] == 0.0:
-                raw_positions.append(float(lam[i]))
-            elif e[i] * e[i + 1] < 0.0:
-                changes_per_cell[i] += 1
-                raw_positions.append(
-                    _bisect_branch(
-                        problem, k, float(lam[i]), float(lam[i + 1]),
-                        float(e[i]), float(e[i + 1]),
-                    )
-                )
-        if e[-1] == 0.0:
-            raw_positions.append(float(lam[-1]))
-        for i in range(1, len(lam) - 1):
-            if (
-                abs(e[i]) <= touch_tol
-                and abs(e[i]) < abs(e[i - 1])
-                and abs(e[i]) <= abs(e[i + 1])
-                and e[i - 1] * e[i] > 0.0
-                and e[i] * e[i + 1] > 0.0
-            ):
-                notes.append(
-                    f"branch {k} nearly touches zero at lambda={lam[i]:.9g} "
-                    f"without a sign change (possible even-multiplicity root)"
-                )
-
-    for i, c in enumerate(changes_per_cell):
-        if c >= 2:
-            msg = (
-                f"{c} branches change sign in cell [{lam[i]:.9g}, {lam[i + 1]:.9g}]; "
-                "branch tracking may be ambiguous, rescan with a finer grid"
-            )
-            warnings.warn(msg, BranchCrossingAmbiguity)
-            notes.append(msg)
-
-    merged = []
-    for z in sorted(raw_positions):
-        if merged and abs(z - merged[-1]) <= 1e-9 * (1.0 + abs(z)):
-            continue
-        merged.append(z)
-
     roots = []
-    for z0 in merged:
-        evals = _branch_values(problem, z0)
+    while k >= lowest:
+        # brentq returns an end where the branch is exactly zero
+        z0 = brentq(
+            lambda x: branches_at(x)[k], a, b,
+            xtol=4e-16, rtol=4.0 * np.finfo(float).eps, disp=False,
+        )
+        # brentq stops on a bracket a few doubles wide: step to the sign
+        # change and keep the double with the smaller branch value
+        f0 = branches_at(z0)[k]
+        toward = b if f0 < 0.0 else a
+        while f0 != 0.0:
+            z1 = float(np.nextafter(z0, toward))
+            f1 = branches_at(z1)[k]
+            if f1 == 0.0 or (f1 < 0.0) != (f0 < 0.0):
+                if abs(f1) < abs(f0):
+                    z0 = z1
+                break
+            z0, f0 = z1, f1
+        evals = branches_at(z0)
         residual = float(np.min(np.abs(evals)))
         if residual > problem.tol_root:
             notes.append(
                 f"bracketed point lambda={z0:.9g} did not refine below "
                 f"tol_root (pencil eigenvalue {residual:.3e}); dropped"
             )
+            k -= 1
             continue
         mult = int(np.sum(np.abs(evals) <= problem.tol_root))
         roots.append(
@@ -196,10 +169,19 @@ def scan_spectrum(problem: ExtensionProblem, interval, grid: int = DEFAULT_GRID)
                 admissibility=admissible_real(problem, z0),
             )
         )
+        k -= mult
 
+    # a dropped point covers its one branch; k ends below lowest when the
+    # roots found cover more branches than the window brackets
+    if k != lowest - 1:
+        raise InertiaMismatch(
+            f"[{a!r}, {b!r}] holds {count} roots by inertia but the located "
+            f"roots account for {count + lowest - 1 - k}; roots closer than "
+            f"tol_root to each other or to a window end are not resolved"
+        )
     return SpectrumReport(
         roots=tuple(roots),
-        diagnostics=ScanDiagnostics(interval=(a, b), grid=int(grid), warnings=tuple(notes)),
+        diagnostics=ScanDiagnostics(interval=(a, b), warnings=tuple(notes)),
     )
 
 

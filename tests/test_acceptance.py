@@ -111,8 +111,8 @@ def test_3_worked_two_level_example():
     matrix_ok = np.allclose(b, [[2.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-14)
 
     problem = kx.ExtensionProblem(kx.MatrixEvaluator(model), theta)
-    upper = kx.scan_spectrum(problem, (1.5, 4.0), 128).positions()
-    lower = kx.scan_spectrum(problem, (-0.9, 0.9), 128).positions()
+    upper = kx.scan_spectrum(problem, (1.5, 4.0)).positions()
+    lower = kx.scan_spectrum(problem, (-0.9, 0.9)).positions()
     roots_ok = (
         len(upper) == 1
         and len(lower) == 1
@@ -134,7 +134,7 @@ def test_4_3d_point_interaction():
             kx.LaplacianPointEvaluator(ps), kx.ThetaMatrix([[alpha]])
         )
         z0 = 16.0 * np.pi**2 * alpha**2
-        rep = kx.scan_spectrum(problem, (0.5 * z0, 2.0 * z0), 128)
+        rep = kx.scan_spectrum(problem, (0.5 * z0, 2.0 * z0))
         assert len(rep.roots) == 1
         worst = max(worst, abs(rep.roots[0].z0 - z0) / z0)
     report("4 3d point interaction", worst <= 1e-8, f"max rel err {worst:.2e}")
@@ -163,7 +163,7 @@ def test_5_1d_finite_difference_crosscheck():
             kx.LaplacianPointEvaluator(ps), kx.ThetaMatrix([[alpha]])
         )
         z0_pred = 1.0 / (4.0 * alpha**2)
-        rep = kx.scan_spectrum(problem, (0.5 * z0_pred, 2.0 * z0_pred), 128)
+        rep = kx.scan_spectrum(problem, (0.5 * z0_pred, 2.0 * z0_pred))
         worst_solver = max(worst_solver, abs(rep.roots[0].z0 - z0_pred) / z0_pred)
         # coupling map: scalar coupling alpha <-> delta strength c = 1/alpha
         energy_fd = _fd_delta_well_ground_energy(1.0 / alpha)

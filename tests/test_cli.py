@@ -93,6 +93,22 @@ class TestSpectrumCommand:
         cfg.write_text(json.dumps(dict(CFG_3D, theta=[[0.0, 1.0], [0.0, 0.0]])))
         assert main(["spectrum", "--config", str(cfg), "-o", str(tmp_path / "s.csv")]) == 2
 
+    def test_integer_beyond_float_range_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG_3D, theta=[[10**400]])))
+        assert main(["spectrum", "--config", str(cfg), "-o", str(tmp_path / "s.csv")]) == 2
+
+    def test_grid_accepted_and_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CFG_3D))
+        outs = [tmp_path / f"s{i}.csv" for i in range(3)]
+        assert main(["spectrum", "--config", str(cfg), "-o", str(outs[0])]) == 0
+        assert main(["spectrum", "--config", str(cfg), "--grid", "3", "-o", str(outs[1])]) == 0
+        cfg.write_text(json.dumps(dict(CFG_3D, scan={"a": 0.5, "b": 2.0, "grid": 4096})))
+        assert main(["spectrum", "--config", str(cfg), "-o", str(outs[2])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert main(["spectrum", "--config", str(cfg), "--grid", "2", "-o", str(outs[0])]) == 2
+
     def test_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(CFG_3D, scan={"a": 5.0, "b": 9.0})))

@@ -25,7 +25,7 @@ class TestParse:
     def test_minimal_laplacian3d_parses_and_solves(self):
         cfg = parse_config(json.dumps(MINIMAL_3D))
         built = build_problem(cfg)
-        rep = scan_spectrum(built.problem, (cfg.scan.a, cfg.scan.b), cfg.scan.grid)
+        rep = scan_spectrum(built.problem, (cfg.scan.a, cfg.scan.b))
         # the coupling is the truncated-decimal -1/(4 pi), so the root sits
         # next to 1 rather than on it
         assert abs(rep.roots[0].z0 - 1.0) < 1e-6
@@ -115,6 +115,23 @@ class TestMatrixEntries:
         assert cfg == same
         assert cfg.f == (1.0 + 0j, 2.0 - 3.0j)
         assert cfg.matrix_a == ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
+
+
+class TestNumberRange:
+    HUGE = 10**400
+
+    @pytest.mark.parametrize("payload, path", [
+        (dict(MATRIX_2, theta=[[HUGE]]), r"theta\[0\]\[0\]"),
+        (dict(MINIMAL_3D, scan={"a": HUGE, "b": 2.0}), r"scan\.a"),
+    ])
+    def test_integer_beyond_float_range_is_schema_error(self, payload, path):
+        with pytest.raises(SchemaError, match=path):
+            parse_config(json.dumps(payload))
+
+    def test_integer_over_the_digit_limit_is_schema_error(self):
+        text = json.dumps(MATRIX_2).replace("[[1.0]]", "[[1" + "0" * 5000 + "]]")
+        with pytest.raises(SchemaError, match="JSON"):
+            parse_config(text)
 
 
 class TestMatrixModelReuse:

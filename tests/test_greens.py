@@ -351,6 +351,10 @@ class TestGridResolvent1D:
         with pytest.raises(GridTooCoarse, match="exceeds"):
             ev.r_apply(1.0, np.zeros_like(xs))
 
+    def test_one_node_grid_is_invariant_error(self):
+        with pytest.raises(InvariantError, match="two nodes"):
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.array([0.0]))
+
 
 class TestProductMatrices:
     def test_radial_3d_matches_difference_identity(self):

@@ -174,7 +174,7 @@ class TestBoundaryResidual:
         from kreinx import charge_vector, scan_spectrum
         from kreinx.matrixmodel import gamma as model_gamma
 
-        z0 = scan_spectrum(two_level_problem, (1.5, 4.0), 64).positions()[0]
+        z0 = scan_spectrum(two_level_problem, (1.5, 4.0)).positions()[0]
         q = charge_vector(two_level_problem, z0)
         trace_reg = -model_gamma(two_level_model, z0) @ q
         res = boundary_residual(two_level_problem, trace_reg, q)

@@ -177,7 +177,7 @@ class TestRandomModels:
         for lam in direct_eigs(model, theta):
             if model.spectrum_distance(lam) < 0.05:
                 continue
-            rep = scan_spectrum(problem, (lam - 0.04, lam + 0.04), 32)
+            rep = scan_spectrum(problem, (lam - 0.04, lam + 0.04))
             assert len(rep.roots) >= 1
             assert min(abs(rep.positions() - lam)) <= 1e-8
             checked += 1

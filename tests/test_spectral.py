@@ -2,26 +2,32 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from kreinx import (
-    BranchCrossingAmbiguity,
     EvaluationAtSingularity,
     ExtensionProblem,
+    InertiaMismatch,
     IntervalOutsideResolventSet,
     LaplacianPointEvaluator,
     MatrixEvaluator,
     MatrixModel,
     NotAPole,
+    OracleDegenerate,
+    PencilNotMonotone,
     PointSet,
     ThetaMatrix,
     charge_vector,
+    direct_eigs,
     eigenfunction_eval,
     eigenfunction_l2_norm,
     scan_spectrum,
     verify_eigenpair,
 )
 from kreinx.krein import GammaEvaluator
+from kreinx.matrixmodel import random_model, random_theta
 
 SQRT2 = np.sqrt(2.0)
 
@@ -34,26 +40,26 @@ def laplacian_problem(dim, points, alpha):
 
 class TestScanSpectrum:
     def test_worked_example_upper_root(self, two_level_problem):
-        rep = scan_spectrum(two_level_problem, (1.5, 4.0), 128)
+        rep = scan_spectrum(two_level_problem, (1.5, 4.0))
         assert len(rep.roots) == 1
         assert abs(rep.roots[0].z0 - (1.0 + SQRT2)) <= 1e-10
         assert rep.roots[0].multiplicity == 1
         assert np.allclose(rep.roots[0].charge, [1.0])
 
     def test_worked_example_lower_root(self, two_level_problem):
-        rep = scan_spectrum(two_level_problem, (-0.9, 0.9), 128)
+        rep = scan_spectrum(two_level_problem, (-0.9, 0.9))
         assert abs(rep.roots[0].z0 - (1.0 - SQRT2)) <= 1e-10
 
     def test_3d_single_point_bound_state(self):
         _, problem = laplacian_problem(3, [[0.0, 0.0, 0.0]], -1.0 / (4.0 * np.pi))
-        rep = scan_spectrum(problem, (0.5, 2.0), 64)
+        rep = scan_spectrum(problem, (0.5, 2.0))
         assert len(rep.roots) == 1
         assert abs(rep.roots[0].z0 - 1.0) <= 1e-10
         assert rep.roots[0].energy == pytest.approx(-1.0)
 
     def test_3d_positive_coupling_has_no_roots(self):
         _, problem = laplacian_problem(3, [[0.0, 0.0, 0.0]], 1.0)
-        rep = scan_spectrum(problem, (0.01, 50.0), 256)
+        rep = scan_spectrum(problem, (0.01, 50.0))
         assert rep.roots == ()
 
     def test_2d_single_point_closed_form(self):
@@ -62,7 +68,7 @@ class TestScanSpectrum:
         for alpha in (-0.05, 0.0, 0.1):
             _, problem = laplacian_problem(2, [[0.0, 0.0]], alpha)
             z0 = 4.0 * np.exp(-4.0 * np.pi * alpha - 2.0 * np.euler_gamma)
-            rep = scan_spectrum(problem, (0.5 * z0, 2.0 * z0), 64)
+            rep = scan_spectrum(problem, (0.5 * z0, 2.0 * z0))
             assert len(rep.roots) == 1
             assert abs(rep.roots[0].z0 - z0) <= 1e-10 * z0
 
@@ -75,7 +81,7 @@ class TestScanSpectrum:
         sym = Multiplier1D(poly=(0.0, 0.0, -1.0))
         ev = MultiplierAnchoredEvaluator(sym, PointSet(1, [0.0]), 1.0)
         problem = ExtensionProblem(ev, ThetaMatrix([[0.0]]))
-        rep = scan_spectrum(problem, (0.5, 2.0), 24)
+        rep = scan_spectrum(problem, (0.5, 2.0))
         assert len(rep.roots) == 1
         assert abs(rep.roots[0].z0 - 1.0) <= 1e-7
 
@@ -85,21 +91,22 @@ class TestScanSpectrum:
         for alpha in (-0.05, -0.1, -0.5):
             _, problem = laplacian_problem(3, [[0.0, 0.0, 0.0]], alpha)
             z0 = 16.0 * np.pi**2 * alpha**2
-            rep = scan_spectrum(problem, (0.5 * z0, 2.0 * z0), 64)
+            rep = scan_spectrum(problem, (0.5 * z0, 2.0 * z0))
             assert abs(rep.roots[0].z0 - z0) <= 1e-8 * z0
             roots.append(rep.roots[0].z0)
         assert roots == sorted(roots)
 
-    def test_root_on_grid_node(self):
-        # the tuned coupling puts the root at z = 1, exactly a grid node of
-        # the 3-point scan
+    def test_root_on_window_end(self):
+        # the tuned coupling makes the branch exactly zero at z = 1; a
+        # window ending there reports the root at that end, exactly
         ps = PointSet(3, [[0.0, 0.0, 0.0]])
         problem = ExtensionProblem(
             LaplacianPointEvaluator(ps), ThetaMatrix([[-1.0 / (4.0 * np.pi)]])
         )
-        rep = scan_spectrum(problem, (0.5, 1.5), 3)
-        assert len(rep.roots) == 1
-        assert rep.roots[0].z0 == 1.0
+        for window in ((0.5, 1.0), (1.0, 1.5)):
+            rep = scan_spectrum(problem, window)
+            assert len(rep.roots) == 1
+            assert rep.roots[0].z0 == 1.0
 
     def test_complex_coupling_roots_match_oracle(self):
         # hermitian coupling with a complex off-diagonal entry: every oracle
@@ -115,7 +122,7 @@ class TestScanSpectrum:
         for lam in direct_eigs(model, theta):
             if model.spectrum_distance(lam) < 0.05:
                 continue
-            rep = scan_spectrum(problem, (lam - 0.03, lam + 0.03), 16)
+            rep = scan_spectrum(problem, (lam - 0.03, lam + 0.03))
             assert len(rep.roots) == 1
             q = rep.roots[0].charge
             assert q[0].real > 0 and abs(q[0].imag) < 1e-13
@@ -126,26 +133,88 @@ class TestScanSpectrum:
 
     def test_interval_validation(self, two_level_problem):
         with pytest.raises(IntervalOutsideResolventSet):
-            scan_spectrum(two_level_problem, (0.5, 1.5), 32)  # contains eig 1
+            scan_spectrum(two_level_problem, (0.5, 1.5))  # contains eig 1
         _, problem = laplacian_problem(3, [[0.0, 0.0, 0.0]], -0.1)
         with pytest.raises(IntervalOutsideResolventSet):
-            scan_spectrum(problem, (-1.0, 2.0), 32)
+            scan_spectrum(problem, (-1.0, 2.0))
 
-    def test_crossing_warning_on_coarse_grid(self):
+    def test_close_roots_on_two_branches(self):
         # two decoupled scalar pencils with roots lambda_i = a_i + 1/(theta_i
-        # - 1/a_i) about 7e-4 apart: on a coarse grid both branches change
-        # sign in the same cell
+        # - 1/a_i) about 7e-4 apart: each branch holds one of them
         model = MatrixModel(np.diag([1.0, 1.0 + 1e-4]), np.eye(2))
         theta = ThetaMatrix(np.diag([1.35, 1.35]))
         problem = ExtensionProblem(MatrixEvaluator(model), theta)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rep = scan_spectrum(problem, (1.5, 8.0), 8)
-        assert any(issubclass(w.category, BranchCrossingAmbiguity) for w in caught)
-        assert any("finer grid" in note for note in rep.diagnostics.warnings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = scan_spectrum(problem, (1.5, 8.0))
+        assert rep.diagnostics.warnings == ()
         assert len(rep.roots) == 2
+        assert [r.multiplicity for r in rep.roots] == [1, 1]
+        want = [ai + 1.0 / (1.35 - 1.0 / ai) for ai in (1.0, 1.0 + 1e-4)]
+        assert np.allclose(sorted(rep.positions()), sorted(want), rtol=1e-12, atol=0.0)
 
-    def test_tangency_reported_not_rooted(self):
+    def test_degenerate_root_reported_once(self):
+        # tau reaches only the eigenvalue-1 block of a, so the pencil is
+        # (0.35 - 1/(z - 1)) I_2: one root of multiplicity 2 at z = 1 + 1/0.35,
+        # found on each of the two bracketed branches
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        a = (u * np.array([1.0, 1.0, -2.0])) @ u.conj().T
+        model = MatrixModel((a + a.conj().T) / 2.0, u[:, :2].conj().T)
+        theta = ThetaMatrix(1.35 * np.eye(2))
+        rep = scan_spectrum(ExtensionProblem(MatrixEvaluator(model), theta), (1.5, 8.0))
+        assert len(rep.roots) == 1
+        assert rep.roots[0].multiplicity == 2
+        want = [lam for lam in direct_eigs(model, theta) if 1.5 <= lam <= 8.0]
+        assert len(want) == 2
+        for lam in want:
+            assert abs(rep.roots[0].z0 - lam) <= 1e-9 * (1.0 + abs(lam))
+
+    def test_steep_root_refined_to_the_best_double(self):
+        # the pencil changes by about 1e-10 per double here: brentq stops a
+        # few doubles from the sign change, outside tol_root, and the scan
+        # steps to the double next to it
+        model = random_model(191, 6, 1)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(192, 1))
+        rep = scan_spectrum(problem, (-5.520755366617583, -5.507005856364466))
+        assert rep.diagnostics.warnings == ()
+        assert len(rep.roots) == 1
+        assert rep.roots[0].residual <= problem.tol_root
+        want = [lam for lam in direct_eigs(model, problem.theta) if -5.53 < lam < -5.50]
+        assert len(want) == 1
+        assert abs(rep.roots[0].z0 - want[0]) <= 1e-9 * (1.0 + abs(want[0]))
+
+    def test_unrefined_root_dropped_with_note(self):
+        class JumpEvaluator(GammaEvaluator):
+            # increasing, but it jumps over zero at z = 2
+            n_charges = 1
+
+            def in_resolvent_set(self, z):
+                return True
+
+            def gamma(self, z):
+                x = np.real(z) - 2.0
+                return np.array([[x + (1e-3 if x >= 0.0 else -1e-3)]])
+
+        problem = ExtensionProblem(JumpEvaluator(), ThetaMatrix([[0.0]]))
+        rep = scan_spectrum(problem, (1.0, 3.0))
+        assert rep.roots == ()
+        assert len(rep.diagnostics.warnings) == 1
+        assert "lambda=2 did not refine below tol_root" in rep.diagnostics.warnings[0]
+
+    def test_unresolved_window_end_raises(self):
+        # two decoupled scalar pencils with roots 7e-11 apart, closer than
+        # tol_root resolves: a window ending between them holds one root by
+        # inertia, but the root found there covers both branches
+        model = MatrixModel(np.diag([1.0, 1.0 + 1e-11]), np.eye(2))
+        problem = ExtensionProblem(MatrixEvaluator(model), ThetaMatrix(1.35 * np.eye(2)))
+        r1, r2 = (ai + 1.0 / (1.35 - 1.0 / ai) for ai in (1.0, 1.0 + 1e-11))
+        with pytest.raises(InertiaMismatch):
+            scan_spectrum(problem, (1.5, 0.5 * (r1 + r2)))
+        rep = scan_spectrum(problem, (1.5, 8.0))
+        assert [r.multiplicity for r in rep.roots] == [2]
+
+    def test_tangency_raises_not_monotone(self):
         class TouchingEvaluator(GammaEvaluator):
             n_charges = 1
 
@@ -156,9 +225,42 @@ class TestScanSpectrum:
                 return np.array([[(np.real(z) - 2.0) ** 2 + 1e-14]])
 
         problem = ExtensionProblem(TouchingEvaluator(), ThetaMatrix([[0.0]]))
-        rep = scan_spectrum(problem, (1.0, 3.0), 201)
-        assert rep.roots == ()
-        assert any("even-multiplicity" in note for note in rep.diagnostics.warnings)
+        with pytest.raises(PencilNotMonotone):
+            scan_spectrum(problem, (1.0, 3.0))
+
+
+class TestScanAgainstOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 8),
+        n_charges=st.integers(1, 4),
+    )
+    def test_counts_and_positions_match_direct_eigs(self, seed, n, n_charges):
+        # the Woodbury oracle builds the perturbed matrix and runs eigvalsh
+        # on it; it shares no code with the pencil scan.  Windows keep 0.01
+        # from the base spectrum: closer in, this backend's inverse-based
+        # gamma fails its hermiticity check near clustered eigenvalues, and
+        # the pencil can change by more than tol_root between adjacent
+        # doubles, so no double certifies the root
+        n_charges = min(n_charges, n)
+        model = random_model(seed, n, n_charges)
+        theta = random_theta(seed + 1, n_charges)
+        try:
+            oracle = direct_eigs(model, theta)
+        except OracleDegenerate:
+            assume(False)
+        problem = ExtensionProblem(MatrixEvaluator(model), theta)
+        for lo, hi in zip(model.eigs[:-1], model.eigs[1:]):
+            margin = max(0.01 * (hi - lo), 0.01)
+            a, b = lo + margin, hi - margin
+            if not a < b:
+                continue
+            rep = scan_spectrum(problem, (a, b))
+            got = np.repeat(rep.positions(), [r.multiplicity for r in rep.roots])
+            want = oracle[(oracle >= a) & (oracle <= b)]
+            assert got.size == want.size
+            assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
 
 
 class TestTwoPointSymmetry:
@@ -171,7 +273,7 @@ class TestTwoPointSymmetry:
             lambda k: alpha - d / 2.0 - (1.0 + np.exp(-k * d)) / (2.0 * k),
             1e-6, 60.0, xtol=1e-15,
         )
-        rep = scan_spectrum(problem, (0.05, 6.0), 256)
+        rep = scan_spectrum(problem, (0.05, 6.0))
         assert len(rep.roots) == 1
         assert abs(rep.roots[0].z0 - k0**2) <= 1e-9 * k0**2
         assert np.allclose(rep.roots[0].charge, [1.0 / SQRT2, 1.0 / SQRT2], atol=1e-12)
@@ -183,7 +285,7 @@ class TestTwoPointSymmetry:
             lambda k: alpha + d / 2.0 - (1.0 - np.exp(-k * d)) / (2.0 * k),
             1e-6, 60.0, xtol=1e-15,
         )
-        rep = scan_spectrum(problem, (0.05, 8.0), 256)
+        rep = scan_spectrum(problem, (0.05, 8.0))
         assert len(rep.roots) == 1
         assert abs(rep.roots[0].z0 - k0**2) <= 1e-9 * k0**2
         assert np.allclose(rep.roots[0].charge, [1.0 / SQRT2, -1.0 / SQRT2], atol=1e-12)
@@ -192,8 +294,8 @@ class TestTwoPointSymmetry:
         d, alpha = 1.0, -0.3
         _, problem = laplacian_problem(1, [-d / 2.0, d / 2.0], alpha)
         _, problem_swapped = laplacian_problem(1, [d / 2.0, -d / 2.0], alpha)
-        rep = scan_spectrum(problem, (0.05, 8.0), 128)
-        rep_swapped = scan_spectrum(problem_swapped, (0.05, 8.0), 128)
+        rep = scan_spectrum(problem, (0.05, 8.0))
+        rep_swapped = scan_spectrum(problem_swapped, (0.05, 8.0))
         # identical root positions, bitwise
         assert rep.roots[0].z0 == rep_swapped.roots[0].z0
         # the point -> charge assignment agrees up to one global phase
@@ -208,7 +310,7 @@ class TestTwoPointSymmetry:
     def test_3d_two_points_lower_root_symmetric(self):
         d, alpha = 1.0, -0.1
         ps, problem = laplacian_problem(3, [[0.0, 0.0, 0.0], [d, 0.0, 0.0]], alpha)
-        rep = scan_spectrum(problem, (0.05, 8.0), 256)
+        rep = scan_spectrum(problem, (0.05, 8.0))
         assert len(rep.roots) == 2
         lower = rep.roots[0]
         pencil = problem.theta.entries + problem.evaluator.gamma(lower.z0)
@@ -230,7 +332,7 @@ class TestChargeVector:
     def test_phase_fixing(self):
         d, alpha = 1.0, -0.3
         _, problem = laplacian_problem(1, [-d / 2.0, d / 2.0], alpha)
-        rep = scan_spectrum(problem, (0.05, 8.0), 128)
+        rep = scan_spectrum(problem, (0.05, 8.0))
         q = rep.roots[0].charge
         assert q[0].real > 0 and abs(q[0].imag) < 1e-15
         assert np.linalg.norm(q) == pytest.approx(1.0)
@@ -278,7 +380,7 @@ class TestVerifyEigenpair:
     def test_1d_residuals(self):
         # alpha = 1/2 puts the root at z0 = 1
         ps, problem = laplacian_problem(1, [0.0], 0.5)
-        rep = scan_spectrum(problem, (0.5, 2.0), 64)
+        rep = scan_spectrum(problem, (0.5, 2.0))
         z0, q = rep.roots[0].z0, rep.roots[0].charge
         report = verify_eigenpair(problem, z0, q)
         assert report.passed
@@ -287,7 +389,7 @@ class TestVerifyEigenpair:
         assert by_name["eigenpair/derivative_jumps"].residual <= 1e-6
 
     def test_matrix_oracle_action(self, two_level_problem):
-        rep = scan_spectrum(two_level_problem, (1.5, 4.0), 64)
+        rep = scan_spectrum(two_level_problem, (1.5, 4.0))
         report = verify_eigenpair(
             two_level_problem, rep.roots[0].z0, rep.roots[0].charge
         )
