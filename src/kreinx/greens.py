@@ -17,6 +17,11 @@ Dimension 2 takes K0 from ``scipy.special.kv`` (the AMOS algorithm, see
 the positive real axis.  The trace matrix and source superpositions are
 array expressions over all radii at once; the scalar ``LaplacianKernel``
 methods evaluate one radius at a time and serve as their reference.
+
+The product matrix ``gbreve_g(w, z)`` (trace at w of the source at z)
+comes, in dims 1 and 3, from one adaptive ``quad`` of kernel products
+per distinct distance, independent of the closed-form identity
+``gamma(z) - gamma(w) = (z - w) gbreve_g(w, z)`` that it checks.
 """
 
 from __future__ import annotations
@@ -280,99 +285,90 @@ def point_source_sum(ps: PointSet, z: complex, coeffs, xs) -> np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-def _quad_complex(f, a, b, **kw):
-    re, re_err = quad(lambda t: f(t).real, a, b, **kw)
-    im, im_err = quad(lambda t: f(t).imag, a, b, **kw)
-    return complex(re, im), re_err + im_err
+def _two_center_integral(
+    dim: int, d: float, kw: complex, kz: complex, bound: float
+) -> complex:
+    """``integral gz(|x|; w) gz(|x - y|; z) dx`` over R^dim for |y| = d,
+    with kw = sqrt(w) and kz = sqrt(z), to 1e-13 of ``bound``.
+
+    Dim 1 integrates the kernel product on the line, split at the kinks
+    x = 0 and x = d.  Dim 3 does the angular integral analytically,
+    leaving one radial integral split at r = d.
+    """
+    if dim == 1:
+        def integrand(x):
+            return _gz_array(1, abs(x), kw) * _gz_array(1, abs(x - d), kz)
+
+        cuts, scale = sorted({-np.inf, 0.0, d, np.inf}), 1.0
+    elif d == 0.0:
+        def integrand(r):
+            return np.exp(-(kw + kz) * r) / (4.0 * math.pi)
+
+        cuts, scale = (0.0, np.inf), 1.0
+    else:
+        def integrand(r):
+            return np.exp(-kw * r) * (
+                np.exp(-kz * abs(r - d)) - np.exp(-kz * (r + d))
+            )
+
+        cuts, scale = (0.0, d, np.inf), 8.0 * math.pi * d * kz
+    tol = 1e-13 * bound * abs(scale)
+    total = sum(
+        quad(integrand, a, b, complex_func=True, epsabs=tol, epsrel=0.0)[0]
+        for a, b in zip(cuts, cuts[1:])
+    )
+    return total / scale
+
+
+def _product_matrix(ps: PointSet, w: complex, z: complex) -> np.ndarray:
+    """Product matrix in dims 1 and 3 by adaptive quadrature of kernel
+    products (independent of the closed-form difference identity it is
+    used to test).
+
+    Entry (k, j) is the two-center integral of ``gz(.; w)`` about y_k
+    against ``gz(.; z)`` about y_j; it depends on the distance alone, so
+    each distinct distance is integrated once.  Every entry is at most
+    ``|gz(.; w)|_2 |gz(.; z)|_2`` in modulus (Cauchy-Schwarz), which sets
+    the absolute error target: a relative one cannot be met on a real or
+    imaginary part that vanishes.
+    """
+    if ps.dim not in (1, 3):
+        raise UnsupportedAction(f"no product-matrix quadrature in dim {ps.dim}")
+    kw, kz = _sqrt_principal(w), _sqrt_principal(z)
+    denom = 4.0 * abs(kw * kz) if ps.dim == 1 else 8.0 * math.pi
+    bound = 1.0 / (denom * math.sqrt(kw.real * kz.real))
+    cache: dict[float, complex] = {}
+    out = np.empty((ps.n_points, ps.n_points), dtype=complex)
+    for (k, j), d in np.ndenumerate(ps.distance_matrix()):
+        d = float(d)
+        if d not in cache:
+            cache[d] = _two_center_integral(ps.dim, d, kw, kz, bound)
+        out[k, j] = cache[d]
+    return out
 
 
 def gbreve_g_radial_3d(ps: PointSet, w: complex, z: complex) -> np.ndarray:
-    """Product matrix in dim 3 by radial quadrature (independent of the
-    closed-form difference identity it is used to test).
-
-    Entry (k, j) is the two-center integral of ``gz(.; w)`` about y_k
-    against ``gz(.; z)`` about y_j; the angular integral is done
-    analytically, leaving one radial integral per distinct distance.
-    """
+    """Product matrix in dim 3 by radial quadrature."""
     if ps.dim != 3:
         raise InvariantError("radial product matrix requires dim 3")
-    kw_ = _sqrt_principal(w)
-    kz = _sqrt_principal(z)
-    dist = ps.distance_matrix()
-    out = np.zeros((ps.n_points, ps.n_points), dtype=complex)
-    cache: dict[float, complex] = {}
-    for k in range(ps.n_points):
-        for j in range(ps.n_points):
-            d = float(dist[k, j])
-            if d not in cache:
-                if d == 0.0:
-                    val, _ = _quad_complex(
-                        lambda r: np.exp(-(kw_ + kz) * r) / (4.0 * math.pi),
-                        0.0,
-                        np.inf,
-                    )
-                else:
-                    # the |r - d| kink splits the radial integral at r = d
-                    def integrand(r):
-                        return np.exp(-kw_ * r) * (
-                            np.exp(-kz * abs(r - d)) - np.exp(-kz * (r + d))
-                        )
-
-                    inner, _ = _quad_complex(integrand, 0.0, d)
-                    outer, _ = _quad_complex(integrand, d, np.inf)
-                    val = (inner + outer) / (8.0 * math.pi * d * kz)
-                cache[d] = val
-            out[k, j] = cache[d]
-    return out
+    return _product_matrix(ps, w, z)
 
 
-def quadrature_grid_1d(ps: PointSet, w: complex, z: complex, *, step=2.5e-4, pad=None):
-    """Uniform grid wide enough for trace/source quadrature at w and z.
-
-    Interaction points land on grid nodes so the kernel kinks sit at
-    nodes and the trapezoid rule keeps its O(h^2) behavior.
-    """
-    decay = min(_sqrt_principal(w).real, _sqrt_principal(z).real)
-    if pad is None:
-        pad = 45.0 / decay
-    y = ps.points[:, 0]
-    lo = float(y.min()) - pad
-    n_left = int(math.ceil((y.min() - lo) / step))
-    lo = float(y.min()) - n_left * step
-    hi = float(y.max()) + pad
-    n_total = int(math.ceil((hi - lo) / step)) + 1
-    return lo + step * np.arange(n_total)
-
-
-def gbreve_g_quadrature_1d(
-    ps: PointSet, w: complex, z: complex, *, step=2.5e-4, pad=None
-) -> np.ndarray:
-    """Product matrix in dim 1 via the grid-native trace action.
-
-    Column j is the trace vector (at w) of the sampled source function
-    of unit charge j (at z), so the result is built purely from
-    quadrature actions on test functions.
-    """
+def gbreve_g_quadrature_1d(ps: PointSet, w: complex, z: complex) -> np.ndarray:
+    """Product matrix in dim 1 by quadrature on the line."""
     if ps.dim != 1:
-        raise InvariantError("grid product matrix requires dim 1")
-    xs = quadrature_grid_1d(ps, w, z, step=step, pad=pad)
-    n = ps.n_points
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        column_samples = point_source_sum(ps, z, e, xs)
-        out[:, j] = gbreve_apply_1d(ps, w, xs, column_samples)
-    return out
+        raise InvariantError("line product matrix requires dim 1")
+    return _product_matrix(ps, w, z)
 
 
 class LaplacianPointEvaluator(GammaEvaluator):
     """Pencil backend for point interactions of the Laplacian.
 
     Supplies the renormalized trace matrix in dims 1, 2, 3, source
-    superposition as a callable, and the product matrix by quadrature in
-    dims 1 and 3.  Arbitrary-input resolvent and trace actions need a
-    grid; see LaplacianGrid1DEvaluator.
+    superposition as a callable, and the product matrix in dims 1 and 3
+    by one two-center quadrature per distinct distance (none in dim 2).
+    Arbitrary-input resolvent and trace actions need a grid; see
+    LaplacianGrid1DEvaluator.
     """
 
     def __init__(self, ps: PointSet):
@@ -396,11 +392,7 @@ class LaplacianPointEvaluator(GammaEvaluator):
         return lambda xs: point_source_sum(self.ps, z, ell, xs)
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
-        if self.ps.dim == 3:
-            return gbreve_g_radial_3d(self.ps, w, z)
-        if self.ps.dim == 1:
-            return gbreve_g_quadrature_1d(self.ps, w, z)
-        raise UnsupportedAction("no product-matrix quadrature in dim 2")
+        return _product_matrix(self.ps, w, z)
 
 
 class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):

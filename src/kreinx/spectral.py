@@ -32,15 +32,11 @@ from .errors import (
     NotAPole,
     OracleDegenerate,
     PencilNotMonotone,
-    UnsupportedAction,
 )
 from .greens import (
     LaplacianPointEvaluator,
     PointSet,
-    _trapezoid_weights,
-    gbreve_g_radial_3d,
     point_source_sum,
-    quadrature_grid_1d,
 )
 from .krein import ExtensionProblem, admissible_real, gamma_theta, hermitian_part
 from .matrixmodel import MatrixEvaluator, woodbury_extension
@@ -220,11 +216,11 @@ def eigenfunction_eval(ps: PointSet, q, z0, xs):
     return point_source_sum(ps, z0, np.conj(q), xs)
 
 
-def eigenfunction_l2_norm(ps: PointSet, q, z0, *, grid_step: float = 1e-3) -> float:
-    """Numeric L2 norm of the eigenfunction.
+def eigenfunction_l2_norm(ps: PointSet, q, z0) -> float:
+    """Numeric L2 norm of the eigenfunction, ``sqrt(Re q^H S q)`` with the
+    product matrix ``S = gbreve_g(z0, z0)`` from the two-center
+    quadrature (dims 1 and 3).
 
-    Dim 1: trapezoid quadrature on a wide grid (O(h^2)); dim 3: the
-    angular integrals are analytic, leaving cached radial quadratures.
     Requires a real positive z0 (the bound-state setting); dim 2 is not
     supported.
     """
@@ -232,16 +228,9 @@ def eigenfunction_l2_norm(ps: PointSet, q, z0, *, grid_step: float = 1e-3) -> fl
     if not (z0.imag == 0.0 and z0.real > 0.0):
         raise InvariantError("l2 norm implemented for real z0 > 0 only")
     q = np.asarray(q, dtype=complex)
-    if ps.dim == 1:
-        xs = quadrature_grid_1d(ps, z0, z0, step=grid_step)
-        vals = eigenfunction_eval(ps, q, z0, xs)
-        w = _trapezoid_weights(xs.size, grid_step)
-        return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
-    if ps.dim == 3:
-        s = gbreve_g_radial_3d(ps, z0, z0)
-        norm2 = np.real(np.conj(q) @ (s @ q))
-        return float(np.sqrt(max(norm2, 0.0)))
-    raise UnsupportedAction("l2 norm not implemented in dim 2")
+    s = LaplacianPointEvaluator(ps).gbreve_g(z0, z0)
+    norm2 = np.real(np.conj(q) @ (s @ q))
+    return float(np.sqrt(max(norm2, 0.0)))
 
 
 @dataclass(frozen=True)

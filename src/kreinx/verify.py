@@ -29,7 +29,7 @@ from .matrixmodel import (
     random_problem_suite,
     woodbury_extension,
 )
-from .errors import OracleDegenerate, UnsupportedAction
+from .errors import InvariantError, OracleDegenerate, UnsupportedAction
 from .multiplier import Multiplier1D, multiplier_gz_1d
 from .greens import gz as laplacian_gz
 
@@ -311,8 +311,16 @@ def run_verification(
 
     Matrix-backend identity and extension checks over a stream of random
     models (worst residual per check is reported), plus the fixed kernel
-    checks at quadrature tolerance.
+    checks at quadrature tolerance.  ``models=0`` runs the kernel checks
+    only; a negative count, or a tolerance that is not finite and
+    positive, raises InvariantError.
     """
+    problems = [] if models >= 0 else [f"models must be >= 0, got {models}"]
+    for name, tol in (("tol_matrix", tol_matrix), ("tol_quad", tol_quad)):
+        if not 0.0 < tol < np.inf:
+            problems.append(f"{name} must be finite and positive, got {tol!r}")
+    if problems:
+        raise InvariantError(problems)
     reports = []
     degenerate = 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))

@@ -174,6 +174,23 @@ class TestVerifyCommand:
         _, rows = read_csv(out)
         assert any(r["pass"] == "0" for r in rows)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--models", "-2"], ["--tol-quad", "nan"], ["--tol-matrix", "-1"]],
+        ids=["negative-models", "nan-tol-quad", "negative-tol-matrix"],
+    )
+    def test_bad_arguments_exit_2(self, tmp_path, flags):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--seed", "42", *flags, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_zero_models_runs_kernel_checks_only(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--seed", "42", "--models", "0", "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows and all(r["check"].startswith(("kernel", "multiplier")) for r in rows)
+        assert all(r["pass"] == "1" for r in rows)
+
 
 class TestResolventCommand:
     def test_matrix_backend_matches_library(self, tmp_path):

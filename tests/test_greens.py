@@ -11,6 +11,7 @@ from kreinx import (
     GridTooCoarse,
     InvariantError,
     LaplacianKernel,
+    LaplacianPointEvaluator,
     PointSet,
     g0,
     gamma_matrix,
@@ -370,6 +371,29 @@ class TestProductMatrices:
         prod = gbreve_g_quadrature_1d(ps, w, z)
         closed = (gamma_matrix(ps, z) - gamma_matrix(ps, w)) / (z - w)
         assert rel_err(prod, closed) <= 1e-6
+
+
+class TestProductMatrixComplex:
+    # three and four points spaced exactly evenly repeat distances, so entries
+    # come from the per-distance cache as well as fresh integrals
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            PointSet(1, [-1.0, 0.0, 1.0]),
+            PointSet(1, [-0.75, 0.0, 0.75, 1.5]),
+            PointSet(3, [[0.0, 0.0, 0.0], [0.9, 0.0, 0.0], [1.8, 0.0, 0.0]]),
+            PointSet(3, [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 1.5, 0.0]]),
+        ],
+        ids=["1d-n3", "1d-n4", "3d-n3", "3d-n4"],
+    )
+    def test_matches_difference_identity(self, ps):
+        w, z = 1.3 - 0.4j, 0.7 + 2.0j
+        prod = LaplacianPointEvaluator(ps).gbreve_g(w, z)
+        closed = (gamma_matrix(ps, z) - gamma_matrix(ps, w)) / (z - w)
+        assert rel_err(prod, closed) <= 1e-12
+        # equal distances give the one cached value
+        assert prod[0, 1] == prod[1, 2] == prod[1, 0]
+        assert np.all(np.diag(prod) == prod[0, 0])
 
 
 class TestPointSourceSum:

@@ -375,6 +375,27 @@ class TestEigenfunction:
             PointSet(3, [[0.0, 0.0, 0.0]]), [1.0], 1.0
         ) == pytest.approx(np.sqrt(1.0 / (8.0 * np.pi)), rel=1e-8)
 
+    def test_l2_norm_three_points_against_mpmath(self):
+        # |psi|^2 with psi(x) = sum_j conj(q_j) e^{-kappa |x - y_j|} / (2 kappa),
+        # integrated by mpmath between the kinks
+        mp = pytest.importorskip("mpmath")
+        ys = [-0.7, 0.2, 1.9]
+        q = [1.0, -0.4 + 0.3j, 0.25j]
+        z0 = 1.7
+        with mp.workdps(30):
+            kappa = mp.sqrt(z0)
+
+            def density(x):
+                psi = sum(
+                    mp.conj(mp.mpc(qj)) * mp.exp(-kappa * abs(x - y)) / (2 * kappa)
+                    for qj, y in zip(q, ys)
+                )
+                return abs(psi) ** 2
+
+            want = float(mp.sqrt(mp.quad(density, [-mp.inf] + ys + [mp.inf])))
+        got = eigenfunction_l2_norm(PointSet(1, ys), q, z0)
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestVerifyEigenpair:
     def test_1d_residuals(self):
