@@ -29,8 +29,8 @@ from .errors import (
     SpectrumHit,
 )
 from .greens import LaplacianGrid1DEvaluator, LaplacianKernel
-from .krein import ExtensionProblem, krein_apply
-from .matrixmodel import direct_eigs, random_model, random_theta
+from .krein import ExtensionProblem, gamma_theta, krein_apply
+from .matrixmodel import MatrixEvaluator, direct_eigs, random_model, random_theta
 from .spectral import scan_spectrum
 from .verify import run_verification
 
@@ -209,9 +209,6 @@ def cmd_oracle(args) -> int:
     eigs = direct_eigs(model, theta)
     rows = [[i, float(v)] for i, v in enumerate(eigs)]
     _write(rows, ["index", "eigenvalue"], args)
-
-    from .krein import gamma_theta
-    from .matrixmodel import MatrixEvaluator
 
     problem = ExtensionProblem(MatrixEvaluator(model), theta)
     defect = 0.0

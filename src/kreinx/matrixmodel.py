@@ -1,17 +1,20 @@
 """Exact finite-dimensional model: the ground-truth oracle backend.
 
-Everything here is dense linear algebra on a hermitian injective matrix
+Everything here is exact linear algebra on a hermitian injective matrix
 ``a`` (n x n) and a surjective trace matrix ``tau`` (N x n).  The same
 construction that the other backends realize with Green's functions is
 available twice over:
 
 * through the pencil machinery (``MatrixEvaluator`` + ``krein_apply``),
-  built from ``gamma(z) = tau (R(0) - R(z)) tau^H`` with
-  ``R(z) = (z I - a)^{-1}``;
+  in the eigenbasis ``a = U diag(lam) U^H`` computed once per model:
+  with ``T = tau U`` and ``R(z) = (z I - a)^{-1}``, every map is a
+  diagonal weight between ``U`` and ``T``, e.g.
+  ``gamma(z) = tau (R(0) - R(z)) tau^H = T diag(-z/(lam (z - lam))) T^H``;
 * as the directly assembled hermitian matrix
-  ``b = a + tau^H (theta + tau R(0) tau^H)^{-1} tau``
-  whose ordinary resolvent ``(z I - b)^{-1}`` must agree with the first
-  route wherever both are defined (a low-rank-update identity).
+  ``b = a + tau^H (theta + tau R(0) tau^H)^{-1} tau`` (dense inverse
+  ``base_resolvent``, dense solve), whose ordinary resolvent
+  ``(z I - b)^{-1}`` must agree with the first route wherever both are
+  defined (a low-rank-update identity).
 
 Disagreement between the two routes is a bug by definition, which is
 what makes this backend the oracle.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, OracleDegenerate, SpectrumHit
-from .krein import GammaEvaluator
+from .krein import GammaEvaluator, ThetaMatrix
 
 # Relative spectral-distance floor for resolvent evaluations.
 SPECTRUM_RTOL = 1e-12
@@ -41,13 +44,14 @@ class MatrixModel:
     """Hermitian injective ``a`` with a full-row-rank trace matrix ``tau``.
 
     Construction symmetrizes ``a`` exactly after checking its hermiticity
-    defect, verifies injectivity (no eigenvalue at 0 within tolerance)
-    and surjectivity of ``tau`` (smallest singular value bounded away
-    from zero), and records the trace-domination constant
-    ``|tau a^{-1}|_2`` (finite automatically in finite dimension).
+    defect, diagonalizes it once (``a = basis diag(eigs) basis^H``, with
+    ``traces = tau basis``), verifies injectivity (no eigenvalue within
+    the spectral-distance floor ``pad`` of 0) and surjectivity of ``tau``
+    (smallest singular value bounded away from zero), and records the
+    trace-domination constant ``|tau a^{-1}|_2 = |traces diag(1/eigs)|_2``.
     """
 
-    __slots__ = ("a", "tau", "eigs", "trace_bound_constant")
+    __slots__ = ("a", "tau", "eigs", "basis", "traces", "pad", "trace_bound_constant")
 
     def __init__(self, a, tau):
         a = np.array(a, dtype=complex)
@@ -69,21 +73,24 @@ class MatrixModel:
             raise InvariantError(problems)
 
         a = (a + a.conj().T) / 2.0
-        eigs = np.linalg.eigvalsh(a)
-        if np.min(np.abs(eigs)) <= SPECTRUM_RTOL * scale:
+        eigs, basis = np.linalg.eigh(a)
+        pad = SPECTRUM_RTOL * max(1.0, float(np.max(np.abs(eigs))))
+        if np.min(np.abs(eigs)) <= pad:
             raise InvariantError("base matrix must be injective (no eigenvalue at 0)")
         svals = np.linalg.svd(tau, compute_uv=False)
         if svals[-1] <= 1e-10 * svals[0]:
             raise InvariantError("trace matrix must have full row rank")
 
-        a.flags.writeable = False
-        tau.flags.writeable = False
+        traces = tau @ basis
+        for arr in (a, tau, eigs, basis, traces):
+            arr.flags.writeable = False
         self.a = a
         self.tau = tau
         self.eigs = eigs
-        self.trace_bound_constant = float(
-            np.linalg.norm(tau @ np.linalg.inv(a), ord=2)
-        )
+        self.basis = basis
+        self.traces = traces
+        self.pad = pad
+        self.trace_bound_constant = float(np.linalg.norm(traces / eigs, ord=2))
 
     @property
     def n(self) -> int:
@@ -101,13 +108,25 @@ class MatrixModel:
 
 
 def _check_off_spectrum(model: MatrixModel, z: complex) -> None:
-    scale = max(1.0, float(np.max(np.abs(model.eigs))))
-    if model.spectrum_distance(z) <= SPECTRUM_RTOL * scale:
+    if model.spectrum_distance(z) <= model.pad:
         raise SpectrumHit(f"z={z!r} hits the spectrum of the base matrix")
 
 
+def _resolvent_weights(model: MatrixModel, z: complex) -> np.ndarray:
+    """``1/(z - eigs)``: R(z) in the eigenbasis."""
+    _check_off_spectrum(model, z)
+    return 1.0 / (complex(z) - model.eigs)
+
+
+def _anchored_weights(model: MatrixModel, z: complex) -> np.ndarray:
+    """``-z/(eigs (z - eigs))``: R(0) - R(z) in the eigenbasis."""
+    return -complex(z) * _resolvent_weights(model, z) / model.eigs
+
+
 def base_resolvent(model: MatrixModel, z: complex) -> np.ndarray:
-    """(z I - a)^{-1}."""
+    """(z I - a)^{-1} as a dense inverse: the oracle's matrix, also the
+    independent side of ``verify.check_base_identities``.  The pencil
+    route never forms it."""
     _check_off_spectrum(model, z)
     return np.linalg.inv(complex(z) * np.eye(model.n) - model.a)
 
@@ -124,20 +143,22 @@ class GMaps:
 
 
 def g_maps(model: MatrixModel, z: complex) -> GMaps:
-    _check_off_spectrum(model, z)
-    rz = base_resolvent(model, z)
-    r0 = base_resolvent(model, 0.0)
-    tau_h = model.tau.conj().T
-    g = rz @ tau_h
-    return GMaps(gbreve=model.tau @ rz, g=g, k=complex(z) * (r0 @ g))
+    u, t = model.basis, model.traces
+    r = _resolvent_weights(model, z)
+    return GMaps(
+        gbreve=(t * r) @ u.conj().T,
+        g=(u * r) @ t.conj().T,
+        k=(u * _anchored_weights(model, z)) @ t.conj().T,
+    )
 
 
 def gamma(model: MatrixModel, z: complex) -> np.ndarray:
-    """Renormalized trace matrix ``tau (R(0) - R(z)) tau^H``."""
-    _check_off_spectrum(model, z)
-    r0 = base_resolvent(model, 0.0)
-    rz = base_resolvent(model, z)
-    return model.tau @ (r0 - rz) @ model.tau.conj().T
+    """Renormalized trace matrix ``tau (R(0) - R(z)) tau^H``, evaluated
+    as ``T diag(-z/(lam (z - lam))) T^H``: at real z the weight is real,
+    so the result is hermitian to rounding however close z is to the
+    base spectrum."""
+    t = model.traces
+    return (t * _anchored_weights(model, z)) @ t.conj().T
 
 
 def anchor_pencil(model: MatrixModel, theta) -> np.ndarray:
@@ -179,36 +200,33 @@ class MatrixEvaluator(GammaEvaluator):
         return self.model.n_charges
 
     def in_resolvent_set(self, z: complex) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.model.eigs))))
-        return self.model.spectrum_distance(z) > SPECTRUM_RTOL * scale
+        return self.model.spectrum_distance(z) > self.model.pad
 
     def interval_in_resolvent_set(self, a: float, b: float) -> bool:
-        if not a <= b:
-            return False
-        scale = max(1.0, float(np.max(np.abs(self.model.eigs))))
-        pad = SPECTRUM_RTOL * scale
-        return not np.any(
-            (self.model.eigs >= a - pad) & (self.model.eigs <= b + pad)
-        )
+        eigs, pad = self.model.eigs, self.model.pad
+        return a <= b and not np.any((eigs >= a - pad) & (eigs <= b + pad))
 
     def gamma(self, z: complex) -> np.ndarray:
         return gamma(self.model, z)
 
+    def _weighted(self, z: complex, x, frame: np.ndarray) -> np.ndarray:
+        """``diag(1/(z - lam)) frame^H x``."""
+        x = np.asarray(x, dtype=complex)
+        return _resolvent_weights(self.model, z) * (frame.conj().T @ x)
+
     def r_apply(self, z: complex, f):
-        return base_resolvent(self.model, z) @ np.asarray(f, dtype=complex)
+        return self.model.basis @ self._weighted(z, f, self.model.basis)
 
     def gbreve_apply(self, z: complex, f):
-        return self.model.tau @ self.r_apply(z, f)
+        return self.model.traces @ self._weighted(z, f, self.model.basis)
 
     def g_apply(self, z: complex, ell):
-        return base_resolvent(self.model, z) @ (
-            self.model.tau.conj().T @ np.asarray(ell, dtype=complex)
-        )
+        return self.model.basis @ self._weighted(z, ell, self.model.traces)
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
-        rw = base_resolvent(self.model, w)
-        rz = base_resolvent(self.model, z)
-        return self.model.tau @ rw @ rz @ self.model.tau.conj().T
+        t = self.model.traces
+        weights = _resolvent_weights(self.model, w) * _resolvent_weights(self.model, z)
+        return (t * weights) @ t.conj().T
 
 
 # ----------------------------------------------------------------------
@@ -246,8 +264,6 @@ def random_model(
 
 
 def random_theta(seed_or_rng, n_charges: int, *, scale: float = 1.0):
-    from .krein import ThetaMatrix
-
     rng = np.random.default_rng(seed_or_rng)
     m = scale * _complex_gaussian(rng, (n_charges, n_charges))
     return ThetaMatrix((m + m.conj().T) / 2.0)

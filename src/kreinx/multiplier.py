@@ -137,12 +137,14 @@ def _check_admissible(m: Multiplier1D, z: complex) -> None:
         )
 
 
-def _fourier_line_integral(func, x, *, epsabs, limit, limlst, even):
-    """integral over the real line of e^{i xi x} func(xi) d xi.
+def _inverse_transform(func, x, where, *, even, rel_target=1e-8,
+                       abs_floor=1e-12, epsabs=1e-13, limit=400, limlst=150):
+    """(1/2pi) integral over the real line of e^{i xi x} func(xi) d xi.
 
-    func maps a scalar xi >= 0 pair to the complex values func(xi) and
-    func(-xi) through the provided closures; even=True skips the odd
-    part.  Returns (value, error estimate).
+    func maps a scalar xi to a complex value; even=True declares
+    func(-xi) == func(xi) and skips the odd part.  Raises
+    TailEstimateFailed (naming ``where``) when the QUADPACK error
+    estimate exceeds ``max(rel_target * |value|, abs_floor)``.
     """
     ax = abs(float(x))
 
@@ -150,33 +152,30 @@ def _fourier_line_integral(func, x, *, epsabs, limit, limlst, even):
         return func(t) + (func(t) if even else func(-t))
 
     def s_minus(t):
-        return 0.0 if even else func(t) - func(-t)
+        return func(t) - func(-t)
 
-    # the returned error estimate is gated by the caller, so QUADPACK's
-    # roundoff chatter at tight epsabs carries no extra information
+    # the error estimate is gated below, so QUADPACK's roundoff chatter
+    # at tight epsabs carries no extra information
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         if ax < 1e-12:
-            re, e1 = quad(lambda t: s_plus(t).real, 0.0, np.inf,
-                          epsabs=epsabs, epsrel=1e-12, limit=limit)
-            im, e2 = quad(lambda t: s_plus(t).imag, 0.0, np.inf,
-                          epsabs=epsabs, epsrel=1e-12, limit=limit)
-            return complex(re, im), e1 + e2
-
-        kw = dict(weight="cos", wvar=ax, epsabs=epsabs, limit=limit,
-                  limlst=limlst, full_output=1)
-        out_re = quad(lambda t: s_plus(t).real, 0.0, np.inf, **kw)
-        out_im = quad(lambda t: s_plus(t).imag, 0.0, np.inf, **kw)
-        val = complex(out_re[0], out_im[0])
-        err = out_re[1] + out_im[1]
-        if not even:
-            kw["weight"] = "sin"
-            sin_re = quad(lambda t: s_minus(t).real, 0.0, np.inf, **kw)
-            sin_im = quad(lambda t: s_minus(t).imag, 0.0, np.inf, **kw)
-            sign = 1.0 if x > 0 else -1.0
-            val += 1j * sign * complex(sin_re[0], sin_im[0])
-            err += sin_re[1] + sin_im[1]
-    return val, err
+            val, err = quad(s_plus, 0.0, np.inf, epsabs=epsabs, epsrel=1e-12,
+                            limit=limit, complex_func=True)
+            err = err.real + err.imag
+        else:
+            kw = dict(wvar=ax, epsabs=epsabs, limit=limit, limlst=limlst,
+                      complex_func=True)
+            val, err = quad(s_plus, 0.0, np.inf, weight="cos", **kw)
+            err = err.real + err.imag
+            if not even:
+                sin_val, sin_err = quad(s_minus, 0.0, np.inf, weight="sin", **kw)
+                val += 1j * (1.0 if x > 0 else -1.0) * sin_val
+                err += sin_err.real + sin_err.imag
+    val /= 2.0 * math.pi
+    err /= 2.0 * math.pi
+    if err > max(rel_target * abs(val), abs_floor):
+        raise TailEstimateFailed(f"error estimate {err:.3e} exceeds target at {where}")
+    return val
 
 
 def multiplier_gz_1d(
@@ -202,21 +201,13 @@ def multiplier_gz_1d(
     def func(xi):
         return 1.0 / (z - complex(m(xi)))
 
-    val, err = _fourier_line_integral(
-        func, x, epsabs=epsabs, limit=limit, limlst=limlst, even=m.is_even
+    return _inverse_transform(
+        func, x, f"z={z!r}, x={x!r}", even=m.is_even, rel_target=rel_target,
+        abs_floor=abs_floor, epsabs=epsabs, limit=limit, limlst=limlst,
     )
-    val /= 2.0 * math.pi
-    err /= 2.0 * math.pi
-    if err > max(rel_target * abs(val), abs_floor):
-        raise TailEstimateFailed(
-            f"error estimate {err:.3e} exceeds target at z={z!r}, x={x!r}"
-        )
-    return val
 
 
-def anchored_gamma_1d(
-    m: Multiplier1D, ps: PointSet, z: complex, w0: complex, **quad_opts
-) -> np.ndarray:
+def anchored_gamma_1d(m: Multiplier1D, ps: PointSet, z: complex, w0: complex) -> np.ndarray:
     """Anchored trace-matrix difference ``gamma(z) - gamma(w0)``.
 
     Entry (j, k) is the kernel difference ``(g_{w0} - g_z)(y_j - y_k)``,
@@ -237,12 +228,10 @@ def anchored_gamma_1d(
         mx = complex(m(xi))
         return (z - w0) / ((w0 - mx) * (z - mx))
 
-    return _pairwise_fourier_matrix(m, ps, func_at, quad_opts)
+    return _pairwise_fourier_matrix(m, ps, func_at)
 
 
-def product_matrix_1d(
-    m: Multiplier1D, ps: PointSet, w: complex, z: complex, **quad_opts
-) -> np.ndarray:
+def product_matrix_1d(m: Multiplier1D, ps: PointSet, w: complex, z: complex) -> np.ndarray:
     """Product matrix (trace map at w) o (source map at z) for the
     multiplier backend: entry (j, k) is the convolution of the two
     kernels evaluated at ``y_j - y_k``."""
@@ -255,17 +244,12 @@ def product_matrix_1d(
         mx = complex(m(xi))
         return 1.0 / ((w - mx) * (z - mx))
 
-    return _pairwise_fourier_matrix(m, ps, func_at, quad_opts)
+    return _pairwise_fourier_matrix(m, ps, func_at)
 
 
-def _pairwise_fourier_matrix(m, ps, func, quad_opts) -> np.ndarray:
+def _pairwise_fourier_matrix(m, ps, func) -> np.ndarray:
     if ps.dim != 1:
         raise InvariantError("multiplier backend requires a dim-1 point set")
-    opts = dict(rel_target=1e-8, abs_floor=1e-12, epsabs=1e-13,
-                limit=400, limlst=150)
-    opts.update(quad_opts)
-    rel_target = opts.pop("rel_target")
-    abs_floor = opts.pop("abs_floor")
     disp = ps.displacements_1d()
     n = ps.n_points
     out = np.zeros((n, n), dtype=complex)
@@ -274,17 +258,9 @@ def _pairwise_fourier_matrix(m, ps, func, quad_opts) -> np.ndarray:
         for k in range(n):
             r = float(disp[j, k])
             if r not in cache:
-                val, err = _fourier_line_integral(
-                    func, r, even=m.is_even, **opts
+                cache[r] = _inverse_transform(
+                    func, r, f"displacement {r!r}", even=m.is_even
                 )
-                val /= 2.0 * math.pi
-                err /= 2.0 * math.pi
-                if err > max(rel_target * abs(val), abs_floor):
-                    raise TailEstimateFailed(
-                        f"error estimate {err:.3e} exceeds target at "
-                        f"displacement {r!r}"
-                    )
-                cache[r] = val
             out[j, k] = cache[r]
     return out
 
@@ -299,14 +275,13 @@ class MultiplierAnchoredEvaluator(GammaEvaluator):
     anchor-consistent once theta is interpreted that way.
     """
 
-    def __init__(self, m: Multiplier1D, ps: PointSet, w0: complex, **quad_opts):
+    def __init__(self, m: Multiplier1D, ps: PointSet, w0: complex):
         _check_admissible(m, w0)
         if ps.dim != 1:
             raise InvariantError("multiplier backend requires a dim-1 point set")
         self.m = m
         self.ps = ps
         self.w0 = complex(w0)
-        self.quad_opts = dict(quad_opts)
 
     @property
     def n_charges(self) -> int:
@@ -319,7 +294,7 @@ class MultiplierAnchoredEvaluator(GammaEvaluator):
         return a <= b and self.m.in_resolvent_set(complex(a))
 
     def gamma(self, z: complex) -> np.ndarray:
-        return anchored_gamma_1d(self.m, self.ps, z, self.w0, **self.quad_opts)
+        return anchored_gamma_1d(self.m, self.ps, z, self.w0)
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
-        return product_matrix_1d(self.m, self.ps, w, z, **self.quad_opts)
+        return product_matrix_1d(self.m, self.ps, w, z)

@@ -288,6 +288,23 @@ class TestGbreveApply1D:
         with pytest.raises(GridTooCoarse):
             gbreve_apply_1d(ps, 1.0, xs, np.zeros_like(xs))
 
+    def test_rejects_point_set_outside_dim_1(self):
+        xs = np.linspace(-1.0, 1.0, 11)
+        with pytest.raises(InvariantError, match="dim-1 point set"):
+            gbreve_apply_1d(PointSet(2, [[0.0, 0.0]]), 1.0, xs, np.zeros_like(xs))
+
+    @pytest.mark.parametrize(
+        "xs, fs",
+        [
+            (np.linspace(-1.0, 1.0, 11), np.zeros(10)),
+            (np.linspace(-1.0, 1.0, 11).reshape(11, 1), np.zeros((11, 1))),
+            (np.array([0.0]), np.array([1.0])),
+        ],
+    )
+    def test_rejects_mismatched_samples(self, xs, fs):
+        with pytest.raises(InvariantError, match="equal-length 1-d arrays"):
+            gbreve_apply_1d(PointSet(1, [0.0]), 1.0, xs, fs)
+
 
 def _dense_r_apply(xs, z, f):
     """Reference: the trapezoid convolution as a dense kernel, one scalar
@@ -355,6 +372,13 @@ class TestGridResolvent1D:
     def test_one_node_grid_is_invariant_error(self):
         with pytest.raises(InvariantError, match="two nodes"):
             LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "xs", [np.array([0.0, 0.1, 0.3]), np.linspace(1.0, -1.0, 11), np.zeros(5)]
+    )
+    def test_nonuniform_or_decreasing_grid_is_invariant_error(self, xs):
+        with pytest.raises(InvariantError, match="uniform and increasing"):
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
 
 
 class TestProductMatrices:
@@ -427,3 +451,23 @@ class TestPointSourceSum:
         ps = PointSet(2, [[0.0, 0.0], [1.0, 0.5]])
         with pytest.raises(EvaluationAtSingularity):
             point_source_sum(ps, 1.0, [1.0, 1.0], [[0.4, -0.2], [1.0, 0.5]])
+
+    @pytest.mark.parametrize("coeffs", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_rejects_coefficient_shape(self, coeffs):
+        with pytest.raises(InvariantError, match="expected 2 coefficients"):
+            point_source_sum(PointSet(1, [0.0, 1.0]), 1.0, coeffs, [0.5])
+
+    @pytest.mark.parametrize(
+        "ps, xs",
+        [
+            (PointSet(1, [-0.4, 0.7]), np.array([-2.0, 0.0, 0.7, 3.5])),
+            (PointSet(2, [[0.0, 0.0], [1.0, 0.5]]), np.array([[0.4, -0.2], [2.0, 1.0]])),
+            (PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.5, -0.2]]), np.array([[0.3, 0.1, 2.0]])),
+        ],
+    )
+    def test_point_evaluator_g_apply_is_point_source_sum(self, ps, xs):
+        z = 1.3 + 0.4j
+        ell = np.array([1.0 - 0.5j, 2.0j])
+        source = LaplacianPointEvaluator(ps).g_apply(z, ell)
+        assert np.array_equal(source(xs), point_source_sum(ps, z, ell, xs))
+        assert source(xs[0]) == point_source_sum(ps, z, ell, xs[0])

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kreinx import (
+    ExtensionProblem,
     InvariantError,
+    MatrixEvaluator,
     MatrixModel,
     OracleDegenerate,
     SpectrumHit,
@@ -13,6 +15,7 @@ from kreinx import (
     direct_eigs,
     g_maps,
     gamma,
+    scan_spectrum,
     woodbury_extension,
 )
 from kreinx.matrixmodel import anchor_pencil, random_model, random_theta
@@ -182,3 +185,80 @@ class TestRandomModels:
             assert min(abs(rep.positions() - lam)) <= 1e-8
             checked += 1
         assert checked >= 1
+
+
+def _dense_resolvent(model, z):
+    # the slow path: a dense inverse built here, sharing no code with the
+    # eigenbasis form in matrixmodel
+    return np.linalg.inv(complex(z) * np.eye(model.n) - model.a)
+
+
+def _complex_vector(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+class TestEigenbasisAgainstDenseInverse:
+    """Every map and action of the pencil route against ``inv(z I - a)``."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 13, 21, 34])
+    def test_maps_and_actions(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        nc = int(rng.integers(1, min(4, n) + 1))
+        model = random_model(rng, n, nc)
+        ev = MatrixEvaluator(model)
+        f = _complex_vector(rng, n)
+        ell = _complex_vector(rng, nc)
+        tau, tau_h = model.tau, model.tau.conj().T
+        lam = np.linalg.eigvalsh(model.a)
+        # Both routes carry the problem's own rounding, about
+        # eps |a| / dist(z, spectrum) relative (|a| <= 10), so gap
+        # midpoints closer than 0.01 to the spectrum cannot meet 1e-12.
+        mids = [x for x in (lam[:-1] + lam[1:]) / 2.0 if np.min(np.abs(lam - x)) >= 0.01]
+        assert mids
+        zs = mids + [lam[0] - 0.5, lam[-1] + 0.5, 0.3 + 1.2j, -2.0 - 0.5j, 7.5 + 0.01j]
+        w = 1.1 + 0.7j
+        r0 = _dense_resolvent(model, 0.0)
+        rw = _dense_resolvent(model, w)
+        for z in zs:
+            rz = _dense_resolvent(model, z)
+            maps = g_maps(model, z)
+            pairs = [
+                (gamma(model, z), tau @ (r0 - rz) @ tau_h),
+                (maps.gbreve, tau @ rz),
+                (maps.g, rz @ tau_h),
+                (maps.k, z * r0 @ rz @ tau_h),
+                (ev.gbreve_g(w, z), tau @ rw @ rz @ tau_h),
+                (ev.gbreve_g(z, z), tau @ rz @ rz @ tau_h),
+                (ev.r_apply(z, f), rz @ f),
+                (ev.gbreve_apply(z, f), tau @ rz @ f),
+                (ev.g_apply(z, ell), rz @ tau_h @ ell),
+            ]
+            for got, want in pairs:
+                assert rel_err(got, want) <= 1e-12
+
+    def test_gamma_hermitian_at_real_z_in_every_gap(self):
+        # random_model(13, 6, 1) has the gap (5.11909, 5.12406) where the
+        # difference of two dense inverses left a defect of 3.2e-10
+        models = [random_model(13, 6, 1)]
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            models.append(random_model(rng, n, int(rng.integers(1, min(4, n) + 1))))
+        fractions = np.array([1e-3, 0.25, 0.5, 0.75, 1.0 - 1e-3])
+        for model in models:
+            lam = np.linalg.eigvalsh(model.a)
+            zs = [lam[0] - 1.0, lam[-1] + 1.0]
+            for lo, hi in zip(lam[:-1], lam[1:]):
+                zs.extend(lo + (hi - lo) * fractions)
+            for z in zs:
+                g = gamma(model, z)
+                defect = np.max(np.abs(g - g.conj().T))
+                assert defect <= 1e-14 * (1.0 + np.max(np.abs(g)))
+
+    def test_found_window_scans_without_not_hermitian(self):
+        model = random_model(13, 6, 1)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(14, 1))
+        # Raised NotHermitian before.  Whether the root inside is returned
+        # is the separate absolute tol_root question, so it is not pinned.
+        scan_spectrum(problem, (5.119143372626481, 5.124013191433564))
