@@ -128,6 +128,12 @@ def cmd_spectrum(args) -> int:
     return 0 if report.roots else 3
 
 
+def _node_rows(nodes, f, result):
+    """One (node, f_re, f_im, rf_re, rf_im) row per node, built column-wise."""
+    return zip(nodes, f.real.tolist(), f.imag.tolist(),
+               result.real.tolist(), result.imag.tolist())
+
+
 def cmd_resolvent(args) -> int:
     cfg = _load_config(args)
     z = _parse_complex(args.z) if args.z is not None else cfg.z
@@ -144,10 +150,7 @@ def cmd_resolvent(args) -> int:
                 [f"f has length {f.size}, the base matrix is {built.model.n}x{built.model.n}"]
             )
         result = krein_apply(built.problem, z, f)
-        rows = [
-            [i, float(f[i].real), float(f[i].imag), float(r.real), float(r.imag)]
-            for i, r in enumerate(result)
-        ]
+        rows = _node_rows(range(f.size), f, result)
         _write(rows, ["index", "f_re", "f_im", "rf_re", "rf_im"], args)
         _summary(f"resolvent: matrix backend, n={built.model.n}, z={z}")
         return 0
@@ -167,10 +170,7 @@ def cmd_resolvent(args) -> int:
             evaluator, built.problem.theta, cfg.tol_linear, cfg.tol_root
         )
         result = krein_apply(problem, z, f)
-        rows = [
-            [float(xs[i]), float(f[i].real), float(f[i].imag), float(r.real), float(r.imag)]
-            for i, r in enumerate(result)
-        ]
+        rows = _node_rows(xs.tolist(), f, result)
         _write(rows, ["x", "f_re", "f_im", "rf_re", "rf_im"], args)
         _summary(f"resolvent: laplacian1d backend, {xs.size} nodes, z={z}")
         return 0

@@ -1,11 +1,13 @@
 """JSON-shaped problem configuration: parsing, validation, round-trip.
 
 Complex scalars are written as ``[re, im]`` pairs (plain numbers are
-accepted on input for real values).  Parsing is two-phase: structural
-problems (unknown keys, wrong shapes) raise SchemaError and semantic
-problems (non-hermitian coupling, coincident points, a scan window
-touching the essential spectrum) raise InvariantError; each error
-carries every violation found, not just the first.
+accepted on input for real values); a row of plain floats is kept as
+floats, which compare equal to the complex values.  Parsing is
+two-phase: structural problems (unknown keys, wrong shapes) raise
+SchemaError and semantic problems (non-hermitian coupling, coincident
+points, a scan window touching the essential spectrum) raise
+InvariantError; each error carries every violation found, not just the
+first.
 """
 
 from __future__ import annotations
@@ -112,8 +114,12 @@ def _int_entry(v, path, errs) -> int:
 
 
 def _complex_row(row, path, errs) -> tuple:
-    # plain floats take the fast branch; the entry path is formatted
-    # only for an entry that needs checking
+    # a row of plain JSON floats needs no per-entry check, and its floats
+    # compare equal to the complex values the entry path would give
+    if set(map(type, row)) == {float}:
+        return tuple(row)
+    # any other row goes entry by entry; the entry path is formatted only
+    # for an entry that needs checking
     return tuple([
         complex(c) if type(c) is float
         else _complex_entry(c, f"{path}[{j}]", errs)

@@ -49,13 +49,19 @@ class MatrixModel:
     the spectral-distance floor ``pad`` of 0) and surjectivity of ``tau``
     (smallest singular value bounded away from zero), and records the
     trace-domination constant ``|tau a^{-1}|_2 = |traces diag(1/eigs)|_2``.
+
+    ``a`` and ``tau`` are each kept as float64 when every imaginary part
+    is exactly zero, so a real symmetric ``a`` is diagonalized in real
+    arithmetic and ``basis`` (and ``traces``, for real ``tau``) come out
+    real.  Nothing selects this: the data do.  The maps below need no
+    case split, because their diagonal weights carry the complex z.
     """
 
     __slots__ = ("a", "tau", "eigs", "basis", "traces", "pad", "trace_bound_constant")
 
     def __init__(self, a, tau):
-        a = np.array(a, dtype=complex)
-        tau = np.atleast_2d(np.array(tau, dtype=complex))
+        a = _real_if_exact(np.array(a, dtype=complex))
+        tau = _real_if_exact(np.atleast_2d(np.array(tau, dtype=complex)))
         problems = []
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvariantError(f"base matrix must be square, got {a.shape}")
@@ -105,6 +111,12 @@ class MatrixModel:
 
     def __repr__(self):
         return f"MatrixModel(n={self.n}, N={self.n_charges})"
+
+
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64 when every imaginary part is exactly zero, else
+    ``x`` itself."""
+    return x if x.imag.any() else x.real.copy()
 
 
 def _check_off_spectrum(model: MatrixModel, z: complex) -> None:

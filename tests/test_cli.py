@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinx import CsvWriteError
 from kreinx.cli import main
-from kreinx.csvio import emit_csv, format_value, render_csv
+from kreinx.csvio import _template_lines, emit_csv, format_value, render_csv
 
 CFG_3D = {
     "backend": "laplacian3d",
@@ -50,6 +53,78 @@ class TestEmitCsv:
 
     def test_negative_zero_normalized(self):
         assert format_value(-0.0) == "0"
+
+
+def _per_value_csv(rows, schema):
+    # the slow path: every cell through format_value, joined here
+    lines = [",".join(schema)] + [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    1.7976931348623157e308, 2.0**53, 2.0**53 + 2.0, -3.0, 0.1 + 0.2, 1e16, 1e17,
+]
+_finite = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_cells = {
+    float: _finite,
+    int: st.one_of(st.integers(-10**20, 10**20), st.sampled_from([0, -1, 2**53 + 1, 10**400])),
+}
+
+
+@st.composite
+def _numeric_table(draw):
+    sig = draw(st.lists(st.sampled_from(list(_cells)), min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*(_cells[t] for t in sig)), max_size=12))
+    return [f"c{j}" for j in range(len(sig))], rows
+
+
+class TestTemplatePath:
+    """``render_csv`` against a per-value ``format_value`` join."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_numeric_table())
+    def test_numeric_tables_match_per_value_bytes(self, table):
+        schema, rows = table
+        assert _template_lines(rows, len(schema)) is not None
+        assert render_csv(rows, schema) == _per_value_csv(rows, schema)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(
+        st.lists(st.one_of(_finite, st.integers(-5, 5), st.booleans(),
+                           st.sampled_from(["a,b", 'say "x"', "plain", "x\ny"])),
+                 min_size=3, max_size=3),
+        min_size=1, max_size=8,
+    ))
+    def test_mixed_tables_match_per_value_bytes(self, rows):
+        schema = ["a", "b", "c"]
+        signatures = {tuple(map(type, row)) for row in rows}
+        if len(signatures) > 1 or {str, bool} & set(next(iter(signatures))):
+            assert _template_lines(rows, 3) is None
+        assert render_csv(rows, schema) == _per_value_csv(rows, schema)
+
+    def test_negative_zero_and_subnormals(self):
+        rows = [(0, -0.0, 5e-324), (1, 0.0, -5e-324)]
+        assert render_csv(rows, ["i", "x", "y"]) == (
+            "i,x,y\n0,0,4.9406564584124654e-324\n1,0,-4.9406564584124654e-324\n"
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_refused_with_the_per_value_message(self, bad):
+        rows = [(0, 1.0, 2.0), (1, 3.0, bad), (2, bad, 4.0)]
+        with pytest.raises(CsvWriteError) as err:
+            render_csv(rows, ["i", "x", "y"])
+        with pytest.raises(CsvWriteError) as want:
+            format_value(bad)
+        assert str(err.value) == str(want.value)
+
+    def test_ragged_rows_keep_their_error(self):
+        with pytest.raises(CsvWriteError, match="row 1 has 1 fields, schema has 2"):
+            render_csv([(1.0, 2.0), (3.0,), (4.0, 5.0)], ["a", "b"])
+
+    def test_generators_and_zips_are_accepted(self):
+        rows = zip(range(3), [0.5, -0.0, 0.1])
+        assert render_csv(rows, ["i", "v"]) == "i,v\n0,0.5\n1,0\n2,0.10000000000000001\n"
 
 
 class TestGreenCommand:
@@ -246,6 +321,37 @@ class TestResolventCommand:
         header, rows = read_csv(out)
         assert header == ["x", "f_re", "f_im", "rf_re", "rf_im"]
         assert len(rows) == n
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+class TestCommittedResolventConfigs:
+    """The configs the CI console step reruns and compares byte for byte."""
+
+    @pytest.mark.parametrize("name", ["resolvent_matrix6", "resolvent_grid200"])
+    def test_reruns_are_byte_identical(self, tmp_path, name):
+        outs = [tmp_path / f"{name}{i}.csv" for i in range(2)]
+        for out in outs:
+            assert main(["resolvent", "--config", str(SCRIPTS / f"{name}.json"),
+                         "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_matrix_config_matches_the_woodbury_solve(self, tmp_path):
+        from kreinx import MatrixModel, ThetaMatrix, woodbury_extension
+
+        raw = json.loads((SCRIPTS / "resolvent_matrix6.json").read_text())
+        out = tmp_path / "r.csv"
+        assert main(["resolvent", "--config", str(SCRIPTS / "resolvent_matrix6.json"),
+                     "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        got = np.array([float(r["rf_re"]) + 1j * float(r["rf_im"]) for r in rows])
+        model = MatrixModel(raw["matrix"]["a"], raw["matrix"]["tau"])
+        assert model.basis.dtype == np.float64
+        b = woodbury_extension(model, ThetaMatrix(raw["theta"]))
+        z = complex(*raw["z"])
+        want = np.linalg.solve(z * np.eye(6) - b, np.array(raw["f"]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestOracleCommand:

@@ -8,6 +8,8 @@ from kreinx import InvariantError, SchemaError, scan_spectrum
 from kreinx.config import (
     ProblemConfig,
     ScanWindow,
+    _complex_entry,
+    _complex_row,
     build_problem,
     parse_config,
     serialize_config,
@@ -115,6 +117,59 @@ class TestMatrixEntries:
         assert cfg == same
         assert cfg.f == (1.0 + 0j, 2.0 - 3.0j)
         assert cfg.matrix_a == ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
+
+
+# JSON values a matrix row may hold: finite floats (the fast branch takes
+# rows of nothing else), ints including one beyond float range, booleans,
+# [re, im] pairs, strings, null and nested lists
+_json_float = st.floats(allow_nan=False, allow_infinity=False)
+_json_entry = st.one_of(
+    _json_float,
+    st.integers(-10**6, 10**6),
+    st.just(10**400),
+    st.booleans(),
+    st.lists(_json_float, min_size=2, max_size=2),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.lists(_json_float, max_size=2), max_size=2),
+)
+
+
+class TestRowFastBranch:
+    """``_complex_row`` against the per-entry path it short-cuts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=st.one_of(
+        st.lists(_json_float, max_size=8),
+        st.lists(st.one_of(_json_float, _json_entry), max_size=8),
+    ))
+    def test_fast_branch_matches_entry_path(self, row):
+        row = json.loads(json.dumps(row))
+        errs, want_errs = [], []
+        got = _complex_row(row, "matrix.a[3]", errs)
+        want = tuple(
+            _complex_entry(c, f"matrix.a[3][{j}]", want_errs) for j, c in enumerate(row)
+        )
+        assert got == want
+        assert errs == want_errs
+
+    @settings(max_examples=50, deadline=None)
+    @given(row=st.lists(_json_entry, min_size=1, max_size=4), at=st.integers(0, 3))
+    def test_parse_reports_the_entry_path_violations(self, row, at):
+        f = [0.5, -1.0, 2.0, 0.25]
+        f[at:at + 1] = row
+        want_errs = []
+        want = tuple(
+            _complex_entry(c, f"f[{j}]", want_errs)
+            for j, c in enumerate(json.loads(json.dumps(f)))
+        )
+        payload = json.dumps(dict(MATRIX_2, f=f))
+        if want_errs:
+            with pytest.raises(SchemaError) as err:
+                parse_config(payload)
+            assert list(err.value.violations) == want_errs
+        else:
+            assert parse_config(payload).f == want
 
 
 class TestNumberRange:

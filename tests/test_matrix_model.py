@@ -15,6 +15,7 @@ from kreinx import (
     direct_eigs,
     g_maps,
     gamma,
+    krein_apply,
     scan_spectrum,
     woodbury_extension,
 )
@@ -262,3 +263,91 @@ class TestEigenbasisAgainstDenseInverse:
         # Raised NotHermitian before.  Whether the root inside is returned
         # is the separate absolute tol_root question, so it is not pinned.
         scan_spectrum(problem, (5.119143372626481, 5.124013191433564))
+
+
+def _real_data(rng, n, nc):
+    # a real symmetric injective matrix and real trace rows, drawn here so
+    # that the dense reference below starts from the raw input
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    spectrum = rng.uniform(0.1, 10.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    a = (q * spectrum) @ q.T
+    return (a + a.T) / 2.0, rng.standard_normal((nc, n))
+
+
+class TestRealModel:
+    """Real data stay real: the eigenbasis is real and every map still
+    agrees with a dense complex inverse."""
+
+    def test_real_data_give_real_arrays(self):
+        a, tau = _real_data(np.random.default_rng(3), 7, 2)
+        for model in (MatrixModel(a, tau), MatrixModel(a.astype(complex), tau + 0j)):
+            for arr in (model.a, model.tau, model.eigs, model.basis, model.traces):
+                assert arr.dtype == np.float64
+
+    @pytest.mark.parametrize("seed", [2, 7, 11, 19])
+    def test_maps_and_actions_against_complex_dense_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        nc = int(rng.integers(1, min(4, n) + 1))
+        a, tau = _real_data(rng, n, nc)
+        model = MatrixModel(a, tau)
+        ev = MatrixEvaluator(model)
+        a_c, tau_c = a.astype(complex), tau.astype(complex)
+        tau_h = tau_c.conj().T
+
+        def dense(z):
+            return np.linalg.inv(complex(z) * np.eye(n) - a_c)
+
+        f = _complex_vector(rng, n)
+        ell = _complex_vector(rng, nc)
+        lam = np.linalg.eigvalsh(a)
+        mids = [x for x in (lam[:-1] + lam[1:]) / 2.0 if np.min(np.abs(lam - x)) >= 0.01]
+        assert mids
+        zs = mids + [0.3 + 1.2j, -2.0 - 0.5j, 7.5 + 0.01j]
+        w = 1.1 + 0.7j
+        r0, rw = dense(0.0), dense(w)
+        for z in zs:
+            rz = dense(z)
+            maps = g_maps(model, z)
+            pairs = [
+                (gamma(model, z), tau_c @ (r0 - rz) @ tau_h),
+                (maps.gbreve, tau_c @ rz),
+                (maps.g, rz @ tau_h),
+                (maps.k, z * r0 @ rz @ tau_h),
+                (ev.gbreve_g(w, z), tau_c @ rw @ rz @ tau_h),
+                (ev.gbreve_g(z, z), tau_c @ rz @ rz @ tau_h),
+                (ev.r_apply(z, f), rz @ f),
+                (ev.gbreve_apply(z, f), tau_c @ rz @ f),
+                (ev.g_apply(z, ell), rz @ tau_h @ ell),
+            ]
+            for got, want in pairs:
+                assert rel_err(got, want) <= 1e-12
+
+    def test_one_imaginary_entry_keeps_the_complex_route(self):
+        a, tau = _real_data(np.random.default_rng(4), 6, 2)
+        a = a.astype(complex)
+        a[1, 3] += 1e-3j
+        a[3, 1] -= 1e-3j
+        model = MatrixModel(a, tau)
+        assert model.a.dtype == model.basis.dtype == model.traces.dtype == np.complex128
+        assert model.tau.dtype == np.float64
+        assert np.max(np.abs(model.a.imag)) == 1e-3
+        tau = tau.astype(complex)
+        tau[0, 0] += 1e-3j
+        mixed = MatrixModel(a.real, tau)
+        assert mixed.basis.dtype == np.float64
+        assert mixed.tau.dtype == mixed.traces.dtype == np.complex128
+
+    @pytest.mark.parametrize("seed", [5, 6, 8])
+    def test_krein_apply_matches_woodbury_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        a, tau = _real_data(rng, 12, 3)
+        model = MatrixModel(a, tau)
+        m = rng.standard_normal((3, 3))
+        theta = ThetaMatrix((m + m.T) / 2.0)
+        problem = ExtensionProblem(MatrixEvaluator(model), theta)
+        b = woodbury_extension(model, theta)
+        f = _complex_vector(rng, 12)
+        for z in (0.7 + 0.9j, -3.1 - 0.2j):
+            want = np.linalg.solve(z * np.eye(12) - b, f)
+            assert rel_err(krein_apply(problem, z, f), want) <= 1e-9
