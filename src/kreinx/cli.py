@@ -28,9 +28,9 @@ from .errors import (
     SchemaError,
     SpectrumHit,
 )
-from .greens import LaplacianGrid1DEvaluator, LaplacianKernel
-from .krein import ExtensionProblem, gamma_theta, krein_apply
-from .matrixmodel import MatrixEvaluator, direct_eigs, random_model, random_theta
+from .greens import LaplacianKernel
+from .krein import krein_apply
+from .matrixmodel import direct_eigs, gamma, random_model, random_theta
 from .spectral import scan_spectrum
 from .verify import run_verification
 
@@ -136,48 +136,30 @@ def _node_rows(nodes, f, result):
 
 def cmd_resolvent(args) -> int:
     cfg = _load_config(args)
+    built = build_problem(cfg)
     z = _parse_complex(args.z) if args.z is not None else cfg.z
     if z is None:
         raise InvariantError(["resolvent needs z (config 'z' or --z)"])
     if cfg.f is None:
         raise InvariantError(["resolvent needs an input vector 'f' in the config"])
-    f = np.array(cfg.f, dtype=complex)
-    built = build_problem(cfg)
-
-    if built.backend == "matrix":
-        if f.size != built.model.n:
-            raise InvariantError(
-                [f"f has length {f.size}, the base matrix is {built.model.n}x{built.model.n}"]
-            )
-        result = krein_apply(built.problem, z, f)
-        rows = _node_rows(range(f.size), f, result)
-        _write(rows, ["index", "f_re", "f_im", "rf_re", "rf_im"], args)
-        _summary(f"resolvent: matrix backend, n={built.model.n}, z={z}")
-        return 0
-
-    if built.backend == "laplacian1d":
-        if cfg.grid1d is None:
-            raise InvariantError(["laplacian1d resolvent needs 'grid1d' in the config"])
-        if cfg.grid1d.n < 2 or not cfg.grid1d.lo < cfg.grid1d.hi:
-            raise InvariantError(["grid1d needs lo < hi and n >= 2"])
-        xs = np.linspace(cfg.grid1d.lo, cfg.grid1d.hi, cfg.grid1d.n)
-        if f.size != xs.size:
-            raise InvariantError(
-                [f"f has length {f.size}, grid1d has {xs.size} nodes"]
-            )
-        evaluator = LaplacianGrid1DEvaluator(built.ps, xs)
-        problem = ExtensionProblem(
-            evaluator, built.problem.theta, cfg.tol_linear, cfg.tol_root
+    if built.backend == "laplacian1d" and cfg.grid1d is None:
+        raise InvariantError(["laplacian1d resolvent needs 'grid1d' in the config"])
+    if built.backend not in ("matrix", "laplacian1d"):
+        raise InvariantError(
+            [f"resolvent supports the matrix and laplacian1d backends, not {built.backend!r}"]
         )
-        result = krein_apply(problem, z, f)
-        rows = _node_rows(xs.tolist(), f, result)
-        _write(rows, ["x", "f_re", "f_im", "rf_re", "rf_im"], args)
-        _summary(f"resolvent: laplacian1d backend, {xs.size} nodes, z={z}")
-        return 0
-
-    raise InvariantError(
-        [f"resolvent supports the matrix and laplacian1d backends, not {built.backend!r}"]
-    )
+    f = np.array(cfg.f, dtype=complex)
+    result = krein_apply(built.problem, z, f)
+    if built.backend == "matrix":
+        nodes, label = range(f.size), "index"
+        where = f"matrix backend, n={built.model.n}"
+    else:
+        xs = built.problem.evaluator.xs
+        nodes, label = xs.tolist(), "x"
+        where = f"laplacian1d backend, {xs.size} nodes"
+    _write(_node_rows(nodes, f, result), [label, "f_re", "f_im", "rf_re", "rf_im"], args)
+    _summary(f"resolvent: {where}, z={z}")
+    return 0
 
 
 def cmd_green(args) -> int:
@@ -210,12 +192,11 @@ def cmd_oracle(args) -> int:
     rows = [[i, float(v)] for i, v in enumerate(eigs)]
     _write(rows, ["index", "eigenvalue"], args)
 
-    problem = ExtensionProblem(MatrixEvaluator(model), theta)
     defect = 0.0
     checked = 0
     for v in eigs:
         if model.spectrum_distance(v) > 1e-6 * (1.0 + float(np.max(np.abs(model.eigs)))):
-            pencil = gamma_theta(problem, float(v))
+            pencil = theta.entries + gamma(model, float(v))
             defect = max(defect, float(np.min(np.abs(np.linalg.eigvalsh(
                 (pencil + pencil.conj().T) / 2.0
             )))))
@@ -247,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None, help="validated (>= 3) but ignored")
+    p.add_argument("--grid", type=int, default=None,
+                   help="accepted for compatibility, checked once (>= 3)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_spectrum)

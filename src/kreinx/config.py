@@ -2,28 +2,42 @@
 
 Complex scalars are written as ``[re, im]`` pairs (plain numbers are
 accepted on input for real values); a row of plain floats is kept as
-floats, which compare equal to the complex values.  Parsing is
-two-phase: structural problems (unknown keys, wrong shapes) raise
-SchemaError and semantic problems (non-hermitian coupling, coincident
-points, a scan window touching the essential spectrum) raise
-InvariantError; each error carries every violation found, not just the
-first.
+floats, which compare equal to the complex values.  A config passes two
+phases, and each raises one error carrying every violation it found:
+
+* ``parse_config`` is the schema phase.  It checks the JSON shape
+  (unknown or missing keys, wrong types, ragged rows) and raises only
+  SchemaError.
+* ``build_problem`` is the semantic phase.  It builds the coupling
+  matrix, the backend object and the ExtensionProblem once each, and
+  raises one InvariantError that collects every constructor's error
+  (a non-hermitian theta, coincident points, a singular base matrix, a
+  size mismatch) together with the cross-field checks no constructor
+  makes: the scan window (``a < b``, ``grid >= 3``, and ``a > 0`` for a
+  Laplacian backend, whose essential spectrum is ``(-inf, 0]``) and the
+  length of ``f`` against the base matrix or the ``grid1d`` nodes.
+
+A window set through ``ProblemConfig.with_scan`` is checked by
+``build_problem`` like one read from the file.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvariantError, KreinxError, SchemaError
-from .greens import LaplacianPointEvaluator, PointSet
+from .greens import LaplacianGrid1DEvaluator, LaplacianPointEvaluator, PointSet
 from .krein import ExtensionProblem, ThetaMatrix
 from .matrixmodel import MatrixEvaluator, MatrixModel
 from .multiplier import Multiplier1D, MultiplierAnchoredEvaluator
 
 BACKENDS = ("matrix", "laplacian1d", "laplacian2d", "laplacian3d", "multiplier1d")
+_DIMS = {"laplacian1d": 1, "laplacian2d": 2, "laplacian3d": 3, "multiplier1d": 1}
 _TOP_KEYS = {
     "backend", "matrix", "points", "symbol", "theta", "scan",
     "tolerances", "seed", "z", "f", "grid1d",
@@ -61,12 +75,6 @@ class ProblemConfig:
     z: Optional[complex] = None
     f: Optional[tuple] = None
     grid1d: Optional[Grid1D] = None
-    # the MatrixModel parse_config builds while checking the matrix
-    # invariants, kept for build_problem; derived data, so it takes no
-    # part in equality and dataclasses.replace does not copy it
-    matrix_model: Optional[MatrixModel] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def with_scan(self, a=None, b=None, grid=None) -> "ProblemConfig":
         base = self.scan or ScanWindow(a=0.0, b=0.0)
@@ -75,8 +83,6 @@ class ProblemConfig:
             b=base.b if b is None else float(b),
             grid=base.grid if grid is None else int(grid),
         )
-        if new.grid < 3:
-            raise InvariantError(["scan.grid must be at least 3"])
         return replace(self, scan=new)
 
 
@@ -194,13 +200,12 @@ def parse_config(text: str) -> ProblemConfig:
     elif "matrix" in raw:
         errs.append(f"'matrix' payload is invalid for backend {backend!r}")
 
-    dim_of = {"laplacian1d": 1, "laplacian2d": 2, "laplacian3d": 3, "multiplier1d": 1}
     points = None
-    if backend in dim_of:
+    if backend in _DIMS:
         if "points" not in raw:
             errs.append(f"backend {backend!r} requires 'points'")
         else:
-            points = _point_rows(raw["points"], dim_of[backend], "points", errs)
+            points = _point_rows(raw["points"], _DIMS[backend], "points", errs)
     elif "points" in raw:
         errs.append(f"'points' is invalid for backend {backend!r}")
 
@@ -294,7 +299,7 @@ def parse_config(text: str) -> ProblemConfig:
     if errs:
         raise SchemaError(errs)
 
-    cfg = ProblemConfig(
+    return ProblemConfig(
         backend=backend,
         theta=theta,
         matrix_a=matrix_a,
@@ -311,73 +316,6 @@ def parse_config(text: str) -> ProblemConfig:
         f=f,
         grid1d=grid1d,
     )
-    object.__setattr__(cfg, "matrix_model", _check_invariants(cfg))
-    return cfg
-
-
-def _check_invariants(cfg: ProblemConfig) -> Optional[MatrixModel]:
-    """Raise InvariantError with every violation; return the MatrixModel
-    built for the check (None for the other backends)."""
-    viols = []
-    model = None
-
-    n = len(cfg.theta)
-    if any(len(row) != n for row in cfg.theta):
-        viols.append("theta must be square")
-    else:
-        for j in range(n):
-            for k in range(n):
-                if cfg.theta[j][k] != cfg.theta[k][j].conjugate():
-                    viols.append("theta is not hermitian (exact equality required)")
-                    break
-            else:
-                continue
-            break
-
-    if cfg.points is not None:
-        seen = set()
-        for p in cfg.points:
-            if p in seen:
-                viols.append(f"coincident points: {p!r} appears twice")
-                break
-            seen.add(p)
-        if len(cfg.points) != n and not any("square" in v for v in viols):
-            viols.append(
-                f"theta is {n}x{n} but there are {len(cfg.points)} points"
-            )
-
-    if cfg.matrix_a is not None:
-        rows = len(cfg.matrix_tau)
-        if rows != n:
-            viols.append(f"theta is {n}x{n} but tau has {rows} rows")
-        try:
-            model = MatrixModel(cfg.matrix_a, cfg.matrix_tau)
-        except InvariantError as exc:
-            viols.extend(exc.violations)
-
-    if cfg.symbol_poly is not None:
-        try:
-            Multiplier1D(poly=cfg.symbol_poly, cos_terms=cfg.symbol_cos)
-        except InvariantError as exc:
-            viols.extend(exc.violations)
-
-    if cfg.scan is not None:
-        if not cfg.scan.a < cfg.scan.b:
-            viols.append(f"scan window needs a < b, got ({cfg.scan.a}, {cfg.scan.b})")
-        if cfg.scan.grid < 3:
-            viols.append("scan.grid must be at least 3")
-        if cfg.backend.startswith("laplacian") and cfg.scan.a <= 0.0:
-            viols.append(
-                "laplacian scan window must satisfy a > 0 "
-                "(the interval would touch the essential spectrum (-inf, 0])"
-            )
-
-    if not (cfg.tol_linear > 0.0 and cfg.tol_root > 0.0):
-        viols.append("tolerances must be positive")
-
-    if viols:
-        raise InvariantError(viols)
-    return model
 
 
 def serialize_config(cfg: ProblemConfig) -> str:
@@ -422,37 +360,79 @@ class BuiltProblem:
     problem: ExtensionProblem
     backend: str
     model: Optional[MatrixModel] = None
-    ps: Optional[PointSet] = None
-    symbol: Optional[Multiplier1D] = None
-    anchor: Optional[float] = None
 
 
 def build_problem(cfg: ProblemConfig) -> BuiltProblem:
-    """Construct the evaluator + coupling pair described by the config."""
-    theta = ThetaMatrix(cfg.theta)
+    """Build the problem a config describes: the semantic phase.
+
+    Each object is built once: the ThetaMatrix, the backend object (the
+    MatrixModel, or the PointSet with its evaluator; for ``laplacian1d``
+    with ``grid1d``, the grid evaluator) and the ExtensionProblem.
+    Raises one InvariantError listing every constructor's error and every
+    failed cross-field check (scan window, length of ``f``).
+    """
+    viols = []
+
+    def attempt(make, prefix=""):
+        try:
+            return make()
+        except KreinxError as exc:
+            viols.extend(prefix + v for v in getattr(exc, "violations", (str(exc),)))
+            return None
+
+    theta = attempt(lambda: ThetaMatrix(cfg.theta))
+    model = ps = evaluator = None
     if cfg.backend == "matrix":
-        model = cfg.matrix_model
-        if model is None:
-            model = MatrixModel(cfg.matrix_a, cfg.matrix_tau)
-        problem = ExtensionProblem(
-            MatrixEvaluator(model), theta, cfg.tol_linear, cfg.tol_root
+        model = attempt(lambda: MatrixModel(cfg.matrix_a, cfg.matrix_tau))
+        if model is not None:
+            evaluator = MatrixEvaluator(model)
+            if cfg.f is not None and len(cfg.f) != model.n:
+                viols.append(
+                    f"f has length {len(cfg.f)}, the base matrix is {model.n}x{model.n}"
+                )
+    else:
+        ps = attempt(lambda: PointSet(_DIMS[cfg.backend], cfg.points))
+    if cfg.backend == "multiplier1d":
+        symbol = attempt(
+            lambda: Multiplier1D(poly=cfg.symbol_poly, cos_terms=cfg.symbol_cos)
         )
-        return BuiltProblem(problem=problem, backend=cfg.backend, model=model)
-    if cfg.backend.startswith("laplacian"):
-        dim = int(cfg.backend[-2])
-        ps = PointSet(dim, [list(p) for p in cfg.points])
-        problem = ExtensionProblem(
-            LaplacianPointEvaluator(ps), theta, cfg.tol_linear, cfg.tol_root
+        if ps is not None and symbol is not None:
+            evaluator = attempt(
+                lambda: MultiplierAnchoredEvaluator(symbol, ps, cfg.symbol_anchor),
+                "symbol.anchor: ",
+            )
+    elif cfg.backend == "laplacian1d" and cfg.grid1d is not None:
+        lo, hi, n = cfg.grid1d.lo, cfg.grid1d.hi, cfg.grid1d.n
+        grid_ok = n >= 2 and lo < hi
+        if not grid_ok:
+            viols.append("grid1d needs lo < hi and n >= 2")
+        # checked before the grid is allocated
+        if cfg.f is not None and len(cfg.f) != n:
+            viols.append(f"f has length {len(cfg.f)}, grid1d has {n} nodes")
+        elif grid_ok and ps is not None:
+            evaluator = attempt(
+                lambda: LaplacianGrid1DEvaluator(ps, np.linspace(lo, hi, n))
+            )
+    elif ps is not None:
+        evaluator = LaplacianPointEvaluator(ps)
+
+    if cfg.scan is not None:
+        a, b = cfg.scan.a, cfg.scan.b
+        if not a < b:
+            viols.append(f"scan window needs a < b, got ({a}, {b})")
+        if cfg.scan.grid < 3:
+            viols.append("scan.grid must be at least 3")
+        if cfg.backend.startswith("laplacian") and a <= 0.0:
+            viols.append(
+                "laplacian scan window must satisfy a > 0 "
+                "(the interval would touch the essential spectrum (-inf, 0])"
+            )
+
+    problem = None
+    if theta is not None and evaluator is not None:
+        problem = attempt(
+            lambda: ExtensionProblem(evaluator, theta, cfg.tol_linear, cfg.tol_root)
         )
-        return BuiltProblem(problem=problem, backend=cfg.backend, ps=ps)
-    ps = PointSet(1, [p[0] for p in cfg.points])
-    symbol = Multiplier1D(poly=cfg.symbol_poly, cos_terms=cfg.symbol_cos)
-    anchor = cfg.symbol_anchor
-    try:
-        evaluator = MultiplierAnchoredEvaluator(symbol, ps, anchor)
-    except KreinxError as exc:
-        raise InvariantError([f"symbol.anchor: {exc}"])
-    problem = ExtensionProblem(evaluator, theta, cfg.tol_linear, cfg.tol_root)
-    return BuiltProblem(
-        problem=problem, backend=cfg.backend, ps=ps, symbol=symbol, anchor=anchor
-    )
+    if viols:
+        raise InvariantError(viols)
+    return BuiltProblem(problem=problem, backend=cfg.backend, model=model)

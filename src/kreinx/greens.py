@@ -337,14 +337,19 @@ def _product_matrix(ps: PointSet, w: complex, z: complex) -> np.ndarray:
     kw, kz = _sqrt_principal(w), _sqrt_principal(z)
     denom = 4.0 * abs(kw * kz) if ps.dim == 1 else 8.0 * math.pi
     bound = 1.0 / (denom * math.sqrt(kw.real * kz.real))
-    cache: dict[float, complex] = {}
-    out = np.empty((ps.n_points, ps.n_points), dtype=complex)
-    for (k, j), d in np.ndenumerate(ps.distance_matrix()):
-        d = float(d)
-        if d not in cache:
-            cache[d] = _two_center_integral(ps.dim, d, kw, kz, bound)
-        out[k, j] = cache[d]
-    return out
+    return _per_key_matrix(
+        ps.distance_matrix(),
+        lambda d: _two_center_integral(ps.dim, d, kw, kz, bound),
+    )
+
+
+def _per_key_matrix(keys: np.ndarray, entry) -> np.ndarray:
+    """Complex matrix of ``entry(key)`` over a matrix of float keys (a
+    distance or a signed displacement), calling ``entry`` once per
+    distinct key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = np.array([entry(float(key)) for key in distinct], dtype=complex)
+    return values[inverse].reshape(keys.shape)
 
 
 def gbreve_g_radial_3d(ps: PointSet, w: complex, z: complex) -> np.ndarray:

@@ -161,13 +161,16 @@ class ExtensionProblem:
     tol_root: float = 1e-10
 
     def __post_init__(self):
+        problems = []
         if self.theta.n != self.evaluator.n_charges:
-            raise InvariantError(
+            problems.append(
                 f"coupling matrix is {self.theta.n}x{self.theta.n} but the "
                 f"backend has {self.evaluator.n_charges} charges"
             )
         if not (self.tol_linear > 0.0 and self.tol_root > 0.0):
-            raise InvariantError("tolerances must be positive")
+            problems.append("tolerances must be positive")
+        if problems:
+            raise InvariantError(problems)
 
 
 def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:

@@ -43,11 +43,12 @@ DEGENERACY_RTOL = 1e-12
 class MatrixModel:
     """Hermitian injective ``a`` with a full-row-rank trace matrix ``tau``.
 
-    Construction symmetrizes ``a`` exactly after checking its hermiticity
-    defect, diagonalizes it once (``a = basis diag(eigs) basis^H``, with
-    ``traces = tau basis``), verifies injectivity (no eigenvalue within
-    the spectral-distance floor ``pad`` of 0) and surjectivity of ``tau``
-    (smallest singular value bounded away from zero), and records the
+    Construction checks that ``a`` and ``tau`` are finite, symmetrizes
+    ``a`` exactly after checking its hermiticity defect, diagonalizes it
+    once (``a = basis diag(eigs) basis^H``, with ``traces = tau basis``),
+    verifies injectivity (no eigenvalue within the spectral-distance
+    floor ``pad`` of 0) and surjectivity of ``tau`` (smallest singular
+    value bounded away from zero), and records the
     trace-domination constant ``|tau a^{-1}|_2 = |traces diag(1/eigs)|_2``.
 
     ``a`` and ``tau`` are each kept as float64 when every imaginary part
@@ -72,9 +73,15 @@ class MatrixModel:
             )
         if tau.shape[0] > n:
             problems.append("trace matrix cannot have more rows than columns")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
-            problems.append("base matrix is not hermitian")
+        if not np.all(np.isfinite(tau)):
+            problems.append("trace matrix entries must be finite")
+        # the hermiticity defect is only defined on finite entries
+        if not np.all(np.isfinite(a)):
+            problems.append("base matrix entries must be finite")
+        else:
+            scale = max(1.0, float(np.max(np.abs(a))))
+            if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
+                problems.append("base matrix is not hermitian")
         if problems:
             raise InvariantError(problems)
 

@@ -38,7 +38,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import minimize_scalar
 
 from .errors import InvariantError, SymbolRangeHit, TailEstimateFailed
-from .greens import PointSet
+from .greens import PointSet, _per_key_matrix
 from .krein import GammaEvaluator
 
 
@@ -250,19 +250,10 @@ def product_matrix_1d(m: Multiplier1D, ps: PointSet, w: complex, z: complex) -> 
 def _pairwise_fourier_matrix(m, ps, func) -> np.ndarray:
     if ps.dim != 1:
         raise InvariantError("multiplier backend requires a dim-1 point set")
-    disp = ps.displacements_1d()
-    n = ps.n_points
-    out = np.zeros((n, n), dtype=complex)
-    cache: dict[float, complex] = {}
-    for j in range(n):
-        for k in range(n):
-            r = float(disp[j, k])
-            if r not in cache:
-                cache[r] = _inverse_transform(
-                    func, r, f"displacement {r!r}", even=m.is_even
-                )
-            out[j, k] = cache[r]
-    return out
+    return _per_key_matrix(
+        ps.displacements_1d(),
+        lambda r: _inverse_transform(func, r, f"displacement {r!r}", even=m.is_even),
+    )
 
 
 class MultiplierAnchoredEvaluator(GammaEvaluator):

@@ -38,7 +38,7 @@ from .greens import (
     PointSet,
     point_source_sum,
 )
-from .krein import ExtensionProblem, admissible_real, gamma_theta, hermitian_part
+from .krein import ExtensionProblem, gamma_theta, hermitian_part
 from .matrixmodel import MatrixEvaluator, woodbury_extension
 from .verify import CheckResult
 
@@ -47,14 +47,14 @@ from .verify import CheckResult
 class SpectralRoot:
     """One located pole: position, unit charge vector (phase-fixed so its
     first significant component is real-positive), pencil residual
-    (smallest eigenvalue magnitude at the root), eigenvalue count at the
-    root, and the sign-window classification of the point."""
+    (smallest eigenvalue magnitude at the root) and eigenvalue count at
+    the root.  The sign-window classification of a point is
+    ``krein.admissible_real``, computed on request only."""
 
     z0: float
     charge: np.ndarray
     residual: float
     multiplicity: int
-    admissibility: str
 
     @property
     def energy(self) -> float:
@@ -162,7 +162,6 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
                 charge=charge_vector(problem, z0),
                 residual=residual,
                 multiplicity=mult,
-                admissibility=admissible_real(problem, z0),
             )
         )
         k -= mult

@@ -26,3 +26,18 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=complex)
     denom = max(float(np.max(np.abs(want))), 1e-300)
     return float(np.max(np.abs(got - want))) / denom
+
+
+def count_eighs(monkeypatch, n):
+    """List that grows by one per ``numpy.linalg.eigh`` call on an n x n
+    matrix for the rest of the test."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        if np.shape(m) == (n, n):
+            calls.append(1)
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls

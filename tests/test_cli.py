@@ -10,6 +10,8 @@ from kreinx import CsvWriteError
 from kreinx.cli import main
 from kreinx.csvio import _template_lines, emit_csv, format_value, render_csv
 
+from conftest import count_eighs
+
 CFG_3D = {
     "backend": "laplacian3d",
     "points": [[0.0, 0.0, 0.0]],
@@ -352,6 +354,69 @@ class TestCommittedResolventConfigs:
         z = complex(*raw["z"])
         want = np.linalg.solve(z * np.eye(6) - b, np.array(raw["f"]))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+MATRIX_5 = json.loads((SCRIPTS / "spectrum_matrix5.json").read_text())
+
+
+class TestCommittedSpectrumConfig:
+    """The config the CI console step scans twice, then with --a/--b."""
+
+    def test_reruns_and_flag_window_are_byte_identical(self, tmp_path):
+        cfg = SCRIPTS / "spectrum_matrix5.json"
+        scan = MATRIX_5["scan"]
+        outs = [tmp_path / f"s{i}.csv" for i in range(3)]
+        window = [[], [], ["--a", repr(scan["a"]), "--b", repr(scan["b"])]]
+        for out, flags in zip(outs, window):
+            assert main(["spectrum", "--config", str(cfg), *flags, "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        _, rows = read_csv(outs[0])
+        assert len(rows) == 1
+
+
+class TestOneDiagonalization:
+    """A matrix request diagonalizes the base matrix once, wherever its
+    scan window comes from."""
+
+    @pytest.mark.parametrize("argv", [
+        ["resolvent"],
+        ["spectrum"],
+        ["spectrum", "--a", "-1.4", "--b", "0.9"],
+    ], ids=["resolvent", "spectrum", "spectrum-flags"])
+    def test_one_eigh_of_a(self, tmp_path, monkeypatch, argv):
+        cfg = tmp_path / "cfg.json"
+        raw = dict(MATRIX_5, z=[0.3, 0.8], f=[1.0, -0.5, 0.25, 0.0, 2.0])
+        cfg.write_text(json.dumps(raw))
+        calls = count_eighs(monkeypatch, 5)
+        assert main([argv[0], "--config", str(cfg), *argv[1:],
+                     "-o", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == 1
+
+
+class TestSemanticErrorsExit2:
+    @pytest.mark.parametrize("where", ["file", "flags"])
+    def test_laplacian_window_at_zero(self, tmp_path, capsys, where):
+        cfg = tmp_path / "cfg.json"
+        scan = {"a": 0.0, "b": 2.0} if where == "file" else CFG_3D["scan"]
+        cfg.write_text(json.dumps(dict(CFG_3D, scan=scan)))
+        flags = ["--a", "0"] if where == "flags" else []
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--config", str(cfg), *flags, "-o", str(out)]) == 2
+        assert "essential spectrum" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["resolvent", "spectrum"])
+    @pytest.mark.parametrize("key", ["a", "tau"])
+    def test_non_finite_matrix_input(self, tmp_path, capsys, command, key):
+        raw = dict(MATRIX_5, z=[0.3, 0.8], f=[1.0] * 5)
+        rows = [list(r) for r in raw["matrix"][key]]
+        rows[0][0] = float("inf") if key == "a" else float("nan")
+        raw["matrix"] = dict(raw["matrix"], **{key: rows})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert "Infinity" in cfg.read_text() or "NaN" in cfg.read_text()
+        assert main([command, "--config", str(cfg), "-o", str(tmp_path / "o.csv")]) == 2
+        assert "entries must be finite" in capsys.readouterr().err
 
 
 class TestOracleCommand:

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinx import InvariantError, SchemaError, scan_spectrum
+from kreinx import InvariantError, LaplacianGrid1DEvaluator, SchemaError, scan_spectrum
 from kreinx.config import (
     ProblemConfig,
     ScanWindow,
@@ -14,6 +15,8 @@ from kreinx.config import (
     parse_config,
     serialize_config,
 )
+
+from conftest import count_eighs
 
 MINIMAL_3D = {
     "backend": "laplacian3d",
@@ -35,13 +38,15 @@ class TestParse:
     def test_nonhermitian_theta_rejected(self):
         bad = dict(MINIMAL_3D, theta=[[0.0, 1.0], [0.0, 0.0]],
                    points=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        cfg = parse_config(json.dumps(bad))
         with pytest.raises(InvariantError, match="hermitian"):
-            parse_config(json.dumps(bad))
+            build_problem(cfg)
 
     def test_laplacian_scan_must_avoid_cut(self):
         bad = dict(MINIMAL_3D, scan={"a": -1.0, "b": 2.0})
+        cfg = parse_config(json.dumps(bad))
         with pytest.raises(InvariantError, match="essential spectrum"):
-            parse_config(json.dumps(bad))
+            build_problem(cfg)
 
     def test_unknown_key_listed(self):
         bad = dict(MINIMAL_3D, bogus=1, also_bogus=2)
@@ -61,13 +66,15 @@ class TestParse:
             points=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
             theta=[[1.0, 0.0], [0.0, 1.0]],
         )
+        cfg = parse_config(json.dumps(bad))
         with pytest.raises(InvariantError, match="coincident"):
-            parse_config(json.dumps(bad))
+            build_problem(cfg)
 
     def test_theta_size_must_match_points(self):
         bad = dict(MINIMAL_3D, points=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(InvariantError, match="points"):
-            parse_config(json.dumps(bad))
+        cfg = parse_config(json.dumps(bad))
+        with pytest.raises(InvariantError, match="1x1 but the backend has 2 charges"):
+            build_problem(cfg)
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError, match="JSON"):
@@ -190,17 +197,17 @@ class TestNumberRange:
 
 
 class TestMatrixModelReuse:
-    def test_build_problem_reuses_the_parsed_model(self):
-        cfg = parse_config(json.dumps(MATRIX_2))
-        assert cfg.matrix_model is not None
-        assert build_problem(cfg).model is cfg.matrix_model
+    def test_build_problem_diagonalizes_once(self, monkeypatch):
+        cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1.0, 2.0])))
+        calls = count_eighs(monkeypatch, 2)
+        built = build_problem(cfg)
+        assert len(calls) == 1
+        assert built.problem.evaluator.model is built.model
 
-    def test_replaced_config_builds_its_own_model(self):
+    def test_replaced_config_builds_the_same_model(self):
         cfg = parse_config(json.dumps(MATRIX_2))
-        assert cfg.with_scan(a=0.5, b=2.0).matrix_model is None
         built = build_problem(cfg.with_scan(a=0.5, b=2.0))
-        assert built.model is not cfg.matrix_model
-        assert list(built.model.eigs) == list(cfg.matrix_model.eigs)
+        assert list(built.model.eigs) == list(build_problem(cfg).model.eigs)
 
     @pytest.mark.parametrize("matrix, message", [
         ({"a": [[1.0, 1.0], [0.0, -1.0]], "tau": [[1.0, 1.0]]}, "not hermitian"),
@@ -209,11 +216,97 @@ class TestMatrixModelReuse:
     ])
     def test_model_violations_still_raised(self, matrix, message):
         theta = [[1.0, 0.0], [0.0, 1.0]] if len(matrix["tau"]) == 2 else [[1.0]]
+        cfg = parse_config(json.dumps(dict(MATRIX_2, matrix=matrix, theta=theta)))
         with pytest.raises(InvariantError, match=message):
-            parse_config(json.dumps(dict(MATRIX_2, matrix=matrix, theta=theta)))
+            build_problem(cfg)
 
     def test_laplacian_config_has_no_model(self):
-        assert parse_config(json.dumps(MINIMAL_3D)).matrix_model is None
+        assert build_problem(parse_config(json.dumps(MINIMAL_3D))).model is None
+
+
+class TestSemanticPhase:
+    """``parse_config`` checks the schema only; ``build_problem`` raises
+    one InvariantError for every semantic fault."""
+
+    def test_every_fault_in_one_error(self):
+        bad = dict(
+            MINIMAL_3D,
+            points=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            theta=[[1.0, 2.0], [0.0, 1.0]],
+            scan={"a": 0.0, "b": 2.0},
+        )
+        cfg = parse_config(json.dumps(bad))
+        with pytest.raises(InvariantError) as err:
+            build_problem(cfg)
+        text = "\n".join(err.value.violations)
+        assert len(err.value.violations) == 3
+        for part in ("hermitian", "coincident", "essential spectrum"):
+            assert part in text
+
+    def test_window_from_with_scan_checked_like_the_file(self):
+        cfg = parse_config(json.dumps(MINIMAL_3D))
+        with pytest.raises(InvariantError, match="essential spectrum"):
+            build_problem(cfg.with_scan(a=0.0))
+        with pytest.raises(InvariantError, match="a < b"):
+            build_problem(cfg.with_scan(a=3.0))
+
+    def test_scan_grid_checked_once(self):
+        cfg = parse_config(json.dumps(MINIMAL_3D)).with_scan(grid=2)
+        assert cfg.scan.grid == 2
+        with pytest.raises(InvariantError, match="scan.grid must be at least 3"):
+            build_problem(cfg)
+
+    def test_size_and_tolerance_faults_together(self):
+        bad = dict(MINIMAL_3D, points=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                   tolerances={"tol_root": 0.0})
+        with pytest.raises(InvariantError) as err:
+            build_problem(parse_config(json.dumps(bad)))
+        assert len(err.value.violations) == 2
+        assert "tolerances must be positive" in err.value.violations
+
+    def test_f_length_against_the_base_matrix(self):
+        cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1.0, 2.0, 3.0])))
+        with pytest.raises(InvariantError, match="f has length 3, the base matrix is 2x2"):
+            build_problem(cfg)
+
+    def test_f_length_checked_before_the_grid_is_allocated(self):
+        cfg = parse_config(json.dumps({
+            "backend": "laplacian1d",
+            "points": [0.0],
+            "theta": [[0.5]],
+            "grid1d": {"lo": -1.0, "hi": 1.0, "n": 10**7},
+            "f": [1.0],
+        }))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantError, match="f has length 1, grid1d has 10000000"):
+                build_problem(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the grid alone would be 80 MB
+
+    @pytest.mark.parametrize("grid1d", [
+        {"lo": 1.0, "hi": -1.0, "n": 5},
+        {"lo": -1.0, "hi": 1.0, "n": 1},
+        {"lo": -1.0, "hi": 1.0, "n": -5},
+    ])
+    def test_bad_grid1d(self, grid1d):
+        cfg = parse_config(json.dumps({
+            "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
+            "grid1d": grid1d,
+        }))
+        with pytest.raises(InvariantError, match="grid1d needs lo < hi and n >= 2"):
+            build_problem(cfg)
+
+    def test_grid_config_builds_the_grid_evaluator(self):
+        cfg = parse_config(json.dumps({
+            "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
+            "grid1d": {"lo": -1.0, "hi": 1.0, "n": 5}, "f": [1.0] * 5,
+        }))
+        evaluator = build_problem(cfg).problem.evaluator
+        assert isinstance(evaluator, LaplacianGrid1DEvaluator)
+        assert evaluator.xs.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
 class TestRoundTrip:

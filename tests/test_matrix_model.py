@@ -39,6 +39,13 @@ class TestConstruction:
         with pytest.raises(InvariantError):
             MatrixModel(np.diag([1.0, -1.0]), [[1.0, 1.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvariantError, match="base matrix entries must be finite"):
+            MatrixModel([[1.0, 0.0], [0.0, bad]], [[1.0, 0.0]])
+        with pytest.raises(InvariantError, match="trace matrix entries must be finite"):
+            MatrixModel(np.diag([1.0, -1.0]), [[1.0, bad]])
+
     def test_trace_bound_constant(self, two_level_model):
         # |tau a^{-1}|_2 = |(1, -1)|_2 = sqrt(2)
         assert two_level_model.trace_bound_constant == pytest.approx(SQRT2)

@@ -11,7 +11,8 @@ from kreinx import (
     gz,
     multiplier_gz_1d,
 )
-from kreinx.multiplier import product_matrix_1d
+from kreinx.greens import _product_matrix, _sqrt_principal, _two_center_integral
+from kreinx.multiplier import _inverse_transform, _pairwise_fourier_matrix, product_matrix_1d
 
 from conftest import rel_err
 
@@ -170,3 +171,55 @@ class TestAnchoredEvaluator:
         ev = MultiplierAnchoredEvaluator(second_order, ps, 1.0)
         assert ev.interval_in_resolvent_set(0.5, 2.0)
         assert not ev.interval_in_resolvent_set(-1.0, 2.0)
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+class TestPerKeyMatrix:
+    """The one-integral-per-key helper behind the Laplacian product matrix
+    and the multiplier matrices, against the per-entry loops it replaced,
+    kept here as the reference; the products are compared bit for bit."""
+
+    @pytest.mark.parametrize("dim, points", [
+        (1, [0.0, 0.5, 1.0, 1.5, 2.7]),
+        (3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.4, 1.2]]),
+    ])
+    def test_laplacian_product_matrix(self, dim, points):
+        ps = PointSet(dim, points)
+        w, z = 1.5 + 0.5j, 2.0 - 0.25j
+        kw, kz = _sqrt_principal(w), _sqrt_principal(z)
+        denom = 4.0 * abs(kw * kz) if ps.dim == 1 else 8.0 * np.pi
+        bound = 1.0 / (denom * np.sqrt(kw.real * kz.real))
+        cache = {}
+        want = np.empty((ps.n_points, ps.n_points), dtype=complex)
+        for (k, j), d in np.ndenumerate(ps.distance_matrix()):
+            d = float(d)
+            if d not in cache:
+                cache[d] = _two_center_integral(ps.dim, d, kw, kz, bound)
+            want[k, j] = cache[d]
+        assert np.array_equal(_bits(_product_matrix(ps, w, z)), _bits(want))
+
+    def test_multiplier_matrix(self, differential_difference):
+        m = differential_difference
+        ps = PointSet(1, [0.0, 0.6, 1.2, 2.0])
+        z = 3.0 + 0.5j
+
+        def func(xi):
+            return 1.0 / (z - complex(m(xi)))
+
+        disp = ps.displacements_1d()
+        n = ps.n_points
+        want = np.zeros((n, n), dtype=complex)
+        cache = {}
+        for j in range(n):
+            for k in range(n):
+                r = float(disp[j, k])
+                if r not in cache:
+                    cache[r] = _inverse_transform(
+                        func, r, f"displacement {r!r}", even=m.is_even
+                    )
+                want[j, k] = cache[r]
+        got = _pairwise_fourier_matrix(m, ps, func)
+        assert np.array_equal(_bits(got), _bits(want))
