@@ -3,8 +3,9 @@
 Every command writes one CSV (stdout by default, or --output FILE) and
 prints a one-line summary to stderr.  Exit codes: 0 success, 2 config or
 validation failure, 3 numeric failure (no root bracketed, degenerate
-oracle, tolerance breach, non-finite output).  The default seed comes
-from --seed, then the config, then the KREINX_SEED environment variable.
+oracle, tolerance breach, non-finite output).  The seed of ``verify``
+and ``oracle`` comes from --seed, then the KREINX_SEED environment
+variable, then 0.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from .errors import (
     SpectrumHit,
 )
 from .greens import LaplacianKernel
-from .krein import krein_apply
+from .krein import hermitian_part, krein_apply
 from .matrixmodel import direct_eigs, gamma, random_model, random_theta
 from .spectral import scan_spectrum
 from .verify import run_verification
@@ -51,11 +53,9 @@ def _parse_complex(text: str) -> complex:
         raise InvariantError([f"cannot parse complex number from {text!r}"])
 
 
-def _resolve_seed(args, cfg=None) -> int:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args) -> int:
+    if args.seed is not None:
         return int(args.seed)
-    if cfg is not None and cfg.seed is not None:
-        return int(cfg.seed)
     env = os.environ.get("KREINX_SEED")
     if env is not None:
         try:
@@ -98,11 +98,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.grid is not None and args.grid < 3:  # checked, then dropped
+        raise InvariantError([f"--grid must be at least 3, got {args.grid}"])
     cfg = _load_config(args)
-    if args.a is not None or args.b is not None or args.grid is not None:
+    if args.a is not None or args.b is not None:
         if cfg.scan is None and (args.a is None or args.b is None):
             raise InvariantError(["--a and --b are both required without a scan window"])
-        cfg = cfg.with_scan(a=args.a, b=args.b, grid=args.grid)
+        cfg = cfg.with_scan(a=args.a, b=args.b)
     if cfg.scan is None:
         raise InvariantError(["spectrum needs a scan window (config 'scan' or --a/--b)"])
     built = build_problem(cfg)
@@ -136,9 +138,10 @@ def _node_rows(nodes, f, result):
 
 def cmd_resolvent(args) -> int:
     cfg = _load_config(args)
+    if args.z is not None:  # checked by build_problem like the config z
+        cfg = replace(cfg, z=_parse_complex(args.z))
     built = build_problem(cfg)
-    z = _parse_complex(args.z) if args.z is not None else cfg.z
-    if z is None:
+    if cfg.z is None:
         raise InvariantError(["resolvent needs z (config 'z' or --z)"])
     if cfg.f is None:
         raise InvariantError(["resolvent needs an input vector 'f' in the config"])
@@ -149,7 +152,7 @@ def cmd_resolvent(args) -> int:
             [f"resolvent supports the matrix and laplacian1d backends, not {built.backend!r}"]
         )
     f = np.array(cfg.f, dtype=complex)
-    result = krein_apply(built.problem, z, f)
+    result = krein_apply(built.problem, cfg.z, f)
     if built.backend == "matrix":
         nodes, label = range(f.size), "index"
         where = f"matrix backend, n={built.model.n}"
@@ -158,7 +161,7 @@ def cmd_resolvent(args) -> int:
         nodes, label = xs.tolist(), "x"
         where = f"laplacian1d backend, {xs.size} nodes"
     _write(_node_rows(nodes, f, result), [label, "f_re", "f_im", "rf_re", "rf_im"], args)
-    _summary(f"resolvent: {where}, z={z}")
+    _summary(f"resolvent: {where}, z={cfg.z}")
     return 0
 
 
@@ -196,10 +199,8 @@ def cmd_oracle(args) -> int:
     checked = 0
     for v in eigs:
         if model.spectrum_distance(v) > 1e-6 * (1.0 + float(np.max(np.abs(model.eigs)))):
-            pencil = theta.entries + gamma(model, float(v))
-            defect = max(defect, float(np.min(np.abs(np.linalg.eigvalsh(
-                (pencil + pencil.conj().T) / 2.0
-            )))))
+            pencil = hermitian_part(theta.entries + gamma(model, float(v)))
+            defect = max(defect, float(np.min(np.abs(np.linalg.eigvalsh(pencil)))))
             checked += 1
     _summary(
         f"oracle: seed={seed}, n={args.n}, N={args.ncharges}, "
@@ -229,15 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--grid", type=int, default=None,
-                   help="accepted for compatibility, checked once (>= 3)")
-    p.add_argument("--seed", type=int, default=None)
+                   help="accepted for compatibility: checked (>= 3), then ignored")
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for compatibility, ignored")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("resolvent", help="apply the perturbed resolvent to a vector")
     p.add_argument("--config", required=True)
     p.add_argument("--z", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for compatibility, ignored")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_resolvent)
 

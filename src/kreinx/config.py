@@ -7,15 +7,18 @@ phases, and each raises one error carrying every violation it found:
 
 * ``parse_config`` is the schema phase.  It checks the JSON shape
   (unknown or missing keys, wrong types, ragged rows) and raises only
-  SchemaError.
+  SchemaError.  The keys ``seed`` and ``scan.grid`` of older configs
+  are checked (an integer; a grid of at least 3) and then dropped: no
+  command reads a config seed, and the scan samples no grid.
 * ``build_problem`` is the semantic phase.  It builds the coupling
   matrix, the backend object and the ExtensionProblem once each, and
   raises one InvariantError that collects every constructor's error
   (a non-hermitian theta, coincident points, a singular base matrix, a
-  size mismatch) together with the cross-field checks no constructor
-  makes: the scan window (``a < b``, ``grid >= 3``, and ``a > 0`` for a
-  Laplacian backend, whose essential spectrum is ``(-inf, 0]``) and the
-  length of ``f`` against the base matrix or the ``grid1d`` nodes.
+  size mismatch) together with the checks no constructor makes: the
+  scan window (finite ends, ``a < b``, and ``a > 0`` for a Laplacian
+  backend, whose essential spectrum is ``(-inf, 0]``), a finite ``z``
+  and ``f``, and the length of ``f`` against the base matrix or the
+  ``grid1d`` nodes.
 
 A window set through ``ProblemConfig.with_scan`` is checked by
 ``build_problem`` like one read from the file.
@@ -23,6 +26,7 @@ A window set through ``ProblemConfig.with_scan`` is checked by
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -48,7 +52,6 @@ _TOP_KEYS = {
 class ScanWindow:
     a: float
     b: float
-    grid: int = 512
 
 
 @dataclass(frozen=True)
@@ -69,19 +72,17 @@ class ProblemConfig:
     symbol_cos: tuple = ()
     symbol_anchor: Optional[float] = None
     scan: Optional[ScanWindow] = None
-    tol_linear: float = 1e-12
-    tol_root: float = 1e-10
-    seed: Optional[int] = None
+    tol_linear: float = ExtensionProblem.tol_linear
+    tol_root: float = ExtensionProblem.tol_root
     z: Optional[complex] = None
     f: Optional[tuple] = None
     grid1d: Optional[Grid1D] = None
 
-    def with_scan(self, a=None, b=None, grid=None) -> "ProblemConfig":
+    def with_scan(self, a=None, b=None) -> "ProblemConfig":
         base = self.scan or ScanWindow(a=0.0, b=0.0)
         new = ScanWindow(
             a=base.a if a is None else float(a),
             b=base.b if b is None else float(b),
-            grid=base.grid if grid is None else int(grid),
         )
         return replace(self, scan=new)
 
@@ -252,10 +253,12 @@ def parse_config(text: str) -> ProblemConfig:
             scan = ScanWindow(
                 a=_float_entry(block.get("a", 0.0), "scan.a", errs),
                 b=_float_entry(block.get("b", 0.0), "scan.b", errs),
-                grid=_int_entry(block.get("grid", 512), "scan.grid", errs),
             )
+            grid = block.get("grid", 3)  # checked, then dropped
+            if not (type(grid) is int and grid >= 3):
+                errs.append(f"scan.grid: expected an integer >= 3, got {grid!r}")
 
-    tol_linear, tol_root = 1e-12, 1e-10
+    tol_linear, tol_root = ExtensionProblem.tol_linear, ExtensionProblem.tol_root
     if "tolerances" in raw:
         block = raw["tolerances"]
         if not isinstance(block, dict):
@@ -269,9 +272,8 @@ def parse_config(text: str) -> ProblemConfig:
             if "tol_root" in block:
                 tol_root = _float_entry(block["tol_root"], "tolerances.tol_root", errs)
 
-    seed = None
-    if "seed" in raw:
-        seed = _int_entry(raw["seed"], "seed", errs)
+    if "seed" in raw:  # checked, then dropped
+        _int_entry(raw["seed"], "seed", errs)
 
     z = None
     if "z" in raw:
@@ -311,7 +313,6 @@ def parse_config(text: str) -> ProblemConfig:
         scan=scan,
         tol_linear=tol_linear,
         tol_root=tol_root,
-        seed=seed,
         z=z,
         f=f,
         grid1d=grid1d,
@@ -342,10 +343,8 @@ def serialize_config(cfg: ProblemConfig) -> str:
             "anchor": cfg.symbol_anchor,
         }
     if cfg.scan is not None:
-        out["scan"] = {"a": cfg.scan.a, "b": cfg.scan.b, "grid": cfg.scan.grid}
+        out["scan"] = {"a": cfg.scan.a, "b": cfg.scan.b}
     out["tolerances"] = {"tol_linear": cfg.tol_linear, "tol_root": cfg.tol_root}
-    if cfg.seed is not None:
-        out["seed"] = cfg.seed
     if cfg.z is not None:
         out["z"] = pair(cfg.z)
     if cfg.f is not None:
@@ -369,7 +368,7 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
     MatrixModel, or the PointSet with its evaluator; for ``laplacian1d``
     with ``grid1d``, the grid evaluator) and the ExtensionProblem.
     Raises one InvariantError listing every constructor's error and every
-    failed cross-field check (scan window, length of ``f``).
+    failed check of the scan window, ``z`` and ``f``.
     """
     viols = []
 
@@ -418,15 +417,20 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
 
     if cfg.scan is not None:
         a, b = cfg.scan.a, cfg.scan.b
-        if not a < b:
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            viols.append(f"scan window ends must be finite, got ({a}, {b})")
+        elif not a < b:
             viols.append(f"scan window needs a < b, got ({a}, {b})")
-        if cfg.scan.grid < 3:
-            viols.append("scan.grid must be at least 3")
         if cfg.backend.startswith("laplacian") and a <= 0.0:
             viols.append(
                 "laplacian scan window must satisfy a > 0 "
                 "(the interval would touch the essential spectrum (-inf, 0])"
             )
+
+    if cfg.z is not None and not cmath.isfinite(cfg.z):
+        viols.append(f"z must be finite, got {cfg.z}")
+    if cfg.f is not None and not all(map(cmath.isfinite, cfg.f)):
+        viols.append("f entries must be finite")
 
     problem = None
     if theta is not None and evaluator is not None:

@@ -19,6 +19,7 @@ functions of their inputs; concurrent use is safe.
 
 from __future__ import annotations
 
+import cmath
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -47,18 +48,19 @@ def _maxabs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def hermitian_part(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Check ``m`` is hermitian within ``rtol`` and return (m + m^H)/2.
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """Check ``m`` is hermitian and return (m + m^H)/2.
 
-    Raises NotHermitian when the defect exceeds ``rtol * (1 + |m|)``.
+    Raises NotHermitian when the defect exceeds
+    ``HERMITICITY_RTOL * (1 + |m|)``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
     defect = _maxabs(m - m.conj().T)
-    if defect > rtol * (1.0 + _maxabs(m)):
+    if defect > HERMITICITY_RTOL * (1.0 + _maxabs(m)):
         raise NotHermitian(
-            f"hermiticity defect {defect:.3e} exceeds {rtol:.1e} * (1 + |m|)"
+            f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e} * (1 + |m|)"
         )
     return (m + m.conj().T) / 2.0
 
@@ -101,11 +103,12 @@ class ThetaMatrix:
 class GammaEvaluator(ABC):
     """Backend contract consumed by the pencil machinery.
 
-    Required: the resolvent-set predicate and the renormalized trace
-    matrix ``gamma(z)``.  Function-space actions (base resolvent, trace
-    of the resolvent image, source superposition, and the trace/image
-    product matrix) are optional; backends that cannot integrate
-    arbitrary inputs raise UnsupportedAction.
+    Required: the resolvent-set predicates (at a point, and on a real
+    interval) and the renormalized trace matrix ``gamma(z)``.
+    Function-space actions (base resolvent, trace of the resolvent
+    image, source superposition, and the trace/image product matrix) are
+    optional; backends that cannot integrate arbitrary inputs raise
+    UnsupportedAction.
     """
 
     @property
@@ -121,14 +124,13 @@ class GammaEvaluator(ABC):
     def gamma(self, z: complex) -> np.ndarray:
         """Renormalized trace matrix at z, complex N x N."""
 
+    @abstractmethod
     def interval_in_resolvent_set(self, a: float, b: float) -> bool:
         """Whether the real interval [a, b] avoids the base spectrum.
 
-        Default: sample-based; backends override with exact logic.
+        Decided from the backend's spectrum, not by sampling points: the
+        root count of ``scan_spectrum`` rests on it.
         """
-        return all(
-            self.in_resolvent_set(complex(x)) for x in np.linspace(a, b, 257)
-        )
 
     # optional actions -------------------------------------------------
 
@@ -174,8 +176,13 @@ class ExtensionProblem:
 
 
 def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:
-    """The pencil theta + gamma(z); hermitian at admissible real z."""
-    if not problem.evaluator.in_resolvent_set(z):
+    """The pencil theta + gamma(z); hermitian at admissible real z.
+
+    Raises OutsideResolventSet when z is not in the resolvent set or is
+    not finite.
+    """
+    # a non-finite z is never admissible: it must not reach LAPACK
+    if not (cmath.isfinite(z) and problem.evaluator.in_resolvent_set(z)):
         raise OutsideResolventSet(f"z={z!r} is outside the resolvent set")
     return problem.theta.entries + problem.evaluator.gamma(z)
 
@@ -203,14 +210,14 @@ def krein_apply(problem: ExtensionProblem, z: complex, f):
     return ev.r_apply(z, f) + ev.g_apply(z, charges)
 
 
-def min_eig_hermitian(m, rtol: float = HERMITICITY_RTOL) -> float:
+def min_eig_hermitian(m) -> float:
     """Smallest eigenvalue of a hermitian matrix.
 
-    The finite-dimensional lower-bound functional used by the
-    admissibility test; exact to linear-algebra precision.  Raises
+    The finite-dimensional lower-bound functional of the admissibility
+    windows; exact to linear-algebra precision.  Raises
     NotHermitian when the input fails the hermiticity check.
     """
-    return float(np.linalg.eigvalsh(hermitian_part(m, rtol))[0])
+    return float(np.linalg.eigvalsh(hermitian_part(m))[0])
 
 
 def admissible_real(problem: ExtensionProblem, lam: float) -> str:
@@ -224,12 +231,13 @@ def admissible_real(problem: ExtensionProblem, lam: float) -> str:
     invertible, so the resolvent formula applies.
     """
     lam = float(lam)
-    if not problem.evaluator.in_resolvent_set(complex(lam)):
+    if not (cmath.isfinite(lam) and problem.evaluator.in_resolvent_set(complex(lam))):
         raise OutsideResolventSet(f"lambda={lam!r} is outside the resolvent set")
-    g = hermitian_part(problem.evaluator.gamma(complex(lam)))
-    th = problem.theta.entries
-    plus = min_eig_hermitian(g) > -min_eig_hermitian(th)
-    minus = min_eig_hermitian(-g) > -min_eig_hermitian(-th)
+    g = np.linalg.eigvalsh(hermitian_part(problem.evaluator.gamma(complex(lam))))
+    th = np.linalg.eigvalsh(problem.theta.entries)
+    # min_eig(-m) = -max_eig(m)
+    plus = g[0] > -th[0]
+    minus = -g[-1] > th[-1]
     if plus and minus:
         return ADMISSIBLE_BOTH
     if plus:

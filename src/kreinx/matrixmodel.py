@@ -261,17 +261,14 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def random_model(
-    seed_or_rng, n: int, n_charges: int, *, magnitude_range=(0.1, 10.0)
-) -> MatrixModel:
+def random_model(seed_or_rng, n: int, n_charges: int) -> MatrixModel:
     rng = np.random.default_rng(seed_or_rng)
     if not 1 <= n_charges <= n:
         raise InvariantError("need 1 <= n_charges <= n")
     q, r = np.linalg.qr(_complex_gaussian(rng, (n, n)))
     # fix the QR phase convention so the unitary is seed-determined
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    lo, hi = magnitude_range
-    spectrum = rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n)
+    spectrum = rng.uniform(0.1, 10.0, size=n) * rng.choice([-1.0, 1.0], size=n)
     a = (q * spectrum) @ q.conj().T
     a = (a + a.conj().T) / 2.0
     for _ in range(64):
@@ -282,21 +279,22 @@ def random_model(
     return MatrixModel(a, tau)
 
 
-def random_theta(seed_or_rng, n_charges: int, *, scale: float = 1.0):
+def random_theta(seed_or_rng, n_charges: int):
     rng = np.random.default_rng(seed_or_rng)
-    m = scale * _complex_gaussian(rng, (n_charges, n_charges))
+    m = _complex_gaussian(rng, (n_charges, n_charges))
     return ThetaMatrix((m + m.conj().T) / 2.0)
 
 
-def random_offaxis_z(rng: np.random.Generator, count: int, *, min_imag=0.1) -> np.ndarray:
-    """z samples with |Im z| >= min_imag, safely off every real spectrum."""
+def random_offaxis_z(rng: np.random.Generator, count: int) -> np.ndarray:
+    """z samples with |Im z| >= 0.1, safely off every real spectrum."""
     re = rng.uniform(-10.0, 10.0, size=count)
-    im = rng.uniform(min_imag, 5.0, size=count) * rng.choice([-1.0, 1.0], size=count)
+    im = rng.uniform(0.1, 5.0, size=count) * rng.choice([-1.0, 1.0], size=count)
     return re + 1j * im
 
 
-def random_problem_suite(seed: int, count: int, *, n_max=12, n_charges_max=4):
-    """Deterministic stream of (model, theta, z-list) triples for checks.
+def random_problem_suite(seed: int, count: int):
+    """Deterministic stream of (model, theta, z-list) triples for checks:
+    n from 2 to 12, N from 1 to min(4, n).
 
     Couplings whose anchor pencil is nearly singular are redrawn (up to a
     bounded number of attempts) so the additive oracle route exists; a
@@ -305,8 +303,8 @@ def random_problem_suite(seed: int, count: int, *, n_max=12, n_charges_max=4):
     """
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        n = int(rng.integers(2, n_max + 1))
-        nc = int(rng.integers(1, min(n_charges_max, n) + 1))
+        n = int(rng.integers(2, 13))
+        nc = int(rng.integers(1, min(4, n) + 1))
         model = random_model(rng, n, nc)
         theta = random_theta(rng, nc)
         for _ in range(16):

@@ -11,9 +11,10 @@ z off that set the decaying kernel is the inverse transform
 
 computed with the QUADPACK Fourier algorithm (adaptive Gauss-Kronrod
 panels per half-cycle plus series extrapolation of the cycle sums, which
-stands in for an explicit analytic tail estimate); the reported error
-estimate is checked against the requested target and TailEstimateFailed
-is raised when it cannot be met.
+stands in for an explicit analytic tail estimate).  Every transform runs
+with the same fixed QUADPACK settings, and its reported error estimate
+is checked against one fixed target, 1e-8 relative with an absolute
+floor of 1e-12; TailEstimateFailed is raised when it cannot be met.
 
 There is no closed-form zero-energy kernel for a generic symbol, so no
 absolute renormalization is attempted here: only the anchored difference
@@ -137,14 +138,13 @@ def _check_admissible(m: Multiplier1D, z: complex) -> None:
         )
 
 
-def _inverse_transform(func, x, where, *, even, rel_target=1e-8,
-                       abs_floor=1e-12, epsabs=1e-13, limit=400, limlst=150):
+def _inverse_transform(func, x, where, *, even):
     """(1/2pi) integral over the real line of e^{i xi x} func(xi) d xi.
 
     func maps a scalar xi to a complex value; even=True declares
     func(-xi) == func(xi) and skips the odd part.  Raises
     TailEstimateFailed (naming ``where``) when the QUADPACK error
-    estimate exceeds ``max(rel_target * |value|, abs_floor)``.
+    estimate exceeds ``max(1e-8 * |value|, 1e-12)``.
     """
     ax = abs(float(x))
 
@@ -159,11 +159,11 @@ def _inverse_transform(func, x, where, *, even, rel_target=1e-8,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         if ax < 1e-12:
-            val, err = quad(s_plus, 0.0, np.inf, epsabs=epsabs, epsrel=1e-12,
-                            limit=limit, complex_func=True)
+            val, err = quad(s_plus, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
+                            limit=400, complex_func=True)
             err = err.real + err.imag
         else:
-            kw = dict(wvar=ax, epsabs=epsabs, limit=limit, limlst=limlst,
+            kw = dict(wvar=ax, epsabs=1e-13, limit=400, limlst=150,
                       complex_func=True)
             val, err = quad(s_plus, 0.0, np.inf, weight="cos", **kw)
             err = err.real + err.imag
@@ -173,27 +173,17 @@ def _inverse_transform(func, x, where, *, even, rel_target=1e-8,
                 err += sin_err.real + sin_err.imag
     val /= 2.0 * math.pi
     err /= 2.0 * math.pi
-    if err > max(rel_target * abs(val), abs_floor):
+    if err > max(1e-8 * abs(val), 1e-12):
         raise TailEstimateFailed(f"error estimate {err:.3e} exceeds target at {where}")
     return val
 
 
-def multiplier_gz_1d(
-    m: Multiplier1D,
-    z: complex,
-    x: float,
-    *,
-    rel_target: float = 1e-8,
-    abs_floor: float = 1e-12,
-    epsabs: float = 1e-13,
-    limit: int = 400,
-    limlst: int = 150,
-) -> complex:
+def multiplier_gz_1d(m: Multiplier1D, z: complex, x: float) -> complex:
     """Decaying kernel of the symbol's resolvent at offset ``x``.
 
     Raises SymbolRangeHit when z touches the symbol range and
     TailEstimateFailed when the quadrature error estimate exceeds
-    ``max(rel_target * |value|, abs_floor)``.
+    ``max(1e-8 * |value|, 1e-12)``.
     """
     _check_admissible(m, z)
     z = complex(z)
@@ -201,10 +191,7 @@ def multiplier_gz_1d(
     def func(xi):
         return 1.0 / (z - complex(m(xi)))
 
-    return _inverse_transform(
-        func, x, f"z={z!r}, x={x!r}", even=m.is_even, rel_target=rel_target,
-        abs_floor=abs_floor, epsabs=epsabs, limit=limit, limlst=limlst,
-    )
+    return _inverse_transform(func, x, f"z={z!r}, x={x!r}", even=m.is_even)
 
 
 def anchored_gamma_1d(m: Multiplier1D, ps: PointSet, z: complex, w0: complex) -> np.ndarray:

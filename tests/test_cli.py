@@ -405,6 +405,31 @@ class TestSemanticErrorsExit2:
         assert "essential spectrum" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, change, message", [
+        (["resolvent", "--z", "inf"], {}, "z must be finite"),
+        (["resolvent", "--z", "nan"], {}, "z must be finite"),
+        (["resolvent"], {"z": float("inf")}, "z must be finite"),
+        (["resolvent"], {"f": [1.0, float("nan"), 0.25, 0.0, 2.0]}, "f entries must be finite"),
+        (["spectrum", "--b", "inf"], {}, "scan window ends must be finite"),
+    ], ids=["z-inf", "z-nan", "config-z-inf", "f-nan", "flag-b-inf"])
+    def test_non_finite_matrix_request(self, tmp_path, capsys, argv, change, message):
+        raw = dict(MATRIX_5, z=[0.3, 0.8], f=[1.0, -0.5, 0.25, 0.0, 2.0])
+        raw.update(change)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out.csv"
+        assert main([argv[0], "--config", str(cfg), *argv[1:], "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_laplacian_window(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG_3D, scan={"a": 0.5, "b": float("inf")})))
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
+        assert "scan window ends must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["resolvent", "spectrum"])
     @pytest.mark.parametrize("key", ["a", "tau"])
     def test_non_finite_matrix_input(self, tmp_path, capsys, command, key):

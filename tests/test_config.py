@@ -251,10 +251,38 @@ class TestSemanticPhase:
             build_problem(cfg.with_scan(a=3.0))
 
     def test_scan_grid_checked_once(self):
-        cfg = parse_config(json.dumps(MINIMAL_3D)).with_scan(grid=2)
-        assert cfg.scan.grid == 2
-        with pytest.raises(InvariantError, match="scan.grid must be at least 3"):
+        # old configs carry a sampling grid: a schema check, then dropped
+        cfg = parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0, "grid": 3})))
+        assert cfg == parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0})))
+        for grid in (2, 64.0, True, "64"):
+            bad = dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0, "grid": grid})
+            with pytest.raises(SchemaError, match="scan.grid: expected an integer >= 3"):
+                parse_config(json.dumps(bad))
+
+    def test_seed_checked_then_dropped(self):
+        cfg = parse_config(json.dumps(dict(MINIMAL_3D, seed=7)))
+        assert cfg == parse_config(json.dumps(MINIMAL_3D))
+        with pytest.raises(SchemaError, match="seed: expected an integer"):
+            parse_config(json.dumps(dict(MINIMAL_3D, seed=7.5)))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"z": float("inf")}, "z must be finite"),
+        ({"z": [0.3, float("nan")]}, "z must be finite"),
+        ({"f": [1.0, float("nan")]}, "f entries must be finite"),
+        ({"f": [1.0, [0.0, float("-inf")]]}, "f entries must be finite"),
+        ({"scan": {"a": -0.5, "b": float("inf")}}, "scan window ends must be finite"),
+        ({"scan": {"a": float("nan"), "b": 0.5}}, "scan window ends must be finite"),
+    ])
+    def test_non_finite_inputs(self, change, message):
+        cfg = parse_config(json.dumps(dict(MATRIX_2, **change)))
+        with pytest.raises(InvariantError, match=message) as err:
             build_problem(cfg)
+        assert len(err.value.violations) == 1
+
+    def test_non_finite_window_from_with_scan(self):
+        cfg = parse_config(json.dumps(MINIMAL_3D))
+        with pytest.raises(InvariantError, match="scan window ends must be finite"):
+            build_problem(cfg.with_scan(b=float("inf")))
 
     def test_size_and_tolerance_faults_together(self):
         bad = dict(MINIMAL_3D, points=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
@@ -402,5 +430,5 @@ class TestBuild:
     def test_scan_override(self):
         cfg = parse_config(json.dumps(MINIMAL_3D))
         cfg2 = cfg.with_scan(b=3.0)
-        assert cfg2.scan == ScanWindow(a=0.5, b=3.0, grid=64)
+        assert cfg2.scan == ScanWindow(a=0.5, b=3.0)
         assert cfg.scan.b == 2.0

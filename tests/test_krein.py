@@ -101,6 +101,12 @@ class TestKreinApply:
         with pytest.raises(SingularPencil):
             krein_apply(two_level_problem, 1.0 + np.sqrt(2.0), f)
 
+    @pytest.mark.parametrize("z", [complex("inf"), complex("nan"), complex(0.5, float("inf"))])
+    def test_non_finite_z_is_outside_the_resolvent_set(self, two_level_problem, z):
+        # rejected before the pencil reaches the SVD
+        with pytest.raises(OutsideResolventSet):
+            krein_apply(two_level_problem, z, np.array([1.0, 0.0]))
+
 
 class TestAdmissibleReal:
     def test_at_zero(self, two_level_problem):
@@ -137,6 +143,8 @@ class TestAdmissibleReal:
     def test_outside_resolvent_set(self, two_level_problem):
         with pytest.raises(OutsideResolventSet):
             admissible_real(two_level_problem, -1.0)
+        with pytest.raises(OutsideResolventSet):
+            admissible_real(two_level_problem, float("inf"))
 
     @settings(max_examples=25, deadline=None)
     @given(

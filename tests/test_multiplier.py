@@ -96,15 +96,24 @@ class TestMultiplierGz:
         with pytest.raises(SymbolRangeHit):
             multiplier_gz_1d(second_order, 0.0, 0.0)
 
-    def test_self_convergence_without_closed_form(self, differential_difference):
-        # no closed form asserted; two quadrature settings must agree
-        coarse = multiplier_gz_1d(
-            differential_difference, 1.0, 0.0, epsabs=1e-9, limit=120, limlst=60
-        )
-        fine = multiplier_gz_1d(
-            differential_difference, 1.0, 0.0, epsabs=1e-13, limit=500, limlst=200
-        )
-        assert abs(coarse - fine) <= 1e-8 * abs(fine)
+    def test_mpmath_reference_without_closed_form(self, differential_difference):
+        # gz(0) at z = 1 is (1/pi) int_0^inf dxi / (3 + xi^2 - 2 cos xi).
+        # mpmath integrates it one period [2 pi k, 2 pi (k + 1)] at a time
+        # up to L = 128 pi; the tail int_L^inf is 1/L - 1/L^3 + O(L^-5),
+        # from 1/xi^2 - (3 - 2 cos xi)/xi^4 (the cosine part is O(L^-5)
+        # because sin L = 0)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(20):
+            two_pi = 2 * mp.pi
+            periods = mp.fsum(
+                mp.quad(lambda t: 1 / (3 + t**2 - 2 * mp.cos(t)),
+                        [two_pi * k, two_pi * (k + 1)])
+                for k in range(64)
+            )
+            tail = 1 / (64 * two_pi) - 1 / (64 * two_pi) ** 3
+            want = float((periods + tail) / mp.pi)
+        got = multiplier_gz_1d(differential_difference, 1.0, 0.0)
+        assert abs(got - want) <= 1e-8 * want
 
     def test_complex_z(self, second_order):
         z = 1.0 + 1.0j

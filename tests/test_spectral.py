@@ -192,6 +192,9 @@ class TestScanSpectrum:
             def in_resolvent_set(self, z):
                 return True
 
+            def interval_in_resolvent_set(self, a, b):
+                return a <= b
+
             def gamma(self, z):
                 x = np.real(z) - 2.0
                 return np.array([[x + (1e-3 if x >= 0.0 else -1e-3)]])
@@ -220,6 +223,9 @@ class TestScanSpectrum:
 
             def in_resolvent_set(self, z):
                 return True
+
+            def interval_in_resolvent_set(self, a, b):
+                return a <= b
 
             def gamma(self, z):
                 return np.array([[(np.real(z) - 2.0) ** 2 + 1e-14]])

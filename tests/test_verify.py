@@ -57,27 +57,27 @@ class TestGammaIdentities:
     def test_kernel_3d(self):
         ps = PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         report = check_gamma_identities(
-            LaplacianPointEvaluator(ps), [1.0, 4.0], tol=1e-6, label="3d"
+            LaplacianPointEvaluator(ps), [1.0, 4.0], tol=1e-6
         )
         assert report.passed
         names = {c.name for c in report.checks}
-        assert "gamma3d/difference" in names
+        assert "gamma/difference" in names
 
     def test_kernel_1d(self):
         ps = PointSet(1, [-0.4, 0.7])
         report = check_gamma_identities(
-            LaplacianPointEvaluator(ps), [1.0, 4.0], tol=1e-6, label="1d"
+            LaplacianPointEvaluator(ps), [1.0, 4.0], tol=1e-6
         )
         assert report.passed
 
     def test_kernel_2d_skips_product(self):
         ps = PointSet(2, [[0.0, 0.0], [1.0, 0.0]])
         report = check_gamma_identities(
-            LaplacianPointEvaluator(ps), [1.0, 4.0], tol=1e-10, label="2d"
+            LaplacianPointEvaluator(ps), [1.0, 4.0], tol=1e-10
         )
         names = {c.name for c in report.checks}
-        assert "gamma2d/conjugate_symmetry" in names
-        assert "gamma2d/difference" not in names
+        assert "gamma/conjugate_symmetry" in names
+        assert "gamma/difference" not in names
         assert report.passed
 
 
@@ -120,8 +120,8 @@ class TestRunVerification:
         assert r1.rows() == r2.rows()
 
     def test_seed_changes_residuals(self):
-        r1 = run_verification(seed=1, models=3, include_kernels=False)
-        r2 = run_verification(seed=2, models=3, include_kernels=False)
+        r1 = run_verification(seed=1, models=3)
+        r2 = run_verification(seed=2, models=3)
         assert r1.to_text() != r2.to_text()
 
     def test_checks_sorted_by_name(self):
