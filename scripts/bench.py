@@ -1,0 +1,123 @@
+"""Cold-CLI and layer benchmark; writes BENCH_<label>.json at the repo root.
+
+    python scripts/bench.py LABEL
+
+Cold CLI: each request runs in a fresh ``python -m kreinx`` interpreter
+(so every run pays the imports, as a one-shot user does) on committed
+inputs, with one BLAS thread and the output sent to the null device.
+The cases run round-robin, RUNS times each, and the JSON records every
+wall time, the median and the exit code.  ``import`` times a bare
+``import kreinx.cli``.
+
+Layer: ``LaplacianGrid1DEvaluator.r_apply`` (the 1-d grid convolution)
+in-process at n = 1e3, 1e4 and 1e5 nodes, one warm-up call, then the
+median of RUNS calls.
+
+The package is taken from ``src/`` next to this script, so a copy of
+this file in another checkout measures that checkout.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from importlib.metadata import version
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+RUNS = 7
+LAYER_SIZES = (1_000, 10_000, 100_000)
+
+COLD_CASES = {
+    "import": ["-c", "import kreinx.cli"],
+    "resolvent_matrix6": ["-m", "kreinx", "resolvent",
+                          "--config", str(SCRIPTS / "resolvent_matrix6.json")],
+    "resolvent_grid200": ["-m", "kreinx", "resolvent",
+                          "--config", str(SCRIPTS / "resolvent_grid200.json")],
+    "spectrum_matrix5": ["-m", "kreinx", "spectrum",
+                         "--config", str(SCRIPTS / "spectrum_matrix5.json")],
+    "oracle_seed7": ["-m", "kreinx", "oracle", "--seed", "7"],
+    "green_dim3": ["-m", "kreinx", "green", "--dim", "3", "--z", "1"],
+    "verify_seed42": ["-m", "kreinx", "verify", "--seed", "42", "--models", "20"],
+}
+
+
+def cold_cli() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    walls = {name: [] for name in COLD_CASES}
+    codes = {name: set() for name in COLD_CASES}
+    for _ in range(RUNS):
+        for name, args in COLD_CASES.items():
+            out = ["-o", os.devnull] if args[0] == "-m" else []
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, *args, *out], env=env, cwd=ROOT,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            walls[name].append(time.perf_counter() - t0)
+            codes[name].add(proc.returncode)
+    return {
+        name: {"median_s": statistics.median(w), "runs_s": w, "exit_codes": sorted(codes[name])}
+        for name, w in walls.items()
+    }
+
+
+def r_apply_layer() -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    from kreinx import LaplacianGrid1DEvaluator, PointSet
+
+    ps = PointSet(1, [[-0.8], [0.6]])
+    out = {}
+    for n in LAYER_SIZES:
+        ev = LaplacianGrid1DEvaluator(ps, np.linspace(-8.0, 8.0, n))
+        f = np.exp(-ev.xs**2) * (1.0 + 0.5j)
+        ev.r_apply(1.0 + 0.5j, f)
+        times = []
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            ev.r_apply(1.0 + 0.5j, f)
+            times.append(time.perf_counter() - t0)
+        out[f"n={n}"] = {"median_s": statistics.median(times), "runs_s": times}
+    return out
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/bench.py LABEL", file=sys.stderr)
+        return 2
+    label = argv[0]
+    # before numpy loads here or in a child process
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    result = {
+        "label": label,
+        "machine": {
+            "platform": platform.platform(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": version("numpy"),
+            "scipy": version("scipy"),
+        },
+        "runs": RUNS,
+        "cold_cli": cold_cli(),
+        "layer": {"greens.r_apply": r_apply_layer()},
+    }
+    path = ROOT / f"BENCH_{label}.json"
+    path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    for name, row in result["cold_cli"].items():
+        print(f"{name:20s} {row['median_s']:.3f} s  exit {row['exit_codes']}")
+    for name, row in result["layer"]["greens.r_apply"].items():
+        print(f"r_apply {name:12s} {row['median_s'] * 1e3:.2f} ms")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -27,7 +27,6 @@ from .krein import (
     boundary_residual,
     gamma_theta,
     krein_apply,
-    min_eig_hermitian,
 )
 from .matrixmodel import (
     MatrixEvaluator,

@@ -10,11 +10,13 @@
 #
 # The public wrappers only add the domain guards: kernels need Re w > 0,
 # the real entry point needs x > 0.
+#
+# scipy.special is imported inside _k0, so only a request that evaluates
+# K0 (the 2-d kernel) pays for loading it.
 
 import math
 
 import numpy as np
-from scipy.special import kv
 
 from .errors import NonpositiveArgument
 
@@ -23,6 +25,8 @@ _AMOS_RANGE = 1e9
 
 def _k0(w) -> np.ndarray:
     """K0 on a complex array with Re w > 0 (no domain check)."""
+    from scipy.special import kv
+
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     out = kv(0, w)
     far = np.abs(w) > _AMOS_RANGE

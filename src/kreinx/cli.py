@@ -11,6 +11,7 @@ variable, then 0.
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 from dataclasses import replace
@@ -168,9 +169,19 @@ def cmd_resolvent(args) -> int:
 def cmd_green(args) -> int:
     z = _parse_complex(args.z)
     kernel = LaplacianKernel(args.dim)
-    radii = [float(r) for r in args.radii.split(",") if r.strip()]
+    try:
+        radii = [float(r) for r in args.radii.split(",") if r.strip()]
+    except ValueError:
+        raise InvariantError([f"cannot parse --radii {args.radii!r}"])
+    viols = []
+    if not cmath.isfinite(z):
+        viols.append(f"--z must be finite, got {z}")
     if not radii:
-        raise InvariantError(["--radii must list at least one radius"])
+        viols.append("--radii must list at least one radius")
+    elif not all(map(cmath.isfinite, radii)):
+        viols.append("--radii entries must be finite")
+    if viols:
+        raise InvariantError(viols)
     renorm = kernel.renormalized_diagonal(z)
     rows = []
     for r in radii:

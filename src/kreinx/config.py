@@ -17,8 +17,8 @@ phases, and each raises one error carrying every violation it found:
   size mismatch) together with the checks no constructor makes: the
   scan window (finite ends, ``a < b``, and ``a > 0`` for a Laplacian
   backend, whose essential spectrum is ``(-inf, 0]``), a finite ``z``
-  and ``f``, and the length of ``f`` against the base matrix or the
-  ``grid1d`` nodes.
+  and ``f``, finite ``grid1d`` ends, and the length of ``f`` against
+  the base matrix or the ``grid1d`` nodes.
 
 A window set through ``ProblemConfig.with_scan`` is checked by
 ``build_problem`` like one read from the file.
@@ -402,8 +402,11 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
             )
     elif cfg.backend == "laplacian1d" and cfg.grid1d is not None:
         lo, hi, n = cfg.grid1d.lo, cfg.grid1d.hi, cfg.grid1d.n
-        grid_ok = n >= 2 and lo < hi
-        if not grid_ok:
+        finite = cmath.isfinite(lo) and cmath.isfinite(hi)
+        grid_ok = finite and n >= 2 and lo < hi
+        if not finite:
+            viols.append(f"grid1d ends must be finite, got ({lo}, {hi})")
+        elif not grid_ok:
             viols.append("grid1d needs lo < hi and n >= 2")
         # checked before the grid is allocated
         if cfg.f is not None and len(cfg.f) != n:

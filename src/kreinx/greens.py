@@ -13,15 +13,19 @@ the kernel singularity once and for all at the zero-energy anchor (no
 arbitrary spectral shift enters).
 
 Dimension 2 takes K0 from ``scipy.special.kv`` (the AMOS algorithm, see
-``bessel``), which also accepts the complex arguments arising for z off
-the positive real axis.  The trace matrix and source superpositions are
-array expressions over all radii at once; the scalar ``LaplacianKernel``
-methods evaluate one radius at a time and serve as their reference.
+``bessel``, which imports it on first use); it also accepts the complex
+arguments arising for z off the positive real axis.  The trace matrix
+and source superpositions are array expressions over all radii at once;
+the scalar ``LaplacianKernel`` methods evaluate one radius at a time
+and serve as their reference.
 
 The product matrix ``gbreve_g(w, z)`` (trace at w of the source at z)
 comes, in dims 1 and 3, from one adaptive ``quad`` of kernel products
 per distinct distance, independent of the closed-form identity
 ``gamma(z) - gamma(w) = (z - w) gbreve_g(w, z)`` that it checks.
+``quad`` is a module attribute looked up at call time, a shim that
+imports ``scipy.integrate`` on its first call, so importing this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bessel import _k0, k0_right_half_plane
 from .errors import (
@@ -44,6 +47,16 @@ from .errors import (
 from .krein import GammaEvaluator
 
 EULER_GAMMA = float(np.euler_gamma)
+
+
+def _quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
+quad = _quad
 
 
 def off_branch_cut(z: complex) -> bool:

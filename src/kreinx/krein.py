@@ -210,16 +210,6 @@ def krein_apply(problem: ExtensionProblem, z: complex, f):
     return ev.r_apply(z, f) + ev.g_apply(z, charges)
 
 
-def min_eig_hermitian(m) -> float:
-    """Smallest eigenvalue of a hermitian matrix.
-
-    The finite-dimensional lower-bound functional of the admissibility
-    windows; exact to linear-algebra precision.  Raises
-    NotHermitian when the input fails the hermiticity check.
-    """
-    return float(np.linalg.eigvalsh(hermitian_part(m))[0])
-
-
 def admissible_real(problem: ExtensionProblem, lam: float) -> str:
     """Classify a real point by the sign windows of the pencil.
 

@@ -35,11 +35,9 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import minimize_scalar
 
 from .errors import InvariantError, SymbolRangeHit, TailEstimateFailed
-from .greens import PointSet, _per_key_matrix
+from .greens import PointSet, _per_key_matrix, _quad as quad
 from .krein import GammaEvaluator
 
 
@@ -98,6 +96,8 @@ class Multiplier1D:
         enough for the fastest cosine) is refined by bounded local
         maximization around the best brackets.
         """
+        from scipy.optimize import minimize_scalar
+
         lead = abs(self.poly[-1])
         lower = sum(abs(c) for c in self.poly[:-1]) + sum(
             abs(c) for _, c in self.cos_terms
@@ -146,6 +146,8 @@ def _inverse_transform(func, x, where, *, even):
     TailEstimateFailed (naming ``where``) when the QUADPACK error
     estimate exceeds ``max(1e-8 * |value|, 1e-12)``.
     """
+    from scipy.integrate import IntegrationWarning
+
     ax = abs(float(x))
 
     def s_plus(t):

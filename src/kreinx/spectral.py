@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     InertiaMismatch,
@@ -130,6 +129,8 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     notes = []
     roots = []
     while k >= lowest:
+        from scipy.optimize import brentq
+
         # brentq returns an end where the branch is exactly zero
         z0 = brentq(
             lambda x: branches_at(x)[k], a, b,

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,20 @@ class TestGreenCommand:
 
     def test_branch_cut_is_validation_failure(self, tmp_path):
         assert main(["green", "--dim", "2", "--z", "-1", "-o", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dim", "3", "--z", "inf"], "--z must be finite"),
+        (["--dim", "1", "--z", "nan"], "--z must be finite"),
+        (["--dim", "2", "--z", "1", "--radii", "1,inf"], "--radii entries must be finite"),
+        (["--dim", "3", "--z", "1", "--radii", "1,x"], "cannot parse --radii"),
+    ], ids=["3d-z-inf", "1d-z-nan", "radius-inf", "radius-text"])
+    def test_bad_input_exits_2_without_warnings(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["green", *argv, "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSpectrumCommand:
@@ -420,6 +435,18 @@ class TestSemanticErrorsExit2:
         out = tmp_path / "out.csv"
         assert main([argv[0], "--config", str(cfg), *argv[1:], "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_grid1d_end(self, tmp_path, capsys):
+        # -1e309 parses as -inf
+        text = (SCRIPTS / "resolvent_grid200.json").read_text()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text.replace('"lo": -8.0', '"lo": -1e309', 1))
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["resolvent", "--config", str(cfg), "-o", str(out)]) == 2
+        assert "grid1d ends must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_laplacian_window(self, tmp_path, capsys):

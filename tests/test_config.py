@@ -327,6 +327,16 @@ class TestSemanticPhase:
         with pytest.raises(InvariantError, match="grid1d needs lo < hi and n >= 2"):
             build_problem(cfg)
 
+    def test_infinite_grid1d_end(self):
+        # -1e309 overflows to -inf when the JSON is read
+        cfg = parse_config(
+            '{"backend": "laplacian1d", "points": [0.0], "theta": [[0.5]], '
+            '"grid1d": {"lo": -1e309, "hi": 1.0, "n": 5}}'
+        )
+        assert cfg.grid1d.lo == float("-inf")
+        with pytest.raises(InvariantError, match=r"grid1d ends must be finite, got \(-inf, 1.0\)"):
+            build_problem(cfg)
+
     def test_grid_config_builds_the_grid_evaluator(self):
         cfg = parse_config(json.dumps({
             "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from kreinx import (
     ExtensionProblem,
+    GammaEvaluator,
     LaplacianPointEvaluator,
     MatrixEvaluator,
     NotHermitian,
@@ -16,7 +17,6 @@ from kreinx import (
     boundary_residual,
     gamma_theta,
     krein_apply,
-    min_eig_hermitian,
     woodbury_extension,
 )
 from kreinx.matrixmodel import base_resolvent, random_model, random_theta
@@ -62,20 +62,57 @@ class TestGammaTheta:
             gamma_theta(two_level_problem, 1.0)
 
 
-class TestMinEigHermitian:
+class ConstantGammaEvaluator(GammaEvaluator):
+    """A fixed trace matrix at every real point."""
+
+    def __init__(self, g):
+        self.g = np.asarray(g, dtype=complex)
+
+    @property
+    def n_charges(self):
+        return self.g.shape[0]
+
+    def in_resolvent_set(self, z):
+        return True
+
+    def interval_in_resolvent_set(self, a, b):
+        return a <= b
+
+    def gamma(self, z):
+        return self.g
+
+
+def _window(g, c):
+    """admissible_real for the trace matrix g and the coupling c * I."""
+    ev = ConstantGammaEvaluator(g)
+    return admissible_real(ExtensionProblem(ev, ThetaMatrix(c * np.eye(ev.n_charges))), 0.0)
+
+
+class TestAdmissibleRealEigenvalueBounds:
+    # with theta = c * I the plus window is min_eig(g) > -c and the minus
+    # window is max_eig(g) < -c, so the window edges sit at the extreme
+    # eigenvalues of g
     def test_identity(self):
-        assert min_eig_hermitian(np.eye(3)) == pytest.approx(1.0)
+        assert _window(np.eye(3), 0.0) == "plus"
+        assert _window(np.eye(3), -1.0) == "none"
+        assert _window(np.eye(3), -1.5) == "minus"
 
     def test_diagonal(self):
-        assert min_eig_hermitian(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
+        g = np.diag([3.0, -2.0])
+        assert _window(g, 2.01) == "plus"
+        assert _window(g, 2.0) == "none"  # strict inequality at the edge
+        assert _window(g, -3.01) == "minus"
 
     def test_offdiagonal(self):
         # characteristic polynomial lambda^2 - 1
-        assert min_eig_hermitian([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(-1.0)
+        g = [[0.0, 1.0], [1.0, 0.0]]
+        assert _window(g, 1.5) == "plus"
+        assert _window(g, 0.0) == "none"
+        assert _window(g, -1.5) == "minus"
 
     def test_rejects_nonhermitian(self):
         with pytest.raises(NotHermitian):
-            min_eig_hermitian([[0.0, 1.0], [0.0, 0.0]])
+            _window([[0.0, 1.0], [0.0, 0.0]], 0.0)
 
 
 class TestKreinApply:
