@@ -9,6 +9,11 @@ The cases run round-robin, RUNS times each, and the JSON records every
 wall time, the median and the exit code.  ``import`` times a bare
 ``import kreinx.cli``.
 
+Warm CLI: the same requests but ``import``, each as one in-process
+``kreinx.cli.main`` call with the CSV sent to the null device and
+stderr suppressed; one warm-up call, then the median of RUNS calls.
+This is the per-request cost once the imports are paid.
+
 Layer: ``LaplacianGrid1DEvaluator.r_apply`` (the 1-d grid convolution)
 in-process at n = 1e3, 1e4 and 1e5 nodes, one warm-up call, then the
 median of RUNS calls.
@@ -17,6 +22,7 @@ The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
 """
 
+import contextlib
 import json
 import os
 import platform
@@ -67,8 +73,27 @@ def cold_cli() -> dict:
     }
 
 
+def warm_cli() -> dict:
+    from kreinx.cli import main as cli_main
+
+    out = {}
+    with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
+        for name, args in COLD_CASES.items():
+            if args[0] != "-m":
+                continue
+            argv = [*args[2:], "-o", os.devnull]
+            codes = {cli_main(argv)}
+            times = []
+            for _ in range(RUNS):
+                t0 = time.perf_counter()
+                codes.add(cli_main(argv))
+                times.append(time.perf_counter() - t0)
+            out[name] = {"median_s": statistics.median(times), "runs_s": times,
+                         "exit_codes": sorted(codes)}
+    return out
+
+
 def r_apply_layer() -> dict:
-    sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
     from kreinx import LaplacianGrid1DEvaluator, PointSet
@@ -96,6 +121,7 @@ def main(argv) -> int:
     # before numpy loads here or in a child process
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
     result = {
         "label": label,
         "machine": {
@@ -107,12 +133,15 @@ def main(argv) -> int:
         },
         "runs": RUNS,
         "cold_cli": cold_cli(),
+        "warm_cli": warm_cli(),
         "layer": {"greens.r_apply": r_apply_layer()},
     }
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for name, row in result["cold_cli"].items():
         print(f"{name:20s} {row['median_s']:.3f} s  exit {row['exit_codes']}")
+    for name, row in result["warm_cli"].items():
+        print(f"warm {name:15s} {row['median_s'] * 1e3:.2f} ms  exit {row['exit_codes']}")
     for name, row in result["layer"]["greens.r_apply"].items():
         print(f"r_apply {name:12s} {row['median_s'] * 1e3:.2f} ms")
     print(f"wrote {path}")

@@ -1,18 +1,20 @@
 """Command-line entry point: verify / spectrum / resolvent / green / oracle.
 
-Every command writes one CSV (stdout by default, or --output FILE) and
-prints a one-line summary to stderr.  Exit codes: 0 success, 2 config or
-validation failure, 3 numeric failure (no root bracketed, degenerate
-oracle, tolerance breach, non-finite output).  The seed of ``verify``
-and ``oracle`` comes from --seed, then the KREINX_SEED environment
-variable, then 0.
+Each ``cmd_*`` handler computes its table and returns
+``(schema, rows, summary, code)``; ``main`` parses with one parser per
+process, runs the handler, writes the one CSV (stdout by default, or
+--output FILE) and then prints the one-line summary to stderr.  Exit
+codes: 0 success, 2 config or validation failure (an unreadable config
+included), 3 numeric failure (no root bracketed, degenerate oracle,
+tolerance breach, non-finite output).  ``verify`` and ``oracle`` take a
+non-negative --seed, 0 by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import os
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,51 +56,31 @@ def _parse_complex(text: str) -> complex:
         raise InvariantError([f"cannot parse complex number from {text!r}"])
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("KREINX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvariantError([f"KREINX_SEED={env!r} is not an integer"])
-    return 0
-
-
-def _write(rows, schema, args) -> None:
-    if args.output == "-":
-        emit_csv(rows, schema, sys.stdout)
-    else:
-        emit_csv(rows, schema, args.output)
-
-
 def _summary(text: str) -> None:
     print(text, file=sys.stderr)
 
 
 def _load_config(args):
-    return parse_config(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SchemaError([f"cannot read config {args.config}: {reason}"])
+    return parse_config(text)
 
 
-def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
-    report = run_verification(
-        seed,
-        models=args.models,
-        tol_matrix=args.tol_matrix,
-        tol_quad=args.tol_quad,
-    )
-    _write(report.rows(), ["check", "residual", "tolerance", "pass"], args)
+def cmd_verify(args):
+    report = run_verification(args.seed, models=args.models)
     failed = sum(1 for c in report.checks if not c.passed)
-    _summary(
-        f"verify: {len(report.checks)} checks, {failed} failed, seed={seed}, "
+    summary = (
+        f"verify: {len(report.checks)} checks, {failed} failed, seed={args.seed}, "
         f"{report.model_summary}"
     )
-    return 0 if report.passed else 3
+    code = 0 if report.passed else 3
+    return ["check", "residual", "tolerance", "pass"], report.rows(), summary, code
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args):
     if args.grid is not None and args.grid < 3:  # checked, then dropped
         raise InvariantError([f"--grid must be at least 3, got {args.grid}"])
     cfg = _load_config(args)
@@ -123,12 +105,11 @@ def cmd_spectrum(args) -> int:
             + [float(c.real) for c in root.charge]
             + [float(c.imag) for c in root.charge]
         )
-    _write(rows, schema, args)
-    _summary(
+    summary = (
         f"spectrum: {len(report.roots)} roots in [{cfg.scan.a:g}, {cfg.scan.b:g}], "
         f"{len(report.diagnostics.warnings)} warnings"
     )
-    return 0 if report.roots else 3
+    return schema, rows, summary, 0 if report.roots else 3
 
 
 def _node_rows(nodes, f, result):
@@ -137,7 +118,7 @@ def _node_rows(nodes, f, result):
                result.real.tolist(), result.imag.tolist())
 
 
-def cmd_resolvent(args) -> int:
+def cmd_resolvent(args):
     cfg = _load_config(args)
     if args.z is not None:  # checked by build_problem like the config z
         cfg = replace(cfg, z=_parse_complex(args.z))
@@ -161,12 +142,11 @@ def cmd_resolvent(args) -> int:
         xs = built.problem.evaluator.xs
         nodes, label = xs.tolist(), "x"
         where = f"laplacian1d backend, {xs.size} nodes"
-    _write(_node_rows(nodes, f, result), [label, "f_re", "f_im", "rf_re", "rf_im"], args)
-    _summary(f"resolvent: {where}, z={cfg.z}")
-    return 0
+    schema = [label, "f_re", "f_im", "rf_re", "rf_im"]
+    return schema, _node_rows(nodes, f, result), f"resolvent: {where}, z={cfg.z}", 0
 
 
-def cmd_green(args) -> int:
+def cmd_green(args):
     z = _parse_complex(args.z)
     kernel = LaplacianKernel(args.dim)
     try:
@@ -190,21 +170,21 @@ def cmd_green(args) -> int:
             [r, kernel.g0(r), float(gzv.real), float(gzv.imag),
              float(renorm.real), float(renorm.imag)]
         )
-    _write(rows, ["r", "g0", "gz_re", "gz_im", "renorm_re", "renorm_im"], args)
-    _summary(f"green: dim={args.dim}, z={z}, {len(rows)} radii")
-    return 0
+    schema = ["r", "g0", "gz_re", "gz_im", "renorm_re", "renorm_im"]
+    return schema, rows, f"green: dim={args.dim}, z={z}, {len(rows)} radii", 0
 
 
-def cmd_oracle(args) -> int:
-    seed = _resolve_seed(args)
+def cmd_oracle(args):
+    viols = [] if args.seed >= 0 else [f"--seed must be >= 0, got {args.seed}"]
     if not 1 <= args.ncharges <= args.n:
-        raise InvariantError(["need 1 <= ncharges <= n"])
-    rng = np.random.default_rng(seed)
+        viols.append("need 1 <= ncharges <= n")
+    if viols:
+        raise InvariantError(viols)
+    rng = np.random.default_rng(args.seed)
     model = random_model(rng, args.n, args.ncharges)
     theta = random_theta(rng, args.ncharges)
     eigs = direct_eigs(model, theta)
     rows = [[i, float(v)] for i, v in enumerate(eigs)]
-    _write(rows, ["index", "eigenvalue"], args)
 
     defect = 0.0
     checked = 0
@@ -213,14 +193,15 @@ def cmd_oracle(args) -> int:
             pencil = hermitian_part(theta.entries + gamma(model, float(v)))
             defect = max(defect, float(np.min(np.abs(np.linalg.eigvalsh(pencil)))))
             checked += 1
-    _summary(
-        f"oracle: seed={seed}, n={args.n}, N={args.ncharges}, "
+    summary = (
+        f"oracle: seed={args.seed}, n={args.n}, N={args.ncharges}, "
         f"trace bound c={model.trace_bound_constant:.6g}, "
         f"max pencil defect over {checked} eigenvalues={defect:.3e}"
     )
-    return 0
+    return ["index", "eigenvalue"], rows, summary, 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kreinx",
@@ -229,10 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the identity verification suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", type=int, default=20)
-    p.add_argument("--tol-matrix", type=float, default=1e-11, dest="tol_matrix")
-    p.add_argument("--tol-quad", type=float, default=1e-6, dest="tol_quad")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_verify)
 
@@ -263,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("oracle", help="seeded random model: direct spectrum table")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--ncharges", type=int, default=2)
     p.add_argument("-o", "--output", default="-")
@@ -273,10 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        schema, rows, summary, code = args.func(args)
+        emit_csv(rows, schema, sys.stdout if args.output == "-" else args.output)
     except _VALIDATION_ERRORS as exc:
         _summary(f"error: {exc}")
         return 2
@@ -286,9 +265,8 @@ def main(argv=None) -> int:
     except KreinxError as exc:
         _summary(f"numeric failure: {exc}")
         return 3
-    except FileNotFoundError as exc:
-        _summary(f"error: {exc}")
-        return 2
+    _summary(summary)
+    return code
 
 
 if __name__ == "__main__":

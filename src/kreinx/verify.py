@@ -3,9 +3,11 @@
 Each check evaluates both sides of an identity and reports the max-entry
 relative residual against a declared tolerance: exact linear algebra on
 the matrix backend, quadrature-limited tolerances on the kernel
-backends (declared per check, never silently loosened).  Reports are
-deterministic functions of the seed, so serialized output is
-byte-stable.
+backends (declared per check, never silently loosened).  The seeded
+run uses the fixed tolerances ``TOL_MATRIX`` (matrix identities),
+``TOL_EXTENSION`` (perturbed-resolvent checks) and ``TOL_QUAD`` (kernel
+quadrature checks).  Reports are deterministic functions of the seed,
+so serialized output is byte-stable.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .matrixmodel import (
 from .errors import InvariantError, OracleDegenerate, UnsupportedAction
 from .multiplier import Multiplier1D, multiplier_gz_1d
 from .greens import gz as laplacian_gz
+
+TOL_MATRIX = 1e-11
+TOL_EXTENSION = 1e-9
+TOL_QUAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,9 @@ def rel_residual(lhs, rhs) -> float:
     return _maxabs(lhs - rhs) / denom
 
 
-def check_base_identities(model: MatrixModel, z_list, tol: float = 1e-11) -> VerificationReport:
+def check_base_identities(
+    model: MatrixModel, z_list, tol: float = TOL_MATRIX
+) -> VerificationReport:
     """Resolvent-difference, anchored-difference, and anchored-action
     identities of the derived maps, over all pairs from ``z_list``."""
     zs = [complex(z) for z in z_list]
@@ -136,7 +144,7 @@ def check_base_identities(model: MatrixModel, z_list, tol: float = 1e-11) -> Ver
     )
 
 
-def check_gamma_identities(evaluator, z_list, tol: float = 1e-11) -> VerificationReport:
+def check_gamma_identities(evaluator, z_list, tol: float = TOL_MATRIX) -> VerificationReport:
     """Difference identity (against the backend's product matrix, when it
     has one) and conjugate symmetry of the trace matrix."""
     zs = [complex(z) for z in z_list]
@@ -173,7 +181,7 @@ def check_extension(
     model: MatrixModel,
     theta: ThetaMatrix,
     z_list,
-    tol: float = 1e-11,
+    tol: float = TOL_MATRIX,
     *,
     rng: Optional[np.random.Generator] = None,
 ) -> VerificationReport:
@@ -249,7 +257,7 @@ def check_extension(
     return VerificationReport(checks=tuple(checks), model_summary=summary)
 
 
-def _convolution_checks(tol_quad: float) -> VerificationReport:
+def _convolution_checks() -> VerificationReport:
     """Fixed kernel-backend checks: difference/conjugate identities in
     dims 1 and 3 against quadrature product matrices, and the
     multiplier backend cross-checked against the dim-1 closed form."""
@@ -261,7 +269,7 @@ def _convolution_checks(tol_quad: float) -> VerificationReport:
     prod = ev1.gbreve_g(w, z)
     diff = gamma_matrix(ps1, z) - gamma_matrix(ps1, w)
     checks.append(
-        CheckResult("kernel1d/difference", rel_residual(diff, (z - w) * prod), tol_quad)
+        CheckResult("kernel1d/difference", rel_residual(diff, (z - w) * prod), TOL_QUAD)
     )
     zc = 2.0 + 1.0j
     checks.append(
@@ -277,7 +285,7 @@ def _convolution_checks(tol_quad: float) -> VerificationReport:
     prod3 = ev3.gbreve_g(w, z)
     diff3 = gamma_matrix(ps3, z) - gamma_matrix(ps3, w)
     checks.append(
-        CheckResult("kernel3d/difference", rel_residual(diff3, (z - w) * prod3), tol_quad)
+        CheckResult("kernel3d/difference", rel_residual(diff3, (z - w) * prod3), TOL_QUAD)
     )
     checks.append(
         CheckResult(
@@ -299,24 +307,17 @@ def _convolution_checks(tol_quad: float) -> VerificationReport:
     return VerificationReport(checks=tuple(checks))
 
 
-def run_verification(
-    seed: int,
-    models: int = 20,
-    tol_matrix: float = 1e-11,
-    tol_quad: float = 1e-6,
-) -> VerificationReport:
+def run_verification(seed: int, models: int = 20) -> VerificationReport:
     """Seeded end-to-end verification run; deterministic given the seed.
 
     Matrix-backend identity and extension checks over a stream of random
     models (worst residual per check is reported), plus the fixed kernel
     checks at quadrature tolerance.  ``models=0`` runs the kernel checks
-    only; a negative count, or a tolerance that is not finite and
-    positive, raises InvariantError.
+    only; a negative seed or count raises InvariantError.
     """
-    problems = [] if models >= 0 else [f"models must be >= 0, got {models}"]
-    for name, tol in (("tol_matrix", tol_matrix), ("tol_quad", tol_quad)):
-        if not 0.0 < tol < np.inf:
-            problems.append(f"{name} must be finite and positive, got {tol!r}")
+    problems = [] if seed >= 0 else [f"seed must be >= 0, got {seed}"]
+    if models < 0:
+        problems.append(f"models must be >= 0, got {models}")
     if problems:
         raise InvariantError(problems)
     reports = []
@@ -324,17 +325,15 @@ def run_verification(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
     for model, theta, zs in random_problem_suite(seed, models):
         z_list = zs[:5]
-        reports.append(check_base_identities(model, z_list, tol_matrix))
+        reports.append(check_base_identities(model, z_list, TOL_MATRIX))
         reports.append(
-            check_gamma_identities(MatrixEvaluator(model), z_list, tol_matrix)
+            check_gamma_identities(MatrixEvaluator(model), z_list, TOL_MATRIX)
         )
-        rep = check_extension(
-            model, theta, z_list, tol=max(100 * tol_matrix, 1e-9), rng=rng
-        )
+        rep = check_extension(model, theta, z_list, tol=TOL_EXTENSION, rng=rng)
         if "degenerate" in rep.model_summary:
             degenerate += 1
         reports.append(rep)
-    reports.append(_convolution_checks(tol_quad))
+    reports.append(_convolution_checks())
     summary = f"models={models}"
     if degenerate:
         summary += f" oracle_degenerate_skipped={degenerate}"

@@ -248,32 +248,31 @@ class TestVerifyCommand:
         assert header == ["check", "residual", "tolerance", "pass"]
         assert all(r["pass"] == "1" for r in rows)
 
-    def test_env_seed_honored(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_0(self, tmp_path):
         out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
-        monkeypatch.setenv("KREINX_SEED", "77")
-        main(["verify", "--models", "3", "-o", str(out1)])
-        monkeypatch.delenv("KREINX_SEED")
-        main(["verify", "--seed", "77", "--models", "3", "-o", str(out2)])
+        assert main(["verify", "--models", "3", "-o", str(out1)]) == 0
+        assert main(["verify", "--seed", "0", "--models", "3", "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_tolerance_breach_exits_3(self, tmp_path):
+    def test_tolerance_breach_exits_3(self, tmp_path, monkeypatch, capsys):
+        import kreinx.verify
+
+        monkeypatch.setattr(kreinx.verify, "TOL_MATRIX", 1e-18)
         out = tmp_path / "v.csv"
-        code = main([
-            "verify", "--seed", "42", "--models", "3",
-            "--tol-matrix", "1e-18", "-o", str(out),
-        ])
-        assert code == 3
+        assert main(["verify", "--seed", "42", "--models", "3", "-o", str(out)]) == 3
         _, rows = read_csv(out)
         assert any(r["pass"] == "0" for r in rows)
+        assert "verify: 14 checks" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--models", "-2"], ["--tol-quad", "nan"], ["--tol-matrix", "-1"]],
-        ids=["negative-models", "nan-tol-quad", "negative-tol-matrix"],
+        "flags, message",
+        [(["--models", "-2"], "models must be >= 0"), (["--seed", "-1"], "seed must be >= 0")],
+        ids=["negative-models", "negative-seed"],
     )
-    def test_bad_arguments_exit_2(self, tmp_path, flags):
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "v.csv"
-        assert main(["verify", "--seed", "42", *flags, "-o", str(out)]) == 2
+        assert main(["verify", "--seed", "42", "--models", "1", *flags, "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_models_runs_kernel_checks_only(self, tmp_path):
@@ -486,3 +485,55 @@ class TestOracleCommand:
     def test_bad_ncharges_exits_2(self, tmp_path):
         assert main(["oracle", "--seed", "1", "--n", "2", "--ncharges", "5",
                      "-o", str(tmp_path / "o.csv")]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--seed", "-1", "-o", str(out)]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUnreadableConfigExits2:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_names_the_path(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "not-utf8":
+            cfg.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read config {cfg}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestRequestPath:
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        import argparse
+
+        argv = ["green", "--dim", "3", "--z", "1", "-o", str(tmp_path / "g.csv")]
+        assert main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(argv) == 0
+        assert main(["oracle", "-o", str(tmp_path / "o.csv")]) == 0
+        assert built == []
+
+    def test_csv_on_stdout_summary_on_stderr(self, capsys):
+        assert main(["oracle", "--seed", "7", "--n", "3", "--ncharges", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("index,eigenvalue\n") and out.count("\n") == 4
+        assert err.startswith("oracle: seed=7, n=3, N=1") and err.count("\n") == 1
+
+    def test_no_summary_when_the_write_fails(self, tmp_path, capsys):
+        assert main(["green", "--dim", "3", "--z", "1", "-o", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error: cannot write") and "green:" not in err
