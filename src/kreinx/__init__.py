@@ -1,9 +1,9 @@
 """Rank-N singular perturbations of self-adjoint operators.
 
 Pencil machinery (krein), an exact matrix oracle (matrixmodel), closed
-form Laplacian kernels with point traces (greens), generic 1-d
-multiplier kernels (multiplier), a real-line pole solver (spectral),
-and the identity verification suite (verify).
+form Laplacian kernels with point traces and eigenfunctions (greens),
+generic 1-d multiplier kernels (multiplier), a real-line pole solver
+(spectral), and the identity and eigenpair checks (verify).
 """
 
 from .bessel import k0_bessel
@@ -13,6 +13,8 @@ from .greens import (
     LaplacianKernel,
     LaplacianPointEvaluator,
     PointSet,
+    eigenfunction_eval,
+    eigenfunction_l2_norm,
     g0,
     gamma_matrix,
     gbreve_apply_1d,
@@ -45,14 +47,7 @@ from .multiplier import (
     anchored_gamma_1d,
     multiplier_gz_1d,
 )
-from .spectral import (
-    SpectrumReport,
-    charge_vector,
-    eigenfunction_eval,
-    eigenfunction_l2_norm,
-    scan_spectrum,
-    verify_eigenpair,
-)
+from .spectral import SpectrumReport, charge_vector, scan_spectrum
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -60,6 +55,7 @@ from .verify import (
     check_extension,
     check_gamma_identities,
     run_verification,
+    verify_eigenpair,
 )
 
 __version__ = "0.1.0"

@@ -90,9 +90,9 @@ def cmd_spectrum(args):
         cfg = cfg.with_scan(a=args.a, b=args.b)
     if cfg.scan is None:
         raise InvariantError(["spectrum needs a scan window (config 'scan' or --a/--b)"])
-    built = build_problem(cfg)
-    report = scan_spectrum(built.problem, (cfg.scan.a, cfg.scan.b))
-    n = built.problem.theta.n
+    problem = build_problem(cfg)
+    report = scan_spectrum(problem, (cfg.scan.a, cfg.scan.b))
+    n = problem.theta.n
     schema = (
         ["root_index", "z0", "energy", "multiplicity", "residual"]
         + [f"Q_re_{j + 1}" for j in range(n)]
@@ -107,7 +107,7 @@ def cmd_spectrum(args):
         )
     summary = (
         f"spectrum: {len(report.roots)} roots in [{cfg.scan.a:g}, {cfg.scan.b:g}], "
-        f"{len(report.diagnostics.warnings)} warnings"
+        f"{len(report.warnings)} warnings"
     )
     return schema, rows, summary, 0 if report.roots else 3
 
@@ -122,24 +122,24 @@ def cmd_resolvent(args):
     cfg = _load_config(args)
     if args.z is not None:  # checked by build_problem like the config z
         cfg = replace(cfg, z=_parse_complex(args.z))
-    built = build_problem(cfg)
+    problem = build_problem(cfg)
     if cfg.z is None:
         raise InvariantError(["resolvent needs z (config 'z' or --z)"])
     if cfg.f is None:
         raise InvariantError(["resolvent needs an input vector 'f' in the config"])
-    if built.backend == "laplacian1d" and cfg.grid1d is None:
+    if cfg.backend == "laplacian1d" and cfg.grid1d is None:
         raise InvariantError(["laplacian1d resolvent needs 'grid1d' in the config"])
-    if built.backend not in ("matrix", "laplacian1d"):
+    if cfg.backend not in ("matrix", "laplacian1d"):
         raise InvariantError(
-            [f"resolvent supports the matrix and laplacian1d backends, not {built.backend!r}"]
+            [f"resolvent supports the matrix and laplacian1d backends, not {cfg.backend!r}"]
         )
     f = np.array(cfg.f, dtype=complex)
-    result = krein_apply(built.problem, cfg.z, f)
-    if built.backend == "matrix":
+    result = krein_apply(problem, cfg.z, f)
+    if cfg.backend == "matrix":
         nodes, label = range(f.size), "index"
-        where = f"matrix backend, n={built.model.n}"
+        where = f"matrix backend, n={problem.evaluator.model.n}"
     else:
-        xs = built.problem.evaluator.xs
+        xs = problem.evaluator.xs
         nodes, label = xs.tolist(), "x"
         where = f"laplacian1d backend, {xs.size} nodes"
     schema = [label, "f_re", "f_im", "rf_re", "rf_im"]

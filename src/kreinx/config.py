@@ -11,14 +11,15 @@ phases, and each raises one error carrying every violation it found:
   are checked (an integer; a grid of at least 3) and then dropped: no
   command reads a config seed, and the scan samples no grid.
 * ``build_problem`` is the semantic phase.  It builds the coupling
-  matrix, the backend object and the ExtensionProblem once each, and
-  raises one InvariantError that collects every constructor's error
-  (a non-hermitian theta, coincident points, a singular base matrix, a
-  size mismatch) together with the checks no constructor makes: the
-  scan window (finite ends, ``a < b``, and ``a > 0`` for a Laplacian
-  backend, whose essential spectrum is ``(-inf, 0]``), a finite ``z``
-  and ``f``, finite ``grid1d`` ends, and the length of ``f`` against
-  the base matrix or the ``grid1d`` nodes.
+  matrix, the backend object and the ExtensionProblem once each and
+  returns the ExtensionProblem.  It raises one InvariantError that
+  collects every constructor's error (a non-hermitian theta, coincident
+  or overflowing points, a singular base matrix, a size mismatch, a
+  tolerance that is not positive and finite) together with the checks
+  no constructor makes: the scan window (finite ends, ``a < b``, and
+  ``a > 0`` for a Laplacian backend, whose essential spectrum is
+  ``(-inf, 0]``), a finite ``z`` and ``f``, finite ``grid1d`` ends, and
+  the length of ``f`` against the base matrix or the ``grid1d`` nodes.
 
 A window set through ``ProblemConfig.with_scan`` is checked by
 ``build_problem`` like one read from the file.
@@ -354,19 +355,13 @@ def serialize_config(cfg: ProblemConfig) -> str:
     return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class BuiltProblem:
-    problem: ExtensionProblem
-    backend: str
-    model: Optional[MatrixModel] = None
-
-
-def build_problem(cfg: ProblemConfig) -> BuiltProblem:
+def build_problem(cfg: ProblemConfig) -> ExtensionProblem:
     """Build the problem a config describes: the semantic phase.
 
     Each object is built once: the ThetaMatrix, the backend object (the
     MatrixModel, or the PointSet with its evaluator; for ``laplacian1d``
-    with ``grid1d``, the grid evaluator) and the ExtensionProblem.
+    with ``grid1d``, the grid evaluator) and the ExtensionProblem, which
+    is returned; the backend object is its ``evaluator``.
     Raises one InvariantError listing every constructor's error and every
     failed check of the scan window, ``z`` and ``f``.
     """
@@ -380,7 +375,7 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
             return None
 
     theta = attempt(lambda: ThetaMatrix(cfg.theta))
-    model = ps = evaluator = None
+    ps = evaluator = None
     if cfg.backend == "matrix":
         model = attempt(lambda: MatrixModel(cfg.matrix_a, cfg.matrix_tau))
         if model is not None:
@@ -442,4 +437,4 @@ def build_problem(cfg: ProblemConfig) -> BuiltProblem:
         )
     if viols:
         raise InvariantError(viols)
-    return BuiltProblem(problem=problem, backend=cfg.backend, model=model)
+    return problem

@@ -26,6 +26,10 @@ per distinct distance, independent of the closed-form identity
 ``quad`` is a module attribute looked up at call time, a shim that
 imports ``scipy.integrate`` on its first call, so importing this module
 loads no scipy.
+
+The eigenfunction of a pole is a source superposition
+(``eigenfunction_eval``), and its norm comes from the product matrix
+(``eigenfunction_l2_norm``).
 """
 
 from __future__ import annotations
@@ -184,8 +188,13 @@ class PointSet:
         elif not np.all(np.isfinite(pts)):
             problems.append("point coordinates must be finite")
         else:
-            d = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt((d * d).sum(-1))
+            with np.errstate(over="ignore"):
+                d = pts[:, None, :] - pts[None, :, :]
+                dist = np.sqrt((d * d).sum(-1))
+            if not np.all(np.isfinite(dist)):
+                problems.append(
+                    "points are too far apart: a pairwise distance overflows"
+                )
             off_diagonal = dist[~np.eye(pts.shape[0], dtype=bool)]
             if off_diagonal.size and float(off_diagonal.min()) <= 0.0:
                 problems.append("coincident points are not allowed")
@@ -377,6 +386,34 @@ def gbreve_g_quadrature_1d(ps: PointSet, w: complex, z: complex) -> np.ndarray:
     if ps.dim != 1:
         raise InvariantError("line product matrix requires dim 1")
     return _product_matrix(ps, w, z)
+
+
+def eigenfunction_eval(ps: PointSet, q, z0, xs):
+    """Eigenfunction values ``sum_j conj(q_j) gz(|x - y_j|; z0)``.
+
+    Unnormalized; the charge vector enters conjugate-linearly.  In dims
+    2 and 3 evaluation at an interaction point raises
+    EvaluationAtSingularity.
+    """
+    q = np.asarray(q, dtype=complex)
+    return point_source_sum(ps, z0, np.conj(q), xs)
+
+
+def eigenfunction_l2_norm(ps: PointSet, q, z0) -> float:
+    """Numeric L2 norm of the eigenfunction, ``sqrt(Re q^H S q)`` with the
+    product matrix ``S = gbreve_g(z0, z0)`` from the two-center
+    quadrature (dims 1 and 3).
+
+    Requires a real positive z0 (the bound-state setting); dim 2 is not
+    supported.
+    """
+    z0 = complex(z0)
+    if not (z0.imag == 0.0 and z0.real > 0.0):
+        raise InvariantError("l2 norm implemented for real z0 > 0 only")
+    q = np.asarray(q, dtype=complex)
+    s = _product_matrix(ps, z0, z0)
+    norm2 = np.real(np.conj(q) @ (s @ q))
+    return float(np.sqrt(max(norm2, 0.0)))
 
 
 class LaplacianPointEvaluator(GammaEvaluator):

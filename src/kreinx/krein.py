@@ -171,6 +171,8 @@ class ExtensionProblem:
             )
         if not (self.tol_linear > 0.0 and self.tol_root > 0.0):
             problems.append("tolerances must be positive")
+        if not (cmath.isfinite(self.tol_linear) and cmath.isfinite(self.tol_root)):
+            problems.append("tolerances must be finite")
         if problems:
             raise InvariantError(problems)
 

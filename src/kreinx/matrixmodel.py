@@ -85,7 +85,9 @@ class MatrixModel:
         if problems:
             raise InvariantError(problems)
 
-        a = (a + a.conj().T) / 2.0
+        # halving first is exact and cannot overflow where the sum would
+        h = a / 2.0
+        a = h + h.conj().T
         eigs, basis = np.linalg.eigh(a)
         pad = SPECTRUM_RTOL * max(1.0, float(np.max(np.abs(eigs))))
         if np.min(np.abs(eigs)) <= pad:

@@ -10,7 +10,10 @@ certifies the number of roots, and each root is the one zero of its
 branch, found by ``brentq``; determinants are avoided on purpose (they
 under/overflow).  The certificate needs the whole window inside a real
 gap, which every backend decides from its spectrum, not by sampling
-points, in ``interval_in_resolvent_set``.
+points, in ``interval_in_resolvent_set``.  This module holds the scan
+and the charge vectors only; a computed eigenpair is checked against
+the boundary condition by ``verify.verify_eigenpair``, and its
+eigenfunction is evaluated by ``greens.eigenfunction_eval``.
 
 Energy convention for physics-facing output: a pole z0 of the perturbed
 Laplacian-like operator corresponds to the bound-state energy
@@ -30,17 +33,9 @@ from .errors import (
     IntervalOutsideResolventSet,
     InvariantError,
     NotAPole,
-    OracleDegenerate,
     PencilNotMonotone,
 )
-from .greens import (
-    LaplacianPointEvaluator,
-    PointSet,
-    point_source_sum,
-)
 from .krein import ExtensionProblem, gamma_theta, hermitian_part
-from .matrixmodel import MatrixEvaluator, woodbury_extension
-from .verify import CheckResult
 
 
 @dataclass(frozen=True)
@@ -62,15 +57,12 @@ class SpectralRoot:
 
 
 @dataclass(frozen=True)
-class ScanDiagnostics:
-    interval: tuple
-    warnings: tuple
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
+    """The located roots in increasing order, and one note per bracketed
+    point that did not refine below ``tol_root``."""
+
     roots: tuple
-    diagnostics: ScanDiagnostics
+    warnings: tuple
 
     def positions(self) -> np.ndarray:
         return np.array([r.z0 for r in self.roots])
@@ -176,10 +168,7 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
             f"roots account for {count + lowest - 1 - k}; roots closer than "
             f"tol_root to each other or to a window end are not resolved"
         )
-    return SpectrumReport(
-        roots=tuple(roots),
-        diagnostics=ScanDiagnostics(interval=(a, b), warnings=tuple(notes)),
-    )
+    return SpectrumReport(roots=tuple(roots), warnings=tuple(notes))
 
 
 def charge_vector(problem: ExtensionProblem, z0: float) -> np.ndarray:
@@ -204,112 +193,3 @@ def charge_vector(problem: ExtensionProblem, z0: float) -> np.ndarray:
             v = v * (np.conj(comp) / abs(comp))
             break
     return v / np.linalg.norm(v)
-
-
-def eigenfunction_eval(ps: PointSet, q, z0, xs):
-    """Eigenfunction values ``sum_j conj(q_j) gz(|x - y_j|; z0)``.
-
-    Unnormalized; the charge vector enters conjugate-linearly.  In dims
-    2 and 3 evaluation at an interaction point raises
-    EvaluationAtSingularity.
-    """
-    q = np.asarray(q, dtype=complex)
-    return point_source_sum(ps, z0, np.conj(q), xs)
-
-
-def eigenfunction_l2_norm(ps: PointSet, q, z0) -> float:
-    """Numeric L2 norm of the eigenfunction, ``sqrt(Re q^H S q)`` with the
-    product matrix ``S = gbreve_g(z0, z0)`` from the two-center
-    quadrature (dims 1 and 3).
-
-    Requires a real positive z0 (the bound-state setting); dim 2 is not
-    supported.
-    """
-    z0 = complex(z0)
-    if not (z0.imag == 0.0 and z0.real > 0.0):
-        raise InvariantError("l2 norm implemented for real z0 > 0 only")
-    q = np.asarray(q, dtype=complex)
-    s = LaplacianPointEvaluator(ps).gbreve_g(z0, z0)
-    norm2 = np.real(np.conj(q) @ (s @ q))
-    return float(np.sqrt(max(norm2, 0.0)))
-
-
-@dataclass(frozen=True)
-class EigenpairReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_text(self) -> str:
-        return "\n".join(c.line() for c in self.checks) + "\n"
-
-
-def verify_eigenpair(problem: ExtensionProblem, z0: float, q) -> EigenpairReport:
-    """Residual report for a candidate eigenpair (z0, q).
-
-    Always checks the pencil kernel condition (tolerance 1e-9).  On the
-    matrix backend it additionally applies the directly built perturbed
-    matrix to the reconstructed eigenvector (relative tolerance
-    ``1e-10 * (1 + |z0|)``); on the dim-1 point backend it checks the
-    distributional equation of the evaluated eigenfunction with step
-    ``h = 1e-3``: interior second differences match z0 times the
-    function to O(h^2), and the derivative jump at each point equals
-    minus the conjugated charge (Richardson-extrapolated one-sided
-    differences), each within 1e-6.  A zero charge vector passes
-    trivially with zero residuals.
-    """
-    q = np.asarray(q, dtype=complex)
-    checks = []
-    pencil = gamma_theta(problem, z0)
-    checks.append(
-        CheckResult("eigenpair/pencil_kernel", float(np.linalg.norm(pencil @ q)), 1e-9)
-    )
-
-    ev = problem.evaluator
-    if isinstance(ev, MatrixEvaluator):
-        try:
-            b = woodbury_extension(ev.model, problem.theta)
-        except OracleDegenerate:
-            b = None
-        if b is not None:
-            v = ev.g_apply(z0, q)
-            vnorm = float(np.linalg.norm(v))
-            res = 0.0 if vnorm == 0.0 else float(
-                np.linalg.norm(b @ v - z0 * v) / vnorm
-            )
-            checks.append(
-                CheckResult("eigenpair/oracle_action", res, 1e-10 * (1.0 + abs(z0)))
-            )
-
-    if isinstance(ev, LaplacianPointEvaluator) and ev.ps.dim == 1:
-        ps = ev.ps
-        y = ps.points[:, 0]
-        h = 1e-3
-        interior = jump_res = 0.0
-        if np.linalg.norm(q) != 0.0:
-            kappa = np.sqrt(complex(z0)).real
-            pad = 5.0 / max(kappa, 1e-3)
-            xs = np.arange(y.min() - pad, y.max() + pad + h, h)
-            vals = eigenfunction_eval(ps, q, z0, xs)
-            second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h**2
-            mid = xs[1:-1]
-            away = np.min(np.abs(mid[:, None] - y[None, :]), axis=1) > 1.5 * h
-            scale = float(np.max(np.abs(z0 * vals))) + 1e-300
-            interior = float(
-                np.max(np.abs(second[away] - z0 * vals[1:-1][away])) / scale
-            )
-            for j, yj in enumerate(y):
-                expected = -np.conj(q[j])
-                ests = []
-                for hh in (h, h / 2.0):
-                    pts = np.array([yj - hh, yj, yj + hh])
-                    f3 = eigenfunction_eval(ps, q, z0, pts)
-                    ests.append((f3[2] - 2.0 * f3[1] + f3[0]) / hh)
-                richardson = 2.0 * ests[1] - ests[0]
-                jump_res = max(jump_res, abs(richardson - expected))
-        checks.append(CheckResult("eigenpair/interior_equation", interior, 1e-6))
-        checks.append(CheckResult("eigenpair/derivative_jumps", jump_res, 1e-6))
-
-    return EigenpairReport(checks=tuple(checks))

@@ -342,6 +342,23 @@ class TestResolventCommand:
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+class TestHugeBaseMatrix:
+    # symmetrizing a = diag(1e308, -1e308) as (a + a^H) / 2 gave inf, and
+    # LAPACK then raised an uncaught LinAlgError
+    @pytest.mark.parametrize("command, code", [("resolvent", 0), ("spectrum", 3)])
+    def test_no_traceback(self, tmp_path, capsys, command, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "backend": "matrix",
+            "matrix": {"a": [[1e308, 0.0], [0.0, -1e308]], "tau": [[1.0, 1.0]]},
+            "theta": [[1.0]], "scan": {"a": -1.0, "b": 1.0},
+            "z": [0.0, 1.0], "f": [1.0, 1.0],
+        }))
+        assert main([command, "--config", str(cfg), "-o", str(tmp_path / "o.csv")]) == code
+        if code == 3:
+            assert "does not increase" in capsys.readouterr().err
+
+
 class TestCommittedResolventConfigs:
     """The configs the CI console step reruns and compares byte for byte."""
 
@@ -454,6 +471,24 @@ class TestSemanticErrorsExit2:
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
         assert "scan window ends must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("spectrum", "tol_root"), ("resolvent", "tol_linear"),
+    ])
+    def test_infinite_tolerance(self, tmp_path, capsys, command, key):
+        if command == "spectrum":
+            # one root in the window; an infinite tol_root counted both branches
+            raw = dict(CFG_3D, points=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                       theta=[[-0.05, 0.0], [0.0, -0.05]], scan={"a": 0.1, "b": 1.0})
+        else:
+            raw = json.loads((SCRIPTS / "resolvent_matrix6.json").read_text())
+        raw["tolerances"] = {key: "TOL"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw).replace('"TOL"', "1e999"))  # parses as inf
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "-o", str(out)]) == 2
+        assert "tolerances must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["resolvent", "spectrum"])

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinx import InvariantError, LaplacianGrid1DEvaluator, SchemaError, scan_spectrum
+from kreinx import (
+    InvariantError,
+    LaplacianGrid1DEvaluator,
+    LaplacianPointEvaluator,
+    MatrixEvaluator,
+    MultiplierAnchoredEvaluator,
+    SchemaError,
+    scan_spectrum,
+)
 from kreinx.config import (
     ProblemConfig,
     ScanWindow,
@@ -29,8 +37,7 @@ MINIMAL_3D = {
 class TestParse:
     def test_minimal_laplacian3d_parses_and_solves(self):
         cfg = parse_config(json.dumps(MINIMAL_3D))
-        built = build_problem(cfg)
-        rep = scan_spectrum(built.problem, (cfg.scan.a, cfg.scan.b))
+        rep = scan_spectrum(build_problem(cfg), (cfg.scan.a, cfg.scan.b))
         # the coupling is the truncated-decimal -1/(4 pi), so the root sits
         # next to 1 rather than on it
         assert abs(rep.roots[0].z0 - 1.0) < 1e-6
@@ -200,14 +207,16 @@ class TestMatrixModelReuse:
     def test_build_problem_diagonalizes_once(self, monkeypatch):
         cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1.0, 2.0])))
         calls = count_eighs(monkeypatch, 2)
-        built = build_problem(cfg)
+        problem = build_problem(cfg)
         assert len(calls) == 1
-        assert built.problem.evaluator.model is built.model
+        assert isinstance(problem.evaluator, MatrixEvaluator)
 
     def test_replaced_config_builds_the_same_model(self):
         cfg = parse_config(json.dumps(MATRIX_2))
-        built = build_problem(cfg.with_scan(a=0.5, b=2.0))
-        assert list(built.model.eigs) == list(build_problem(cfg).model.eigs)
+        problem = build_problem(cfg.with_scan(a=0.5, b=2.0))
+        assert list(problem.evaluator.model.eigs) == list(
+            build_problem(cfg).evaluator.model.eigs
+        )
 
     @pytest.mark.parametrize("matrix, message", [
         ({"a": [[1.0, 1.0], [0.0, -1.0]], "tau": [[1.0, 1.0]]}, "not hermitian"),
@@ -221,7 +230,9 @@ class TestMatrixModelReuse:
             build_problem(cfg)
 
     def test_laplacian_config_has_no_model(self):
-        assert build_problem(parse_config(json.dumps(MINIMAL_3D))).model is None
+        evaluator = build_problem(parse_config(json.dumps(MINIMAL_3D))).evaluator
+        assert isinstance(evaluator, LaplacianPointEvaluator)
+        assert not hasattr(evaluator, "model")
 
 
 class TestSemanticPhase:
@@ -342,7 +353,7 @@ class TestSemanticPhase:
             "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
             "grid1d": {"lo": -1.0, "hi": 1.0, "n": 5}, "f": [1.0] * 5,
         }))
-        evaluator = build_problem(cfg).problem.evaluator
+        evaluator = build_problem(cfg).evaluator
         assert isinstance(evaluator, LaplacianGrid1DEvaluator)
         assert evaluator.xs.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
@@ -410,6 +421,13 @@ class TestRoundTrip:
 
 class TestBuild:
     def test_all_backends_dispatch(self):
+        evaluators = {
+            "matrix": MatrixEvaluator,
+            "laplacian1d": LaplacianPointEvaluator,
+            "laplacian2d": LaplacianPointEvaluator,
+            "laplacian3d": LaplacianPointEvaluator,
+            "multiplier1d": MultiplierAnchoredEvaluator,
+        }
         configs = [
             ProblemConfig(backend="matrix", theta=((1.0 + 0j,),),
                           matrix_a=((1.0 + 0j, 0j), (0j, -1.0 + 0j)),
@@ -425,9 +443,9 @@ class TestBuild:
                           symbol_anchor=1.0),
         ]
         for cfg in configs:
-            built = build_problem(cfg)
-            assert built.problem.theta.n == 1
-            assert built.backend == cfg.backend
+            problem = build_problem(cfg)
+            assert problem.theta.n == 1
+            assert type(problem.evaluator) is evaluators[cfg.backend]
 
     def test_bad_anchor_is_invariant_error(self):
         cfg = ProblemConfig(

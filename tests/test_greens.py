@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,17 @@ class TestPointSet:
         assert ps.n_points == 2
         with pytest.raises(InvariantError):
             PointSet(2, [0.0, 1.5])
+
+    @pytest.mark.parametrize("dim, points", [
+        (1, [0.0, 1e200]),
+        (1, [-1e308, 1e308]),
+        (3, [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]),
+    ])
+    def test_rejects_overflowing_distances(self, dim, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match="too far apart"):
+                PointSet(dim, points)
 
 
 class TestGammaMatrix:

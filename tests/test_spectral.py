@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +149,7 @@ class TestScanSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = scan_spectrum(problem, (1.5, 8.0))
-        assert rep.diagnostics.warnings == ()
+        assert rep.warnings == ()
         assert len(rep.roots) == 2
         assert [r.multiplicity for r in rep.roots] == [1, 1]
         want = [ai + 1.0 / (1.35 - 1.0 / ai) for ai in (1.0, 1.0 + 1e-4)]
@@ -177,7 +179,7 @@ class TestScanSpectrum:
         model = random_model(191, 6, 1)
         problem = ExtensionProblem(MatrixEvaluator(model), random_theta(192, 1))
         rep = scan_spectrum(problem, (-5.520755366617583, -5.507005856364466))
-        assert rep.diagnostics.warnings == ()
+        assert rep.warnings == ()
         assert len(rep.roots) == 1
         assert rep.roots[0].residual <= problem.tol_root
         want = [lam for lam in direct_eigs(model, problem.theta) if -5.53 < lam < -5.50]
@@ -202,8 +204,8 @@ class TestScanSpectrum:
         problem = ExtensionProblem(JumpEvaluator(), ThetaMatrix([[0.0]]))
         rep = scan_spectrum(problem, (1.0, 3.0))
         assert rep.roots == ()
-        assert len(rep.diagnostics.warnings) == 1
-        assert "lambda=2 did not refine below tol_root" in rep.diagnostics.warnings[0]
+        assert len(rep.warnings) == 1
+        assert "lambda=2 did not refine below tol_root" in rep.warnings[0]
 
     def test_unresolved_window_end_raises(self):
         # two decoupled scalar pencils with roots 7e-11 apart, closer than
@@ -424,8 +426,29 @@ class TestVerifyEigenpair:
         by_name = {c.name: c for c in report.checks}
         assert by_name["eigenpair/oracle_action"].residual <= 1e-10
 
+    def test_text_is_sorted_and_ends_with_overall(self, two_level_problem):
+        rep = scan_spectrum(two_level_problem, (1.5, 4.0))
+        text = verify_eigenpair(
+            two_level_problem, rep.roots[0].z0, rep.roots[0].charge
+        ).to_text()
+        lines = text.splitlines()
+        assert lines[-1] == "overall: pass"
+        assert lines[:-1] == sorted(lines[:-1], key=lambda line: line.split()[1])
+
     def test_zero_charge_passes(self):
         ps, problem = laplacian_problem(1, [0.0], 0.5)
         report = verify_eigenpair(problem, 1.0, np.zeros(1))
         assert report.passed
         assert all(c.residual == 0.0 for c in report.checks)
+
+
+def test_spectral_imports_only_krein_and_errors():
+    # the scan needs the pencil and the error types; eigenpair checks and
+    # eigenfunctions live in verify and greens
+    source = (Path(__file__).resolve().parent.parent / "src" / "kreinx" / "spectral.py").read_text()
+    relative = {
+        node.module
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert relative <= {"krein", "errors"}
