@@ -14,9 +14,12 @@ Warm CLI: the same requests but ``import``, each as one in-process
 stderr suppressed; one warm-up call, then the median of RUNS calls.
 This is the per-request cost once the imports are paid.
 
-Layer: ``LaplacianGrid1DEvaluator.r_apply`` (the 1-d grid convolution)
-in-process at n = 1e3, 1e4 and 1e5 nodes, one warm-up call, then the
-median of RUNS calls.
+Layer, in-process, one warm-up call and then the median of RUNS calls:
+``LaplacianGrid1DEvaluator.r_apply`` (the 1-d grid convolution) at
+n = 1e3, 1e4 and 1e5 nodes; and the perturbed resolvent of the matrix
+backend at n = 12 and 400 (N = 2) on k = 1 and 10 vectors at one z,
+once as k ``krein_apply`` calls and once as one ``krein_resolvent``
+applied k times.
 
 The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
@@ -37,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 RUNS = 7
 LAYER_SIZES = (1_000, 10_000, 100_000)
+KREIN_SIZES = (12, 400)
+KREIN_VECTORS = (1, 10)
 
 COLD_CASES = {
     "import": ["-c", "import kreinx.cli"],
@@ -93,6 +98,17 @@ def warm_cli() -> dict:
     return out
 
 
+def _timed(fn) -> dict:
+    """One warm-up call of ``fn``, then the median of RUNS timed calls."""
+    fn()
+    times = []
+    for _ in range(RUNS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return {"median_s": statistics.median(times), "runs_s": times}
+
+
 def r_apply_layer() -> dict:
     import numpy as np
 
@@ -103,13 +119,37 @@ def r_apply_layer() -> dict:
     for n in LAYER_SIZES:
         ev = LaplacianGrid1DEvaluator(ps, np.linspace(-8.0, 8.0, n))
         f = np.exp(-ev.xs**2) * (1.0 + 0.5j)
-        ev.r_apply(1.0 + 0.5j, f)
-        times = []
-        for _ in range(RUNS):
-            t0 = time.perf_counter()
-            ev.r_apply(1.0 + 0.5j, f)
-            times.append(time.perf_counter() - t0)
-        out[f"n={n}"] = {"median_s": statistics.median(times), "runs_s": times}
+        out[f"n={n}"] = _timed(lambda: ev.r_apply(1.0 + 0.5j, f))
+    return out
+
+
+def krein_apply_layer() -> dict:
+    import numpy as np
+
+    from kreinx import ExtensionProblem, MatrixEvaluator, krein_apply, krein_resolvent
+    from kreinx.matrixmodel import random_model, random_theta
+
+    z = 0.3 + 0.8j
+    out = {}
+    for n in KREIN_SIZES:
+        rng = np.random.default_rng(n)
+        problem = ExtensionProblem(
+            MatrixEvaluator(random_model(rng, n, 2)), random_theta(rng, 2)
+        )
+        for k in KREIN_VECTORS:
+            fs = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+
+            def per_vector():
+                for f in fs:
+                    krein_apply(problem, z, f)
+
+            def per_z():
+                apply = krein_resolvent(problem, z)
+                for f in fs:
+                    apply(f)
+
+            out[f"n={n},k={k},krein_apply"] = _timed(per_vector)
+            out[f"n={n},k={k},krein_resolvent"] = _timed(per_z)
     return out
 
 
@@ -134,7 +174,10 @@ def main(argv) -> int:
         "runs": RUNS,
         "cold_cli": cold_cli(),
         "warm_cli": warm_cli(),
-        "layer": {"greens.r_apply": r_apply_layer()},
+        "layer": {
+            "greens.r_apply": r_apply_layer(),
+            "krein.krein_apply": krein_apply_layer(),
+        },
     }
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
@@ -144,6 +187,8 @@ def main(argv) -> int:
         print(f"warm {name:15s} {row['median_s'] * 1e3:.2f} ms  exit {row['exit_codes']}")
     for name, row in result["layer"]["greens.r_apply"].items():
         print(f"r_apply {name:12s} {row['median_s'] * 1e3:.2f} ms")
+    for name, row in result["layer"]["krein.krein_apply"].items():
+        print(f"{name:32s} {row['median_s'] * 1e3:.3f} ms")
     print(f"wrote {path}")
     return 0
 

@@ -29,6 +29,7 @@ from .krein import (
     boundary_residual,
     gamma_theta,
     krein_apply,
+    krein_resolvent,
 )
 from .matrixmodel import (
     MatrixEvaluator,

@@ -11,7 +11,8 @@ resolvent acts as
 so every spectral question reduces to the N x N pencil
 ``theta + gamma(z)``: it is inverted off the spectrum, and its kernel at
 a singular point carries the charge vector of the corresponding
-eigenfunction.
+eigenfunction.  None of this depends on the vector: ``krein_resolvent``
+builds it once per z, with the backend maps of ``GammaEvaluator.actions``.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs; concurrent use is safe.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cmath
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,6 +145,12 @@ class GammaEvaluator(ABC):
     def g_apply(self, z: complex, ell):
         raise UnsupportedAction(f"{type(self).__name__} has no source action")
 
+    def actions(self, z: complex):
+        """``(r_apply, gbreve_apply, g_apply)`` bound to z; a backend
+        overrides this to share its per-z work between the three."""
+        maps = (self.r_apply, self.gbreve_apply, self.g_apply)
+        return tuple(partial(m, z) for m in maps)
+
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         """Product matrix (trace map at w) o (source map at z), N x N."""
         raise UnsupportedAction(f"{type(self).__name__} has no product matrix")
@@ -189,15 +197,14 @@ def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:
     return problem.theta.entries + problem.evaluator.gamma(z)
 
 
-def krein_apply(problem: ExtensionProblem, z: complex, f):
-    """Apply the perturbed resolvent at z to ``f``.
+def krein_resolvent(problem: ExtensionProblem, z: complex):
+    """The perturbed resolvent at z as the function ``f ->
+    r_apply(z, f) + g_apply(z, (theta + gamma(z))^{-1} gbreve_apply(z, f))``.
 
-    Assembled from backend actions as
-    ``r_apply(z, f) + g_apply(z, (theta + gamma(z))^{-1} gbreve_apply(z, f))``.
-
-    Raises SingularPencil when the smallest singular value of the pencil
-    falls at or below ``tol_linear`` times its largest one (z is then,
-    numerically, an eigenvalue of the perturbed operator).
+    Raises OutsideResolventSet, then SingularPencil when the smallest
+    singular value of the pencil is at most ``tol_linear`` times its
+    largest (z is then, numerically, an eigenvalue of the perturbed
+    operator), before any vector is applied.
     """
     pencil = gamma_theta(problem, z)
     svals = np.linalg.svd(pencil, compute_uv=False)
@@ -206,10 +213,18 @@ def krein_apply(problem: ExtensionProblem, z: complex, f):
             f"pencil at z={z!r} has relative smallest singular value "
             f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e}"
         )
-    ev = problem.evaluator
-    traces = np.asarray(ev.gbreve_apply(z, f), dtype=complex)
-    charges = np.linalg.solve(pencil, traces)
-    return ev.r_apply(z, f) + ev.g_apply(z, charges)
+    r_apply, gbreve_apply, g_apply = problem.evaluator.actions(z)
+
+    def apply(f):
+        charges = np.linalg.solve(pencil, np.asarray(gbreve_apply(f), dtype=complex))
+        return r_apply(f) + g_apply(charges)
+
+    return apply
+
+
+def krein_apply(problem: ExtensionProblem, z: complex, f):
+    """``krein_resolvent(problem, z)(f)``: one vector, the same errors."""
+    return krein_resolvent(problem, z)(f)
 
 
 def admissible_real(problem: ExtensionProblem, lam: float) -> str:

@@ -5,7 +5,7 @@ Everything here is exact linear algebra on a hermitian injective matrix
 construction that the other backends realize with Green's functions is
 available twice over:
 
-* through the pencil machinery (``MatrixEvaluator`` + ``krein_apply``),
+* through the pencil machinery (``MatrixEvaluator`` + ``krein_resolvent``),
   in the eigenbasis ``a = U diag(lam) U^H`` computed once per model:
   with ``T = tau U`` and ``R(z) = (z I - a)^{-1}``, every map is a
   diagonal weight between ``U`` and ``T``, e.g.
@@ -79,14 +79,14 @@ class MatrixModel:
         if not np.all(np.isfinite(a)):
             problems.append("base matrix entries must be finite")
         else:
-            scale = max(1.0, float(np.max(np.abs(a))))
-            if float(np.max(np.abs(a - a.conj().T))) > 1e-12 * scale:
+            # halves are exact, and their defect and sum cannot overflow
+            h = a / 2.0
+            scale = max(0.5, float(np.max(np.abs(h))))
+            if float(np.max(np.abs(h - h.conj().T))) > 1e-12 * scale:
                 problems.append("base matrix is not hermitian")
         if problems:
             raise InvariantError(problems)
 
-        # halving first is exact and cannot overflow where the sum would
-        h = a / 2.0
         a = h + h.conj().T
         eigs, basis = np.linalg.eigh(a)
         pad = SPECTRUM_RTOL * max(1.0, float(np.max(np.abs(eigs))))
@@ -230,19 +230,26 @@ class MatrixEvaluator(GammaEvaluator):
     def gamma(self, z: complex) -> np.ndarray:
         return gamma(self.model, z)
 
-    def _weighted(self, z: complex, x, frame: np.ndarray) -> np.ndarray:
-        """``diag(1/(z - lam)) frame^H x``."""
-        x = np.asarray(x, dtype=complex)
-        return _resolvent_weights(self.model, z) * (frame.conj().T @ x)
+    def actions(self, z: complex):
+        """One spectrum check and one weight vector ``r = 1/(z - lam)`` for
+        the maps ``U diag(r) U^H``, ``T diag(r) U^H`` and ``U diag(r) T^H``."""
+        u, t = self.model.basis, self.model.traces
+        uh, th = u.conj().T, t.conj().T
+        r = _resolvent_weights(self.model, z)
+        return (
+            lambda f: u @ (r * (uh @ np.asarray(f, dtype=complex))),
+            lambda f: t @ (r * (uh @ np.asarray(f, dtype=complex))),
+            lambda ell: u @ (r * (th @ np.asarray(ell, dtype=complex))),
+        )
 
     def r_apply(self, z: complex, f):
-        return self.model.basis @ self._weighted(z, f, self.model.basis)
+        return self.actions(z)[0](f)
 
     def gbreve_apply(self, z: complex, f):
-        return self.model.traces @ self._weighted(z, f, self.model.basis)
+        return self.actions(z)[1](f)
 
     def g_apply(self, z: complex, ell):
-        return self.model.basis @ self._weighted(z, ell, self.model.traces)
+        return self.actions(z)[2](ell)
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         t = self.model.traces

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import InvariantError, SymbolRangeHit, TailEstimateFailed
 from .greens import PointSet, _per_key_matrix, _quad as quad
@@ -82,7 +81,10 @@ class Multiplier1D:
         return all(c == 0.0 for c in self.poly[1::2])
 
     def __call__(self, xi):
-        out = npoly.polyval(xi, self.poly)
+        # Horner's rule in numpy polyval's order, so the same bits
+        out = self.poly[-1] + xi * 0
+        for coef in self.poly[-2::-1]:
+            out = coef + out * xi
         for k, c in self.cos_terms:
             out = out + c * np.cos(k * xi)
         return out
@@ -151,7 +153,8 @@ def _inverse_transform(func, x, where, *, even):
     ax = abs(float(x))
 
     def s_plus(t):
-        return func(t) + (func(t) if even else func(-t))
+        v = func(t)
+        return v + (v if even else func(-t))
 
     def s_minus(t):
         return func(t) - func(-t)

@@ -358,6 +358,21 @@ class TestHugeBaseMatrix:
         if code == 3:
             assert "does not increase" in capsys.readouterr().err
 
+    def test_hermiticity_defect_does_not_overflow(self, tmp_path, capsys):
+        # a - a^H overflowed to inf and a RuntimeWarning leaked to stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "backend": "matrix",
+            "matrix": {"a": [[1.0, 1e308], [-1e308, -1.0]], "tau": [[1.0, 0.0]]},
+            "theta": [[1.0]], "scan": {"a": -0.5, "b": 0.5},
+        }))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
+        assert "base matrix is not hermitian" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCommittedResolventConfigs:
     """The configs the CI console step reruns and compares byte for byte."""

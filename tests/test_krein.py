@@ -17,6 +17,7 @@ from kreinx import (
     boundary_residual,
     gamma_theta,
     krein_apply,
+    krein_resolvent,
     woodbury_extension,
 )
 from kreinx.matrixmodel import base_resolvent, random_model, random_theta
@@ -143,6 +144,57 @@ class TestKreinApply:
         # rejected before the pencil reaches the SVD
         with pytest.raises(OutsideResolventSet):
             krein_apply(two_level_problem, z, np.array([1.0, 0.0]))
+
+
+class TestKreinResolvent:
+    """One resolvent per z, applied to many vectors."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_many_vectors_match_krein_apply_and_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 9, 3)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(rng, 3))
+        b = woodbury_extension(model, problem.theta)
+        for z in (0.4 + 1.3j, -6.0 - 0.2j):
+            resolvent = krein_resolvent(problem, z)
+            for _ in range(4):
+                f = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+                got = resolvent(f)
+                assert np.array_equal(got, krein_apply(problem, z, f))
+                want = np.linalg.solve(z * np.eye(9) - b, f)
+                assert rel_err(got, want) <= 1e-9
+
+    def test_grid_backend_binds_the_evaluator_methods(self):
+        from kreinx import LaplacianGrid1DEvaluator
+
+        xs = np.linspace(-6.0, 6.0, 301)
+        problem = ExtensionProblem(
+            LaplacianGrid1DEvaluator(PointSet(1, [-0.5, 0.5]), xs),
+            ThetaMatrix([[0.5, 0.0], [0.0, -0.25]]),
+        )
+        z = 1.5 + 0.4j
+        resolvent = krein_resolvent(problem, z)
+        for shift in (0.0, 0.7):
+            f = np.exp(-((xs - shift) ** 2)) + 0j
+            assert np.array_equal(resolvent(f), krein_apply(problem, z, f))
+
+    @pytest.mark.parametrize("z, error", [
+        (complex("inf"), OutsideResolventSet),
+        (1.0, OutsideResolventSet),  # an eigenvalue of a
+        (1.0 + np.sqrt(2.0), SingularPencil),  # a pole of the perturbation
+    ])
+    def test_raises_before_any_vector(self, two_level_model, z, error):
+        class Recording(MatrixEvaluator):
+            requested = 0
+
+            def actions(self, z):
+                Recording.requested += 1
+                return super().actions(z)
+
+        problem = ExtensionProblem(Recording(two_level_model), ThetaMatrix([[1.0]]))
+        with pytest.raises(error):
+            krein_resolvent(problem, z)
+        assert Recording.requested == 0
 
 
 class TestAdmissibleReal:

@@ -60,6 +60,17 @@ class TestBaseResolvent:
         with pytest.raises(SpectrumHit):
             base_resolvent(two_level_model, 1.0)
 
+    @pytest.mark.parametrize("seed", [3, 8, 40])
+    def test_evaluator_r_apply_is_the_dense_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 10, 2)
+        ev = MatrixEvaluator(model)
+        for z in (0.2 + 0.3j, -4.0 - 1.5j, 9.0 + 0.1j):
+            f = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+            assert rel_err(ev.r_apply(z, f), base_resolvent(model, z) @ f) <= 1e-12
+        with pytest.raises(SpectrumHit):
+            ev.actions(model.eigs[0])
+
 
 class TestGMaps:
     def test_at_zero(self, two_level_model):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinx import (
     InvariantError,
@@ -48,6 +50,41 @@ class TestSymbolValidation:
     def test_evenness_detection(self, second_order):
         assert second_order.is_even
         assert not Multiplier1D(poly=(0.0, 0.5, -1.0)).is_even
+
+
+_coef = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _symbols(draw):
+    half = draw(st.integers(1, 4))
+    lower = draw(st.lists(_coef, min_size=2 * half, max_size=2 * half))
+    lead = -draw(st.floats(1e-3, 1e3))
+    return Multiplier1D(poly=(*lower, lead))
+
+
+class TestSymbolEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(sym=_symbols(), xs=st.lists(_coef, min_size=1, max_size=6))
+    def test_call_is_polyval_bit_for_bit(self, sym, xs):
+        from numpy.polynomial.polynomial import polyval
+
+        arr = np.array(xs)
+        assert sym(arr).tobytes() == polyval(arr, sym.poly).tobytes()
+        for x in xs:
+            assert np.float64(sym(x)).tobytes() == np.float64(polyval(x, sym.poly)).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, 1.3])
+    def test_even_symbol_calls_func_once_per_node(self, second_order, x):
+        nodes = []
+
+        def func(xi):
+            nodes.append(xi)
+            return 1.0 / (2.0 - complex(second_order(xi)))
+
+        val = _inverse_transform(func, x, "test", even=True)
+        assert val == pytest.approx(gz(1, x, 2.0), rel=1e-8)
+        assert nodes and all(a != b for a, b in zip(nodes, nodes[1:]))
 
 
 class TestRangeMax:
