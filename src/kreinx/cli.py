@@ -122,7 +122,7 @@ def cmd_resolvent(args):
     cfg = _load_config(args)
     if args.z is not None:  # checked by build_problem like the config z
         cfg = replace(cfg, z=_parse_complex(args.z))
-    problem = build_problem(cfg)
+    # these read only cfg, so a request they reject builds nothing
     if cfg.z is None:
         raise InvariantError(["resolvent needs z (config 'z' or --z)"])
     if cfg.f is None:
@@ -133,6 +133,7 @@ def cmd_resolvent(args):
         raise InvariantError(
             [f"resolvent supports the matrix and laplacian1d backends, not {cfg.backend!r}"]
         )
+    problem = build_problem(cfg)
     f = np.array(cfg.f, dtype=complex)
     result = krein_apply(problem, cfg.z, f)
     if cfg.backend == "matrix":

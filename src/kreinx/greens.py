@@ -210,9 +210,6 @@ class PointSet:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def distance_matrix(self) -> np.ndarray:
-        return self.distances
-
     def displacements_1d(self) -> np.ndarray:
         """Signed pairwise displacements y_j - y_k (dim 1 only)."""
         if self.dim != 1:
@@ -234,7 +231,7 @@ def gamma_matrix(ps: PointSet, z: complex) -> np.ndarray:
     kappa = _sqrt_principal(z)
     # a unit radius on the diagonal keeps the kernels finite there; adding
     # zero leaves every off-diagonal distance exact
-    r = ps.distance_matrix() + np.eye(ps.n_points)
+    r = ps.distances + np.eye(ps.n_points)
     out = _g0_array(ps.dim, r) - _gz_array(ps.dim, r, kappa)
     np.fill_diagonal(out, diagonal)
     return out
@@ -360,7 +357,7 @@ def _product_matrix(ps: PointSet, w: complex, z: complex) -> np.ndarray:
     denom = 4.0 * abs(kw * kz) if ps.dim == 1 else 8.0 * math.pi
     bound = 1.0 / (denom * math.sqrt(kw.real * kz.real))
     return _per_key_matrix(
-        ps.distance_matrix(),
+        ps.distances,
         lambda d: _two_center_integral(ps.dim, d, kw, kz, bound),
     )
 
@@ -419,11 +416,12 @@ def eigenfunction_l2_norm(ps: PointSet, q, z0) -> float:
 class LaplacianPointEvaluator(GammaEvaluator):
     """Pencil backend for point interactions of the Laplacian.
 
-    Supplies the renormalized trace matrix in dims 1, 2, 3, source
-    superposition as a callable, and the product matrix in dims 1 and 3
-    by one two-center quadrature per distinct distance (none in dim 2).
-    Arbitrary-input resolvent and trace actions need a grid; see
-    LaplacianGrid1DEvaluator.
+    Supplies the renormalized trace matrix in dims 1, 2, 3 and the
+    product matrix in dims 1 and 3 by one two-center quadrature per
+    distinct distance (none in dim 2).  It has no ``actions``: the
+    resolvent and trace maps need a grid to act on (see
+    LaplacianGrid1DEvaluator), and source superpositions are evaluated
+    directly with ``point_source_sum`` or ``eigenfunction_eval``.
     """
 
     def __init__(self, ps: PointSet):
@@ -441,10 +439,6 @@ class LaplacianPointEvaluator(GammaEvaluator):
 
     def gamma(self, z: complex) -> np.ndarray:
         return gamma_matrix(self.ps, z)
-
-    def g_apply(self, z: complex, ell):
-        ell = np.asarray(ell, dtype=complex)
-        return lambda xs: point_source_sum(self.ps, z, ell, xs)
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         return _product_matrix(self.ps, w, z)
@@ -494,8 +488,11 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
             out[i] += acc - v
         return np.array(out) / (2.0 * kappa)
 
-    def gbreve_apply(self, z: complex, f):
-        return gbreve_apply_1d(self.ps, z, self.xs, f)
-
-    def g_apply(self, z: complex, ell):
-        return point_source_sum(self.ps, z, np.asarray(ell, dtype=complex), self.xs)
+    def actions(self, z: complex):
+        """``r_apply``, ``gbreve_apply_1d`` and ``point_source_sum`` at z,
+        on the grid samples."""
+        return (
+            lambda f: self.r_apply(z, f),
+            lambda f: gbreve_apply_1d(self.ps, z, self.xs, f),
+            lambda ell: point_source_sum(self.ps, z, ell, self.xs),
+        )

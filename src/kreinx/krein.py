@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -107,9 +106,10 @@ class GammaEvaluator(ABC):
 
     Required: the resolvent-set predicates (at a point, and on a real
     interval) and the renormalized trace matrix ``gamma(z)``.
-    Function-space actions (base resolvent, trace of the resolvent
-    image, source superposition, and the trace/image product matrix) are
-    optional; backends that cannot integrate arbitrary inputs raise
+    Optional: ``actions(z)``, the one entry point to the function-space
+    maps (base resolvent, trace of the resolvent image, source
+    superposition), and the trace/image product matrix ``gbreve_g``;
+    backends that cannot integrate arbitrary inputs raise
     UnsupportedAction.
     """
 
@@ -136,20 +136,12 @@ class GammaEvaluator(ABC):
 
     # optional actions -------------------------------------------------
 
-    def r_apply(self, z: complex, f):
-        raise UnsupportedAction(f"{type(self).__name__} has no resolvent action")
-
-    def gbreve_apply(self, z: complex, f):
-        raise UnsupportedAction(f"{type(self).__name__} has no trace action")
-
-    def g_apply(self, z: complex, ell):
-        raise UnsupportedAction(f"{type(self).__name__} has no source action")
-
     def actions(self, z: complex):
-        """``(r_apply, gbreve_apply, g_apply)`` bound to z; a backend
-        overrides this to share its per-z work between the three."""
-        maps = (self.r_apply, self.gbreve_apply, self.g_apply)
-        return tuple(partial(m, z) for m in maps)
+        """The maps ``(r, gbreve, g)`` at z, each a function of one vector:
+        the base resolvent ``f -> R(z) f``, the trace of its image
+        ``f -> Gbreve(z) f`` (N values) and the source superposition
+        ``ell -> G(z) ell``.  ``krein_resolvent`` asks for them once per z."""
+        raise UnsupportedAction(f"{type(self).__name__} has no function-space actions")
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         """Product matrix (trace map at w) o (source map at z), N x N."""
@@ -199,12 +191,14 @@ def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:
 
 def krein_resolvent(problem: ExtensionProblem, z: complex):
     """The perturbed resolvent at z as the function ``f ->
-    r_apply(z, f) + g_apply(z, (theta + gamma(z))^{-1} gbreve_apply(z, f))``.
+    r(f) + g((theta + gamma(z))^{-1} gbreve(f))`` over the maps
+    ``(r, gbreve, g) = evaluator.actions(z)``.
 
     Raises OutsideResolventSet, then SingularPencil when the smallest
     singular value of the pencil is at most ``tol_linear`` times its
     largest (z is then, numerically, an eigenvalue of the perturbed
-    operator), before any vector is applied.
+    operator), then UnsupportedAction for a backend without actions,
+    all before any vector is applied.
     """
     pencil = gamma_theta(problem, z)
     svals = np.linalg.svd(pencil, compute_uv=False)
@@ -213,11 +207,11 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
             f"pencil at z={z!r} has relative smallest singular value "
             f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e}"
         )
-    r_apply, gbreve_apply, g_apply = problem.evaluator.actions(z)
+    r, gbreve, g = problem.evaluator.actions(z)
 
     def apply(f):
-        charges = np.linalg.solve(pencil, np.asarray(gbreve_apply(f), dtype=complex))
-        return r_apply(f) + g_apply(charges)
+        charges = np.linalg.solve(pencil, np.asarray(gbreve(f), dtype=complex))
+        return r(f) + g(charges)
 
     return apply
 

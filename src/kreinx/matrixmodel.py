@@ -154,21 +154,18 @@ def base_resolvent(model: MatrixModel, z: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GMaps:
-    """The three derived maps at a point z: trace-of-resolvent ``gbreve``
-    (N x n), resolvent image ``g`` (n x N), and the zero-anchored
-    difference ``k = z R(0) g = g at 0 minus g at z`` (n x N)."""
+    """The derived maps at a point z as matrices: resolvent image ``g``
+    (n x N) and the zero-anchored difference ``k = z R(0) g = g at 0
+    minus g at z`` (n x N)."""
 
-    gbreve: np.ndarray
     g: np.ndarray
     k: np.ndarray
 
 
 def g_maps(model: MatrixModel, z: complex) -> GMaps:
     u, t = model.basis, model.traces
-    r = _resolvent_weights(model, z)
     return GMaps(
-        gbreve=(t * r) @ u.conj().T,
-        g=(u * r) @ t.conj().T,
+        g=(u * _resolvent_weights(model, z)) @ t.conj().T,
         k=(u * _anchored_weights(model, z)) @ t.conj().T,
     )
 
@@ -241,15 +238,6 @@ class MatrixEvaluator(GammaEvaluator):
             lambda f: t @ (r * (uh @ np.asarray(f, dtype=complex))),
             lambda ell: u @ (r * (th @ np.asarray(ell, dtype=complex))),
         )
-
-    def r_apply(self, z: complex, f):
-        return self.actions(z)[0](f)
-
-    def gbreve_apply(self, z: complex, f):
-        return self.actions(z)[1](f)
-
-    def g_apply(self, z: complex, ell):
-        return self.actions(z)[2](ell)
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         t = self.model.traces

@@ -373,7 +373,7 @@ def verify_eigenpair(problem: ExtensionProblem, z0: float, q) -> VerificationRep
         except OracleDegenerate:
             b = None
         if b is not None:
-            v = ev.g_apply(z0, q)
+            v = ev.actions(z0)[2](q)
             vnorm = float(np.linalg.norm(v))
             res = 0.0 if vnorm == 0.0 else float(
                 np.linalg.norm(b @ v - z0 * v) / vnorm

@@ -338,6 +338,25 @@ class TestResolventCommand:
         assert header == ["x", "f_re", "f_im", "rf_re", "rf_im"]
         assert len(rows) == n
 
+    @pytest.mark.parametrize("raw, message", [
+        (dict(CFG_3D, z=[1.0, 0.5], f=[1.0]),
+         "resolvent supports the matrix and laplacian1d backends, not 'laplacian3d'"),
+        ({"backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
+          "z": [1.0, 0.5], "f": [1.0, 0.0]},
+         "laplacian1d resolvent needs 'grid1d' in the config"),
+        ({"backend": "multiplier1d", "points": [0.0],
+          "symbol": {"poly": [0.0, 0.0, -1.0], "anchor": 1.0}, "theta": [[0.0]],
+          "z": [1.0, 0.5], "f": [1.0]},
+         "resolvent supports the matrix and laplacian1d backends, not 'multiplier1d'"),
+    ], ids=["laplacian3d", "laplacian1d-without-grid", "multiplier1d"])
+    def test_unsupported_backend_exits_2(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "res.csv"
+        assert main(["resolvent", "--config", str(cfg), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 

@@ -16,17 +16,17 @@ SCRIPTS = ROOT / "scripts"
 PROBE = """
 import json, sys
 import kreinx.cli
-loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+codes, loaded = [], [sorted(m for m in sys.modules if m.startswith("scipy"))]
 for argv in json.loads(sys.argv[1]):
-    rc = kreinx.cli.main(argv)
-    assert rc == 0, (argv, rc)
+    codes.append(kreinx.cli.main(argv))
     loaded.append(sorted(m for m in sys.modules if m.startswith("scipy")))
-print(json.dumps(loaded))
+print(json.dumps([codes, loaded]))
 """
 
 
 def _scipy_modules_after(argvs):
-    """scipy modules loaded after ``import kreinx.cli`` and after each request."""
+    """Exit codes of the requests, and the scipy modules loaded after
+    ``import kreinx.cli`` and after each request."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -48,15 +48,36 @@ def test_cli_import_and_scipy_free_requests_load_no_scipy(tmp_path):
         ["oracle", "--seed", "7", "-o", str(tmp_path / "o.csv")],
         ["green", "--dim", "3", "--z", "1", "-o", str(tmp_path / "g3.csv")],
     ]
-    loaded = _scipy_modules_after(argvs)
+    codes, loaded = _scipy_modules_after(argvs)
+    assert codes == [0] * len(argvs)
     assert loaded == [[]] * (len(argvs) + 1)
     assert all(Path(argv[-1]).stat().st_size > 0 for argv in argvs)
 
 
 def test_the_2d_kernel_loads_scipy_special(tmp_path):
     # positive control: the probe does see a module a request imports
-    before, after = _scipy_modules_after(
+    codes, (before, after) = _scipy_modules_after(
         [["green", "--dim", "2", "--z", "1", "-o", str(tmp_path / "g2.csv")]]
     )
+    assert codes == [0]
     assert before == []
     assert "scipy.special" in after
+
+
+def test_rejected_multiplier_resolvent_loads_no_scipy(tmp_path):
+    # the backend guard reads only the config; building the problem would
+    # find the symbol's range with scipy.optimize first
+    cfg = tmp_path / "m.json"
+    cfg.write_text(json.dumps({
+        "backend": "multiplier1d",
+        "points": [0.0],
+        "symbol": {"poly": [0.0, 0.0, -1.0], "anchor": 1.0},
+        "theta": [[0.0]],
+        "z": [1.0, 0.5],
+        "f": [1.0],
+    }))
+    out = tmp_path / "m.csv"
+    codes, loaded = _scipy_modules_after([["resolvent", "--config", str(cfg), "-o", str(out)]])
+    assert codes == [2]
+    assert loaded == [[], []]
+    assert not out.exists()

@@ -225,7 +225,7 @@ class TestGammaMatrix:
 def _scalar_gamma_matrix(ps, z):
     """Reference: the scalar LaplacianKernel methods, one entry at a time."""
     kernel = LaplacianKernel(ps.dim)
-    dist = ps.distance_matrix()
+    dist = ps.distances
     n = ps.n_points
     out = np.full((n, n), kernel.renormalized_diagonal(z), dtype=complex)
     for j in range(n):
@@ -469,18 +469,3 @@ class TestPointSourceSum:
     def test_rejects_coefficient_shape(self, coeffs):
         with pytest.raises(InvariantError, match="expected 2 coefficients"):
             point_source_sum(PointSet(1, [0.0, 1.0]), 1.0, coeffs, [0.5])
-
-    @pytest.mark.parametrize(
-        "ps, xs",
-        [
-            (PointSet(1, [-0.4, 0.7]), np.array([-2.0, 0.0, 0.7, 3.5])),
-            (PointSet(2, [[0.0, 0.0], [1.0, 0.5]]), np.array([[0.4, -0.2], [2.0, 1.0]])),
-            (PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.5, -0.2]]), np.array([[0.3, 0.1, 2.0]])),
-        ],
-    )
-    def test_point_evaluator_g_apply_is_point_source_sum(self, ps, xs):
-        z = 1.3 + 0.4j
-        ell = np.array([1.0 - 0.5j, 2.0j])
-        source = LaplacianPointEvaluator(ps).g_apply(z, ell)
-        assert np.array_equal(source(xs), point_source_sum(ps, z, ell, xs))
-        assert source(xs[0]) == point_source_sum(ps, z, ell, xs[0])

@@ -13,6 +13,7 @@ from kreinx import (
     PointSet,
     SingularPencil,
     ThetaMatrix,
+    UnsupportedAction,
     admissible_real,
     boundary_residual,
     gamma_theta,
@@ -195,6 +196,14 @@ class TestKreinResolvent:
         with pytest.raises(error):
             krein_resolvent(problem, z)
         assert Recording.requested == 0
+
+    def test_backend_without_actions_raises_before_it_returns(self):
+        problem = ExtensionProblem(
+            LaplacianPointEvaluator(PointSet(1, [0.0, 1.0])),
+            ThetaMatrix([[0.5, 0.0], [0.0, 0.5]]),
+        )
+        with pytest.raises(UnsupportedAction):
+            krein_resolvent(problem, 1.5 + 0.4j)
 
 
 class TestAdmissibleReal:

@@ -240,7 +240,7 @@ class TestPerKeyMatrix:
         bound = 1.0 / (denom * np.sqrt(kw.real * kz.real))
         cache = {}
         want = np.empty((ps.n_points, ps.n_points), dtype=complex)
-        for (k, j), d in np.ndenumerate(ps.distance_matrix()):
+        for (k, j), d in np.ndenumerate(ps.distances):
             d = float(d)
             if d not in cache:
                 cache[d] = _two_center_integral(ps.dim, d, kw, kz, bound)
