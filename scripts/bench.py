@@ -9,17 +9,21 @@ The cases run round-robin, RUNS times each, and the JSON records every
 wall time, the median and the exit code.  ``import`` times a bare
 ``import kreinx.cli``.
 
-Warm CLI: the same requests but ``import``, each as one in-process
-``kreinx.cli.main`` call with the CSV sent to the null device and
-stderr suppressed; one warm-up call, then the median of RUNS calls.
-This is the per-request cost once the imports are paid.
+Warm CLI: the same requests but ``import``, plus ``verify --seed 42
+--models 6`` (the size of one benchmark ``verify_suite`` request), each
+as one in-process ``kreinx.cli.main`` call with the CSV sent to the null
+device and stderr suppressed; one warm-up call, then the median of RUNS
+calls.  This is the per-request cost once the imports are paid.
 
 Layer, in-process, one warm-up call and then the median of RUNS calls:
 ``LaplacianGrid1DEvaluator.r_apply`` (the 1-d grid convolution) at
 n = 1e3, 1e4 and 1e5 nodes; and the perturbed resolvent of the matrix
 backend at n = 12 and 400 (N = 2) on k = 1 and 10 vectors at one z,
 once as k ``krein_apply`` calls and once as one ``krein_resolvent``
-applied k times.
+applied k times; and at n = 12 (N = 4) on one vector at each of k = 10
+points, once as one ``krein_resolvent`` per point and once as one
+stacked ``krein_resolvent`` over all 10 points applied to a (10, 12)
+block.
 
 The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
@@ -42,6 +46,7 @@ RUNS = 7
 LAYER_SIZES = (1_000, 10_000, 100_000)
 KREIN_SIZES = (12, 400)
 KREIN_VECTORS = (1, 10)
+STACK_POINTS = 10
 
 COLD_CASES = {
     "import": ["-c", "import kreinx.cli"],
@@ -54,6 +59,10 @@ COLD_CASES = {
     "oracle_seed7": ["-m", "kreinx", "oracle", "--seed", "7"],
     "green_dim3": ["-m", "kreinx", "green", "--dim", "3", "--z", "1"],
     "verify_seed42": ["-m", "kreinx", "verify", "--seed", "42", "--models", "20"],
+}
+WARM_CASES = {
+    **{name: args[2:] for name, args in COLD_CASES.items() if args[0] == "-m"},
+    "verify_seed42_models6": ["verify", "--seed", "42", "--models", "6"],
 }
 
 
@@ -83,10 +92,8 @@ def warm_cli() -> dict:
 
     out = {}
     with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
-        for name, args in COLD_CASES.items():
-            if args[0] != "-m":
-                continue
-            argv = [*args[2:], "-o", os.devnull]
+        for name, args in WARM_CASES.items():
+            argv = [*args, "-o", os.devnull]
             codes = {cli_main(argv)}
             times = []
             for _ in range(RUNS):
@@ -150,6 +157,22 @@ def krein_apply_layer() -> dict:
 
             out[f"n={n},k={k},krein_apply"] = _timed(per_vector)
             out[f"n={n},k={k},krein_resolvent"] = _timed(per_z)
+
+    rng = np.random.default_rng(STACK_POINTS)
+    n = 12
+    problem = ExtensionProblem(MatrixEvaluator(random_model(rng, n, 4)), random_theta(rng, 4))
+    zs = rng.uniform(-10.0, 10.0, STACK_POINTS) + 1j * rng.uniform(0.1, 5.0, STACK_POINTS)
+    fs = rng.standard_normal((STACK_POINTS, n)) + 1j * rng.standard_normal((STACK_POINTS, n))
+
+    def per_point():
+        for z, f in zip(zs, fs):
+            krein_resolvent(problem, complex(z))(f)
+
+    def stacked():
+        krein_resolvent(problem, zs)(fs)
+
+    out[f"n={n},N=4,points={STACK_POINTS},per_point"] = _timed(per_point)
+    out[f"n={n},N=4,points={STACK_POINTS},stacked"] = _timed(stacked)
     return out
 
 

@@ -25,8 +25,6 @@ from .krein import (
     ExtensionProblem,
     GammaEvaluator,
     ThetaMatrix,
-    admissible_real,
-    boundary_residual,
     gamma_theta,
     krein_apply,
     krein_resolvent,

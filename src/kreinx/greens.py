@@ -272,10 +272,7 @@ def gbreve_apply_1d(ps: PointSet, z: complex, xs, fs) -> np.ndarray:
     fs = np.asarray(fs, dtype=complex)
     if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
         raise InvariantError("xs and fs must be equal-length 1-d arrays")
-    h = _uniform_step(xs)
-    kappa = _resolved_kappa(h, z)
-    r = np.abs(ps.points[:, 0][:, None] - xs[None, :])
-    return _gz_array(1, r, kappa) @ (_trapezoid_weights(xs.size, h) * fs)
+    return LaplacianGrid1DEvaluator(ps, xs).actions(z)[1](fs)
 
 
 def point_source_sum(ps: PointSet, z: complex, coeffs, xs) -> np.ndarray:
@@ -489,10 +486,22 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
         return np.array(out) / (2.0 * kappa)
 
     def actions(self, z: complex):
-        """``r_apply``, ``gbreve_apply_1d`` and ``point_source_sum`` at z,
-        on the grid samples."""
+        """``r_apply``, the trace quadrature of ``gbreve_apply_1d`` and
+        ``point_source_sum`` at z, on the grid samples; the GridTooCoarse
+        check and the N x n trace kernel are done here, once."""
+        h = float(self.xs[1] - self.xs[0])
+        r = np.abs(self.ps.points[:, 0][:, None] - self.xs[None, :])
+        kernel = _gz_array(1, r, _resolved_kappa(h, z))
+        weights = _trapezoid_weights(self.xs.size, h)
+
+        def gbreve(f):
+            f = np.asarray(f, dtype=complex)
+            if f.shape != self.xs.shape:
+                raise InvariantError("sample vector does not match the grid")
+            return kernel @ (weights * f)
+
         return (
             lambda f: self.r_apply(z, f),
-            lambda f: gbreve_apply_1d(self.ps, z, self.xs, f),
+            gbreve,
             lambda ell: point_source_sum(self.ps, z, ell, self.xs),
         )

@@ -13,6 +13,8 @@ so every spectral question reduces to the N x N pencil
 a singular point carries the charge vector of the corresponding
 eigenfunction.  None of this depends on the vector: ``krein_resolvent``
 builds it once per z, with the backend maps of ``GammaEvaluator.actions``.
+On a backend with ``stacks_points`` z may also be a 1-d array of k
+points, for one pencil check and one solve per stack, by broadcasting.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs; concurrent use is safe.
@@ -37,11 +39,6 @@ from .errors import (
 # Tolerance for accepting a computed matrix as hermitian, relative to its
 # max-entry norm.  Quadrature-backed gammas carry noise at this level.
 HERMITICITY_RTOL = 1e-10
-
-ADMISSIBLE_PLUS = "plus"
-ADMISSIBLE_MINUS = "minus"
-ADMISSIBLE_BOTH = "both"
-ADMISSIBLE_NONE = "none"
 
 
 def _maxabs(m) -> float:
@@ -93,10 +90,6 @@ class ThetaMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def shifted(self, c: float) -> "ThetaMatrix":
-        """Theta + c * I (hermitian for real c)."""
-        return ThetaMatrix(self.entries + float(c) * np.eye(self.n))
-
     def __repr__(self):
         return f"ThetaMatrix(n={self.n})"
 
@@ -111,7 +104,13 @@ class GammaEvaluator(ABC):
     superposition), and the trace/image product matrix ``gbreve_g``;
     backends that cannot integrate arbitrary inputs raise
     UnsupportedAction.
+
+    With ``stacks_points``, ``in_resolvent_set``, ``gamma`` and ``actions``
+    also take a 1-d array of k points: one flag, (N, N) matrix or map per
+    point, stacked on a leading axis.
     """
+
+    stacks_points = False
 
     @property
     @abstractmethod
@@ -140,7 +139,8 @@ class GammaEvaluator(ABC):
         """The maps ``(r, gbreve, g)`` at z, each a function of one vector:
         the base resolvent ``f -> R(z) f``, the trace of its image
         ``f -> Gbreve(z) f`` (N values) and the source superposition
-        ``ell -> G(z) ell``.  ``krein_resolvent`` asks for them once per z."""
+        ``ell -> G(z) ell``.  ``krein_resolvent`` asks for them once per z,
+        so every per-z check and kernel belongs here."""
         raise UnsupportedAction(f"{type(self).__name__} has no function-space actions")
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
@@ -177,16 +177,30 @@ class ExtensionProblem:
             raise InvariantError(problems)
 
 
+def _point(z, i):
+    """Point i of the stack z, or z itself when it is one point."""
+    return complex(np.ravel(z)[i]) if np.ndim(z) else z
+
+
 def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:
     """The pencil theta + gamma(z); hermitian at admissible real z.
 
-    Raises OutsideResolventSet when z is not in the resolvent set or is
-    not finite.
+    At a 1-d array of k points (a backend with ``stacks_points``) it is
+    the (k, N, N) stack.  Raises OutsideResolventSet, naming the first
+    point that is not in the resolvent set or is not finite, and
+    UnsupportedAction for an array on any other backend.
     """
+    ev = problem.evaluator
+    if isinstance(z, np.ndarray):
+        if not ev.stacks_points:
+            raise UnsupportedAction(f"{type(ev).__name__} takes one point at a time")
+        outside = np.flatnonzero(~(np.isfinite(z) & ev.in_resolvent_set(z)))
+        if outside.size:
+            raise OutsideResolventSet(f"z={_point(z, outside[0])!r} is outside the resolvent set")
     # a non-finite z is never admissible: it must not reach LAPACK
-    if not (cmath.isfinite(z) and problem.evaluator.in_resolvent_set(z)):
+    elif not (cmath.isfinite(z) and ev.in_resolvent_set(z)):
         raise OutsideResolventSet(f"z={z!r} is outside the resolvent set")
-    return problem.theta.entries + problem.evaluator.gamma(z)
+    return problem.theta.entries + ev.gamma(z)
 
 
 def krein_resolvent(problem: ExtensionProblem, z: complex):
@@ -194,24 +208,30 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
     r(f) + g((theta + gamma(z))^{-1} gbreve(f))`` over the maps
     ``(r, gbreve, g) = evaluator.actions(z)``.
 
+    At k points (see ``gamma_theta``) row i of a (k, n) block is mapped
+    at point i, and one vector at every point, with one solve.
+
     Raises OutsideResolventSet, then SingularPencil when the smallest
-    singular value of the pencil is at most ``tol_linear`` times its
-    largest (z is then, numerically, an eigenvalue of the perturbed
-    operator), then UnsupportedAction for a backend without actions,
-    all before any vector is applied.
+    singular value of a pencil is at most ``tol_linear`` times its
+    largest (that point is then, numerically, an eigenvalue of the
+    perturbed operator), then UnsupportedAction for a backend without
+    actions, all before any vector is applied and naming the point.
     """
     pencil = gamma_theta(problem, z)
     svals = np.linalg.svd(pencil, compute_uv=False)
-    if svals[-1] <= problem.tol_linear * svals[0]:
+    singular = svals[..., -1] <= problem.tol_linear * svals[..., 0]
+    if singular.any():
+        i = np.argmax(singular)  # the first singular point of a stack
+        low, top = np.atleast_2d(svals)[i][[-1, 0]]
         raise SingularPencil(
-            f"pencil at z={z!r} has relative smallest singular value "
-            f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e}"
+            f"pencil at z={_point(z, i)!r} has relative smallest singular value "
+            f"{0.0 if top == 0.0 else low / top:.3e}"
         )
     r, gbreve, g = problem.evaluator.actions(z)
 
     def apply(f):
-        charges = np.linalg.solve(pencil, np.asarray(gbreve(f), dtype=complex))
-        return r(f) + g(charges)
+        charges = np.linalg.solve(pencil, np.asarray(gbreve(f), dtype=complex)[..., None])
+        return r(f) + g(charges[..., 0])
 
     return apply
 
@@ -219,42 +239,3 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
 def krein_apply(problem: ExtensionProblem, z: complex, f):
     """``krein_resolvent(problem, z)(f)``: one vector, the same errors."""
     return krein_resolvent(problem, z)(f)
-
-
-def admissible_real(problem: ExtensionProblem, lam: float) -> str:
-    """Classify a real point by the sign windows of the pencil.
-
-    Returns one of ``"plus"``, ``"minus"``, ``"both"``, ``"none"``:
-    membership in the window where ``min_eig(+gamma) > -min_eig(+theta)``
-    (plus), the mirrored window with both signs flipped (minus), or both
-    or neither.  The inequalities are strict; exact equality reports
-    non-membership.  Inside either window the pencil is provably
-    invertible, so the resolvent formula applies.
-    """
-    lam = float(lam)
-    if not (cmath.isfinite(lam) and problem.evaluator.in_resolvent_set(complex(lam))):
-        raise OutsideResolventSet(f"lambda={lam!r} is outside the resolvent set")
-    g = np.linalg.eigvalsh(hermitian_part(problem.evaluator.gamma(complex(lam))))
-    th = np.linalg.eigvalsh(problem.theta.entries)
-    # min_eig(-m) = -max_eig(m)
-    plus = g[0] > -th[0]
-    minus = -g[-1] > th[-1]
-    if plus and minus:
-        return ADMISSIBLE_BOTH
-    if plus:
-        return ADMISSIBLE_PLUS
-    if minus:
-        return ADMISSIBLE_MINUS
-    return ADMISSIBLE_NONE
-
-
-def boundary_residual(problem: ExtensionProblem, trace_of_regular_part, q) -> np.ndarray:
-    """Residual of the coupling condition: trace(regular part) - theta q.
-
-    For a computed bound state (z0, q) the caller's trace equals
-    ``-gamma(z0) q``, so the residual is ``-(theta + gamma(z0)) q`` and
-    vanishes exactly when q spans the pencil kernel.
-    """
-    t = np.asarray(trace_of_regular_part, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    return t - problem.theta.entries @ q

@@ -19,6 +19,10 @@ available twice over:
 Disagreement between the two routes is a bug by definition, which is
 what makes this backend the oracle.
 
+Every map also takes a 1-d array of k points, with (k, n) weights checked
+against the spectrum once, and returns a stack of k results; one point
+runs the same broadcasting code with the same bits.
+
 Note on scope: in finite dimension the trace map can never have the
 "purely singular dual range" property the unbounded theory assumes, so
 the formulas are exercised here as exact algebraic identities rather
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, OracleDegenerate, SpectrumHit
-from .krein import GammaEvaluator, ThetaMatrix
+from .krein import GammaEvaluator, ThetaMatrix, _point
 
 # Relative spectral-distance floor for resolvent evaluations.
 SPECTRUM_RTOL = 1e-12
@@ -115,8 +119,9 @@ class MatrixModel:
     def n_charges(self) -> int:
         return self.tau.shape[0]
 
-    def spectrum_distance(self, z: complex) -> float:
-        return float(np.min(np.abs(complex(z) - self.eigs)))
+    def spectrum_distance(self, z: complex) -> np.ndarray:
+        """Distance from z to the spectrum; one per point for an array z."""
+        return np.abs(_column(z) - self.eigs).min(axis=-1)
 
     def __repr__(self):
         return f"MatrixModel(n={self.n}, N={self.n_charges})"
@@ -128,28 +133,37 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
     return x if x.imag.any() else x.real.copy()
 
 
-def _check_off_spectrum(model: MatrixModel, z: complex) -> None:
-    if model.spectrum_distance(z) <= model.pad:
-        raise SpectrumHit(f"z={z!r} hits the spectrum of the base matrix")
+def _column(x) -> np.ndarray:
+    """x as complex with a trailing unit axis: ``_column(z) - eigs`` has one
+    row per point of z, and a vector becomes a column."""
+    return np.asarray(x, dtype=complex)[..., None]
 
 
-def _resolvent_weights(model: MatrixModel, z: complex) -> np.ndarray:
-    """``1/(z - eigs)``: R(z) in the eigenbasis."""
-    _check_off_spectrum(model, z)
-    return 1.0 / (complex(z) - model.eigs)
+def _check_off_spectrum(model: MatrixModel, z, distance) -> None:
+    """SpectrumHit at the first point of z whose ``distance`` is <= ``pad``."""
+    hit = distance <= model.pad
+    if hit.any():
+        raise SpectrumHit(f"z={_point(z, np.argmax(hit))!r} hits the spectrum of the base matrix")
 
 
-def _anchored_weights(model: MatrixModel, z: complex) -> np.ndarray:
+def _resolvent_weights(model: MatrixModel, z) -> np.ndarray:
+    """``1/(z - eigs)``: R(z) in the eigenbasis, one row per point."""
+    gaps = _column(z) - model.eigs
+    _check_off_spectrum(model, z, np.abs(gaps).min(axis=-1))
+    return 1.0 / gaps
+
+
+def _anchored_weights(model: MatrixModel, z) -> np.ndarray:
     """``-z/(eigs (z - eigs))``: R(0) - R(z) in the eigenbasis."""
-    return -complex(z) * _resolvent_weights(model, z) / model.eigs
+    return -_column(z) * _resolvent_weights(model, z) / model.eigs
 
 
-def base_resolvent(model: MatrixModel, z: complex) -> np.ndarray:
-    """(z I - a)^{-1} as a dense inverse: the oracle's matrix, also the
-    independent side of ``verify.check_base_identities``.  The pencil
-    route never forms it."""
-    _check_off_spectrum(model, z)
-    return np.linalg.inv(complex(z) * np.eye(model.n) - model.a)
+def base_resolvent(model: MatrixModel, z) -> np.ndarray:
+    """(z I - a)^{-1} as a dense inverse, (k, n, n) at k points: the
+    oracle's matrix, also the independent side of
+    ``verify.check_base_identities``.  The pencil route never forms it."""
+    _check_off_spectrum(model, z, model.spectrum_distance(z))
+    return np.linalg.inv(_column(z)[..., None] * np.eye(model.n) - model.a)
 
 
 @dataclass(frozen=True)
@@ -163,10 +177,10 @@ class GMaps:
 
 
 def g_maps(model: MatrixModel, z: complex) -> GMaps:
-    u, t = model.basis, model.traces
+    u, th = model.basis, model.traces.conj().T
     return GMaps(
-        g=(u * _resolvent_weights(model, z)) @ t.conj().T,
-        k=(u * _anchored_weights(model, z)) @ t.conj().T,
+        g=(u * _resolvent_weights(model, z)[..., None, :]) @ th,
+        k=(u * _anchored_weights(model, z)[..., None, :]) @ th,
     )
 
 
@@ -176,7 +190,7 @@ def gamma(model: MatrixModel, z: complex) -> np.ndarray:
     so the result is hermitian to rounding however close z is to the
     base spectrum."""
     t = model.traces
-    return (t * _anchored_weights(model, z)) @ t.conj().T
+    return (t * _anchored_weights(model, z)[..., None, :]) @ t.conj().T
 
 
 def anchor_pencil(model: MatrixModel, theta) -> np.ndarray:
@@ -208,7 +222,9 @@ def direct_eigs(model: MatrixModel, theta) -> np.ndarray:
 
 
 class MatrixEvaluator(GammaEvaluator):
-    """Pencil backend over a MatrixModel; all actions are exact."""
+    """Pencil backend over a MatrixModel; exact, and it stacks points."""
+
+    stacks_points = True
 
     def __init__(self, model: MatrixModel):
         self.model = model
@@ -228,15 +244,16 @@ class MatrixEvaluator(GammaEvaluator):
         return gamma(self.model, z)
 
     def actions(self, z: complex):
-        """One spectrum check and one weight vector ``r = 1/(z - lam)`` for
-        the maps ``U diag(r) U^H``, ``T diag(r) U^H`` and ``U diag(r) T^H``."""
+        """One spectrum check and one weight vector ``r = 1/(z - lam)`` per
+        point for the maps ``U diag(r) U^H``, ``T diag(r) U^H`` and
+        ``U diag(r) T^H``, which take each vector as a column."""
         u, t = self.model.basis, self.model.traces
         uh, th = u.conj().T, t.conj().T
-        r = _resolvent_weights(self.model, z)
+        r = _resolvent_weights(self.model, z)[..., None]
         return (
-            lambda f: u @ (r * (uh @ np.asarray(f, dtype=complex))),
-            lambda f: t @ (r * (uh @ np.asarray(f, dtype=complex))),
-            lambda ell: u @ (r * (th @ np.asarray(ell, dtype=complex))),
+            lambda f: (u @ (r * (uh @ _column(f))))[..., 0],
+            lambda f: (t @ (r * (uh @ _column(f))))[..., 0],
+            lambda ell: (u @ (r * (th @ _column(ell))))[..., 0],
         )
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:

@@ -91,13 +91,17 @@ class Multiplier1D:
 
     @cached_property
     def range_max(self) -> float:
-        """Numeric sup of the symbol over the real line.
+        """Sup of the symbol over the real line.
 
         Beyond the domination radius the negative leading term wins, so
-        the sup is attained on a compact interval; a dense grid (fine
-        enough for the fastest cosine) is refined by bounded local
-        maximization around the best brackets.
+        the sup is attained at a real critical point.  Without cosine
+        terms it is the largest ``m`` at the real parts of the roots of
+        ``m'``, each at most the sup.  With them a dense grid (fine enough
+        for the fastest cosine) is refined by bounded local maximization.
         """
+        if not self.cos_terms:
+            critical = np.roots(np.polyder(self.poly[::-1]))
+            return float(np.max(self(critical.real)))
         from scipy.optimize import minimize_scalar
 
         lead = abs(self.poly[-1])

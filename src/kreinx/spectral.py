@@ -43,8 +43,7 @@ class SpectralRoot:
     """One located pole: position, unit charge vector (phase-fixed so its
     first significant component is real-positive), pencil residual
     (smallest eigenvalue magnitude at the root) and eigenvalue count at
-    the root.  The sign-window classification of a point is
-    ``krein.admissible_real``, computed on request only."""
+    the root."""
 
     z0: float
     charge: np.ndarray

@@ -6,8 +6,10 @@ the matrix backend, quadrature-limited tolerances on the kernel
 backends (declared per check, never silently loosened).  The seeded
 run uses the fixed tolerances ``TOL_MATRIX`` (matrix identities),
 ``TOL_EXTENSION`` (perturbed-resolvent checks) and ``TOL_QUAD`` (kernel
-quadrature checks).  Reports are deterministic functions of the seed,
-so serialized output is byte-stable.
+quadrature checks).  The matrix-backend checks take each model's
+points as one stack and reduce every pair residual over it with one
+helper.  Reports are deterministic functions of the seed, so serialized
+output is byte-stable.
 
 ``verify_eigenpair`` checks a computed pole and charge vector against
 the pencil kernel condition and, where the backend allows, against the
@@ -17,6 +19,7 @@ perturbed operator itself; it returns the same report type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -106,40 +109,56 @@ def merge_reports(reports, seed=None, model_summary="") -> VerificationReport:
     )
 
 
-def rel_residual(lhs, rhs) -> float:
-    """Max-entry norm of the difference, relative to the larger side."""
+def _worst_residual(lhs, rhs, norm) -> float:
+    """Worst relative residual ``norm(l - r) / max(norm(l), norm(r))`` over
+    a stack of pairs (0 for an empty stack): ``norm`` reduces the entries
+    of each pair and keeps the stack axes."""
     lhs = np.asarray(lhs, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    denom = max(_maxabs(lhs), _maxabs(rhs), 1e-300)
-    return _maxabs(lhs - rhs) / denom
+    scale = np.maximum(np.maximum(norm(lhs), norm(rhs)), 1e-300)
+    return float(np.max(norm(lhs - rhs) / scale, initial=0.0))
+
+
+def _entry_max(m) -> np.ndarray:
+    """Max-entry norm of each matrix of a stack."""
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
+_vector_norm = partial(np.linalg.norm, axis=-1)
+
+
+def rel_residual(lhs, rhs) -> float:
+    """Max-entry norm of the difference, relative to the larger side."""
+    return _worst_residual(lhs, rhs, _maxabs)
+
+
+def _inner(a, b) -> np.ndarray:
+    """``np.vdot`` of each pair of rows of a and b."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _pairs(zs: np.ndarray, ordered: bool):
+    """Index arrays ``(i, j)`` of the pairs of unequal points, all ordered
+    pairs or only those with j < i."""
+    unequal = zs[:, None] != zs[None, :]
+    return np.nonzero(unequal if ordered else np.tril(unequal, -1))
 
 
 def check_base_identities(
     model: MatrixModel, z_list, tol: float = TOL_MATRIX
 ) -> VerificationReport:
     """Resolvent-difference, anchored-difference, and anchored-action
-    identities of the derived maps, over all pairs from ``z_list``."""
-    zs = [complex(z) for z in z_list]
-    maps = {z: g_maps(model, z) for z in zs}
-    resolvents = {z: base_resolvent(model, z) for z in zs}
-    r_diff = 0.0
-    k_diff = 0.0
-    k_act = 0.0
-    for z in zs:
-        k_act = max(k_act, rel_residual(-model.a @ maps[z].k, z * maps[z].g))
-        for w in zs:
-            if z == w:
-                continue
-            r_diff = max(
-                r_diff,
-                rel_residual(
-                    (z - w) * resolvents[w] @ maps[z].g, maps[w].g - maps[z].g
-                ),
-            )
-            k_diff = max(
-                k_diff,
-                rel_residual(maps[w].k - maps[z].k, maps[z].g - maps[w].g),
-            )
+    identities of the derived maps, over all pairs of unequal points from
+    ``z_list``; the maps and dense resolvents are evaluated for the whole
+    list at once."""
+    zs = np.array([complex(z) for z in z_list], dtype=complex)
+    maps = g_maps(model, zs)
+    g, k, resolvents = maps.g, maps.k, base_resolvent(model, zs)
+    z, w = _pairs(zs, ordered=True)
+    dz = (zs[z] - zs[w])[:, None, None]
+    r_diff = _worst_residual((dz * resolvents[w]) @ g[z], g[w] - g[z], _entry_max)
+    k_diff = _worst_residual(k[w] - k[z], g[z] - g[w], _entry_max)
+    k_act = _worst_residual(-model.a @ k, zs[:, None, None] * g, _entry_max)
     return VerificationReport(
         checks=(
             CheckResult("base/resolvent_difference", r_diff, tol),
@@ -153,28 +172,27 @@ def check_base_identities(
 def check_gamma_identities(evaluator, z_list, tol: float = TOL_MATRIX) -> VerificationReport:
     """Difference identity (against the backend's product matrix, when it
     has one) and conjugate symmetry of the trace matrix."""
-    zs = [complex(z) for z in z_list]
-    gammas = {z: evaluator.gamma(z) for z in zs}
-    conj_res = 0.0
-    for z in zs:
-        conj_res = max(
-            conj_res,
-            rel_residual(evaluator.gamma(np.conj(z)), gammas[z].conj().T),
-        )
+    zs = np.array([complex(z) for z in z_list], dtype=complex)
+    n = evaluator.n_charges
+
+    def stack(matrices):
+        return np.reshape(matrices, (-1, n, n))
+
+    gammas = stack([evaluator.gamma(z) for z in zs])
+    conj_res = _worst_residual(
+        stack([evaluator.gamma(np.conj(z)) for z in zs]),
+        gammas.conj().swapaxes(-2, -1),
+        _entry_max,
+    )
     checks = [CheckResult("gamma/conjugate_symmetry", conj_res, tol)]
-    diff_res = 0.0
+    z, w = _pairs(zs, ordered=False)
     try:
-        for i, z in enumerate(zs):
-            for w in zs[: i]:
-                if z == w:
-                    continue
-                prod = evaluator.gbreve_g(w, z)
-                diff_res = max(
-                    diff_res, rel_residual(gammas[z] - gammas[w], (z - w) * prod)
-                )
+        prods = stack([evaluator.gbreve_g(zs[j], zs[i]) for i, j in zip(z, w)])
     except UnsupportedAction:  # the backend has no product matrix
         pass
     else:
+        dz = (zs[z] - zs[w])[:, None, None]
+        diff_res = _worst_residual(gammas[z] - gammas[w], dz * prods, _entry_max)
         checks.append(CheckResult("gamma/difference", diff_res, tol))
     return VerificationReport(checks=tuple(checks))
 
@@ -193,14 +211,19 @@ def check_extension(
     vectors, (ii) exact action of the built matrix on the first two
     basis vectors of the kernel of the trace map, (iii) the first
     resolvent identity of the perturbed family, (iv) adjoint symmetry.
-    When the additive form does not
-    exist, (i) and (ii) are skipped and the report says so.
+    When the additive form does not exist, (i) and (ii) are skipped and
+    the report says so.  The pencil side is one stacked resolvent over the
+    distinct points (each z and its conjugate), applied to every drawn
+    vector at every point in one solve; the oracle solves its own stack.
     """
     rng = rng or np.random.default_rng(0)
     problem = ExtensionProblem(MatrixEvaluator(model), theta)
-    zs = [complex(z) for z in z_list]
-    points = dict.fromkeys(w for z in zs for w in (z, np.conj(z)))
-    resolvent = {w: krein_resolvent(problem, w) for w in points}
+    zs = np.array([complex(z) for z in z_list], dtype=complex)
+    # a real z is its own conjugate
+    points = list(dict.fromkeys(w for z in zs for w in (z, z.conjugate())))
+    at_z = np.array([points.index(z) for z in zs], dtype=int)
+    at_conj = np.array([points.index(z.conjugate()) for z in zs], dtype=int)
+    resolvent = krein_resolvent(problem, np.array(points, dtype=complex))
     checks = []
     summary = repr(model)
     try:
@@ -209,19 +232,23 @@ def check_extension(
         b = None
         summary += " [oracle degenerate: additive-form checks skipped]"
 
+    def draw(*shape):
+        """Complex Gaussian vectors: the real, then the imaginary part of each."""
+        x = rng.standard_normal(shape + (2, model.n))
+        return x[..., 0, :] + 1j * x[..., 1, :]
+
+    rows = np.arange(len(zs))
+    oracle_fs = draw(len(zs)) if b is not None else None
+    fs, gs = draw(len(zs), 2).swapaxes(0, 1)  # f then g for each z
+    drawn = np.stack([fs, gs] if b is None else [fs, gs, oracle_fs])
+    # images[s, v, p]: the resolvent at points[p] applied to drawn[s, v]
+    images = resolvent(drawn[..., None, :])
+    rz_f = images[0, rows, at_z]
+
     if b is not None:
-        oracle_res = 0.0
-        for z in zs:
-            f = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
-            via_pencil = resolvent[z](f)
-            via_oracle = np.linalg.solve(z * np.eye(model.n) - b, f)
-            oracle_res = max(
-                oracle_res,
-                float(
-                    np.linalg.norm(via_pencil - via_oracle)
-                    / np.linalg.norm(via_oracle)
-                ),
-            )
+        shifted = np.multiply.outer(zs, np.eye(model.n)) - b
+        via_oracle = np.linalg.solve(shifted, oracle_fs[..., None])[..., 0]
+        oracle_res = _worst_residual(images[2, rows, at_z], via_oracle, _vector_norm)
         checks.append(CheckResult("extension/oracle_agreement", oracle_res, tol))
 
         # exact action on the kernel of the trace map
@@ -232,31 +259,13 @@ def check_extension(
             ker_res = max(ker_res, _maxabs(b @ phi0 - model.a @ phi0))
         checks.append(CheckResult("extension/kernel_action", ker_res, tol))
 
-    first_res = 0.0
-    adj_res = 0.0
-    for i, z in enumerate(zs):
-        f = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
-        g = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
-        rz_f = resolvent[z](f)
-        # adjoint symmetry via inner products
-        lhs = np.vdot(g, rz_f)
-        rhs = np.vdot(resolvent[np.conj(z)](g), f)
-        adj_res = max(
-            adj_res, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        )
-        for w in zs[: i]:
-            if z == w:
-                continue
-            rw_f = resolvent[w](f)
-            lhs_v = rz_f - rw_f
-            rhs_v = (w - z) * resolvent[z](rw_f)
-            first_res = max(
-                first_res,
-                float(
-                    np.linalg.norm(lhs_v - rhs_v)
-                    / max(np.linalg.norm(lhs_v), np.linalg.norm(rhs_v), 1e-300)
-                ),
-            )
+    # first resolvent identity R(z) - R(w) = (w - z) R(z) R(w), w before z
+    z, w = _pairs(zs, ordered=False)
+    rw_f = images[0, z, at_z[w]]
+    rz_rw_f = resolvent(rw_f[:, None, :])[np.arange(z.size), at_z[z]]
+    first_res = _worst_residual(rz_f[z] - rw_f, (zs[w] - zs[z])[:, None] * rz_rw_f, _vector_norm)
+    # adjoint symmetry via inner products <g, R(z) f> = <R(conj z) g, f>
+    adj_res = _worst_residual(_inner(gs, rz_f), _inner(images[1, rows, at_conj], fs), np.abs)
     checks.append(CheckResult("extension/first_resolvent_identity", first_res, tol))
     checks.append(CheckResult("extension/adjoint_symmetry", adj_res, tol))
     return VerificationReport(checks=tuple(checks), model_summary=summary)
@@ -268,37 +277,16 @@ def _convolution_checks() -> VerificationReport:
     multiplier backend cross-checked against the dim-1 closed form."""
     checks = []
 
-    ps1 = PointSet(1, [-0.4, 0.7])
-    ev1 = LaplacianPointEvaluator(ps1)
-    z, w = 1.0, 4.0
-    prod = ev1.gbreve_g(w, z)
-    diff = gamma_matrix(ps1, z) - gamma_matrix(ps1, w)
-    checks.append(
-        CheckResult("kernel1d/difference", rel_residual(diff, (z - w) * prod), TOL_QUAD)
-    )
-    zc = 2.0 + 1.0j
-    checks.append(
-        CheckResult(
-            "kernel1d/conjugate_symmetry",
-            rel_residual(gamma_matrix(ps1, np.conj(zc)), gamma_matrix(ps1, zc).conj().T),
-            1e-12,
+    z, w, zc = 1.0, 4.0, 2.0 + 1.0j
+    for dim, points in ((1, [-0.4, 0.7]), (3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])):
+        ps = PointSet(dim, points)
+        prod = LaplacianPointEvaluator(ps).gbreve_g(w, z)
+        diff = gamma_matrix(ps, z) - gamma_matrix(ps, w)
+        conj = rel_residual(gamma_matrix(ps, np.conj(zc)), gamma_matrix(ps, zc).conj().T)
+        checks.append(
+            CheckResult(f"kernel{dim}d/difference", rel_residual(diff, (z - w) * prod), TOL_QUAD)
         )
-    )
-
-    ps3 = PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    ev3 = LaplacianPointEvaluator(ps3)
-    prod3 = ev3.gbreve_g(w, z)
-    diff3 = gamma_matrix(ps3, z) - gamma_matrix(ps3, w)
-    checks.append(
-        CheckResult("kernel3d/difference", rel_residual(diff3, (z - w) * prod3), TOL_QUAD)
-    )
-    checks.append(
-        CheckResult(
-            "kernel3d/conjugate_symmetry",
-            rel_residual(gamma_matrix(ps3, np.conj(zc)), gamma_matrix(ps3, zc).conj().T),
-            1e-12,
-        )
-    )
+        checks.append(CheckResult(f"kernel{dim}d/conjugate_symmetry", conj, 1e-12))
 
     sym = Multiplier1D(poly=(0.0, 0.0, -1.0))
     mult_res = 0.0

@@ -6,22 +6,22 @@ from hypothesis import strategies as st
 from kreinx import (
     ExtensionProblem,
     GammaEvaluator,
+    InvariantError,
     LaplacianPointEvaluator,
     MatrixEvaluator,
     NotHermitian,
+    OracleDegenerate,
     OutsideResolventSet,
     PointSet,
     SingularPencil,
     ThetaMatrix,
     UnsupportedAction,
-    admissible_real,
-    boundary_residual,
     gamma_theta,
     krein_apply,
     krein_resolvent,
     woodbury_extension,
 )
-from kreinx.matrixmodel import base_resolvent, random_model, random_theta
+from kreinx.matrixmodel import base_resolvent, random_model, random_problem_suite, random_theta
 
 from conftest import rel_err
 
@@ -34,10 +34,6 @@ class TestThetaMatrix:
     def test_accepts_hermitian(self):
         t = ThetaMatrix([[1.0, 1j], [-1j, 2.0]])
         assert t.n == 2
-
-    def test_shifted(self):
-        t = ThetaMatrix([[1.0]]).shifted(2.0)
-        assert t.entries[0, 0] == 3.0
 
 
 class TestGammaTheta:
@@ -63,58 +59,30 @@ class TestGammaTheta:
         with pytest.raises(OutsideResolventSet):
             gamma_theta(two_level_problem, 1.0)
 
+    def test_bound_state_charge_spans_the_pencil_kernel(self, two_level_problem):
+        # the coupling condition of a bound state (z0, q): the trace of the
+        # regular part, -gamma(z0) q, equals theta q
+        from kreinx import charge_vector, scan_spectrum
 
-class ConstantGammaEvaluator(GammaEvaluator):
-    """A fixed trace matrix at every real point."""
+        z0 = scan_spectrum(two_level_problem, (1.5, 4.0)).positions()[0]
+        q = charge_vector(two_level_problem, z0)
+        assert np.linalg.norm(gamma_theta(two_level_problem, z0) @ q) <= 1e-10
 
-    def __init__(self, g):
-        self.g = np.asarray(g, dtype=complex)
+    def test_stack_matches_each_point(self, two_level_problem):
+        zs = np.array([0.0, 2.0, 0.5 + 1.5j])
+        stack = gamma_theta(two_level_problem, zs)
+        assert stack.shape == (3, 1, 1)
+        for z, pencil in zip(zs, stack):
+            assert rel_err(pencil, gamma_theta(two_level_problem, complex(z))) <= 1e-15
 
-    @property
-    def n_charges(self):
-        return self.g.shape[0]
-
-    def in_resolvent_set(self, z):
-        return True
-
-    def interval_in_resolvent_set(self, a, b):
-        return a <= b
-
-    def gamma(self, z):
-        return self.g
-
-
-def _window(g, c):
-    """admissible_real for the trace matrix g and the coupling c * I."""
-    ev = ConstantGammaEvaluator(g)
-    return admissible_real(ExtensionProblem(ev, ThetaMatrix(c * np.eye(ev.n_charges))), 0.0)
-
-
-class TestAdmissibleRealEigenvalueBounds:
-    # with theta = c * I the plus window is min_eig(g) > -c and the minus
-    # window is max_eig(g) < -c, so the window edges sit at the extreme
-    # eigenvalues of g
-    def test_identity(self):
-        assert _window(np.eye(3), 0.0) == "plus"
-        assert _window(np.eye(3), -1.0) == "none"
-        assert _window(np.eye(3), -1.5) == "minus"
-
-    def test_diagonal(self):
-        g = np.diag([3.0, -2.0])
-        assert _window(g, 2.01) == "plus"
-        assert _window(g, 2.0) == "none"  # strict inequality at the edge
-        assert _window(g, -3.01) == "minus"
-
-    def test_offdiagonal(self):
-        # characteristic polynomial lambda^2 - 1
-        g = [[0.0, 1.0], [1.0, 0.0]]
-        assert _window(g, 1.5) == "plus"
-        assert _window(g, 0.0) == "none"
-        assert _window(g, -1.5) == "minus"
-
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(NotHermitian):
-            _window([[0.0, 1.0], [0.0, 0.0]], 0.0)
+    def test_array_on_a_one_point_backend_is_a_typed_error(self):
+        problem = ExtensionProblem(
+            LaplacianPointEvaluator(PointSet(1, [0.0, 1.0])),
+            ThetaMatrix([[0.5, 0.0], [0.0, 0.5]]),
+        )
+        for call in (gamma_theta, krein_resolvent):
+            with pytest.raises(UnsupportedAction, match="one point at a time"):
+                call(problem, np.array([1.0, 2.0]))
 
 
 class TestKreinApply:
@@ -179,6 +147,26 @@ class TestKreinResolvent:
             f = np.exp(-((xs - shift) ** 2)) + 0j
             assert np.array_equal(resolvent(f), krein_apply(problem, z, f))
 
+    def test_too_coarse_grid_raises_before_it_returns(self):
+        from kreinx import GridTooCoarse, LaplacianGrid1DEvaluator
+
+        # step 2.0 against 1/(4 sqrt(4)) = 0.125
+        problem = ExtensionProblem(
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.linspace(-8.0, 8.0, 9)),
+            ThetaMatrix([[0.5]]),
+        )
+        with pytest.raises(GridTooCoarse):
+            krein_resolvent(problem, 4.0)
+
+    def test_grid_trace_map_rejects_samples_off_the_grid(self):
+        from kreinx import LaplacianGrid1DEvaluator
+
+        xs = np.linspace(-6.0, 6.0, 301)
+        _, gbreve, _ = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).actions(1.5)
+        assert gbreve(np.exp(-(xs**2))).shape == (1,)
+        with pytest.raises(InvariantError, match="does not match the grid"):
+            gbreve(np.ones(300))
+
     @pytest.mark.parametrize("z, error", [
         (complex("inf"), OutsideResolventSet),
         (1.0, OutsideResolventSet),  # an eigenvalue of a
@@ -197,6 +185,66 @@ class TestKreinResolvent:
             krein_resolvent(problem, z)
         assert Recording.requested == 0
 
+    @pytest.mark.parametrize("zs, error, named", [
+        ([2.0j, 1.0, 3.0j], OutsideResolventSet, r"z=\(1\+0j\)"),  # an eigenvalue of a
+        ([2.0j, complex("inf")], OutsideResolventSet, r"z=\(inf\+0j\)"),
+        ([2.0j, 3.0j, 1.0 + np.sqrt(2.0)], SingularPencil, r"z=\(2\.414"),  # a pole
+    ])
+    def test_stack_names_its_bad_point_before_any_vector(self, two_level_model, zs, error, named):
+        class Recording(MatrixEvaluator):
+            requested = 0
+
+            def actions(self, z):
+                Recording.requested += 1
+                return super().actions(z)
+
+        problem = ExtensionProblem(Recording(two_level_model), ThetaMatrix([[1.0]]))
+        with pytest.raises(error, match=named):
+            krein_resolvent(problem, np.array(zs, dtype=complex))
+        assert Recording.requested == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10))
+    def test_stack_matches_each_point_and_the_oracle(self, seed, k):
+        model, theta, zs = next(random_problem_suite(seed, 1))
+        zs = zs[:k]
+        problem = ExtensionProblem(MatrixEvaluator(model), theta)
+        rng = np.random.default_rng(seed)
+        fs = rng.standard_normal((k, model.n)) + 1j * rng.standard_normal((k, model.n))
+        got = krein_resolvent(problem, zs)(fs)
+        assert got.shape == (k, model.n)
+        try:
+            b = woodbury_extension(model, theta)
+        except OracleDegenerate:
+            b = None
+        for z, f, row in zip(zs, fs, got):
+            assert rel_err(row, krein_resolvent(problem, complex(z))(f)) <= 1e-13
+            if b is not None:
+                assert rel_err(row, np.linalg.solve(z * np.eye(model.n) - b, f)) <= 1e-9
+
+    def test_one_vector_at_every_point_of_a_stack(self, two_level_problem):
+        zs = np.array([2.0j, 0.5 - 1.0j, 3.0])
+        f = np.array([1.0, 2.0 - 1.0j])
+        got = krein_resolvent(two_level_problem, zs)(f)
+        for z, row in zip(zs, got):
+            assert rel_err(row, krein_apply(two_level_problem, complex(z), f)) <= 1e-14
+
+    def test_one_point_is_the_eigenbasis_formula_bit_for_bit(self):
+        # the stacked code keeps the one-point bits: a vector goes through
+        # U diag(r) U^H as a matrix-vector product, and the pencil solve
+        # takes it as one right-hand side
+        rng = np.random.default_rng(11)
+        model = random_model(rng, 12, 3)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(rng, 3))
+        z = 0.3 + 0.8j
+        f = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        u, t = model.basis, model.traces
+        r = 1.0 / (z - model.eigs)
+        pencil = gamma_theta(problem, z)
+        charges = np.linalg.solve(pencil, t @ (r * (u.conj().T @ f)))
+        want = u @ (r * (u.conj().T @ f)) + u @ (r * (t.conj().T @ charges))
+        assert np.array_equal(krein_apply(problem, z, f), want)
+
     def test_backend_without_actions_raises_before_it_returns(self):
         problem = ExtensionProblem(
             LaplacianPointEvaluator(PointSet(1, [0.0, 1.0])),
@@ -204,96 +252,6 @@ class TestKreinResolvent:
         )
         with pytest.raises(UnsupportedAction):
             krein_resolvent(problem, 1.5 + 0.4j)
-
-
-class TestAdmissibleReal:
-    def test_at_zero(self, two_level_problem):
-        # gamma(0) = 0: 0 > -1 holds, 0 > 1 fails
-        assert admissible_real(two_level_problem, 0.0) == "plus"
-
-    def test_at_two(self, two_level_problem):
-        # gamma(2) = -4/3: -4/3 > -1 fails; 4/3 > 1 holds
-        assert admissible_real(two_level_problem, 2.0) == "minus"
-
-    def test_huge_coupling_never_excluded(self, two_level_model):
-        # when the trace matrix stays below the coupling scale, every sampled
-        # point is in the plus window (the minus window needs the trace
-        # matrix to sit below -1e6, which a norm bound < 1e6 rules out)
-        problem = ExtensionProblem(
-            MatrixEvaluator(two_level_model), ThetaMatrix([[1e6]])
-        )
-        for lam in (-0.5, 0.0, 0.5, 2.0, 5.0, 50.0):
-            g = two_level_model.tau @ (
-                base_resolvent(two_level_model, 0.0) - base_resolvent(two_level_model, lam)
-            ) @ two_level_model.tau.conj().T
-            assert np.max(np.abs(g)) < 1e6
-            assert admissible_real(problem, lam) == "plus"
-
-    def test_both_windows_reachable(self, two_level_model):
-        # at the anchor the trace matrix vanishes, so an indefinite coupling
-        # with positive and negative parts cannot occur for N = 1; a scalar
-        # coupling of either sign lands in exactly one window
-        plus = ExtensionProblem(MatrixEvaluator(two_level_model), ThetaMatrix([[2.0]]))
-        minus = ExtensionProblem(MatrixEvaluator(two_level_model), ThetaMatrix([[-2.0]]))
-        assert admissible_real(plus, 0.0) == "plus"
-        assert admissible_real(minus, 0.0) == "minus"
-
-    def test_outside_resolvent_set(self, two_level_problem):
-        with pytest.raises(OutsideResolventSet):
-            admissible_real(two_level_problem, -1.0)
-        with pytest.raises(OutsideResolventSet):
-            admissible_real(two_level_problem, float("inf"))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        lam_frac=st.floats(0.05, 0.95),
-        shift=st.floats(0.01, 100.0),
-    )
-    def test_plus_window_monotone_in_coupling(self, seed, lam_frac, shift):
-        # enlarging the coupling by c*I, c > 0, never shrinks the plus window
-        rng = np.random.default_rng(seed)
-        model = random_model(rng, 6, 2)
-        theta = random_theta(rng, 2)
-        # a real point strictly inside a spectral gap
-        eigs = np.sort(model.eigs)
-        gaps = [(eigs[i], eigs[i + 1]) for i in range(len(eigs) - 1)]
-        lo, hi = max(gaps, key=lambda g: g[1] - g[0])
-        lam = lo + lam_frac * (hi - lo)
-        if min(lam - lo, hi - lam) < 1e-6:
-            return
-        ev = MatrixEvaluator(model)
-        before = admissible_real(ExtensionProblem(ev, theta), lam)
-        after = admissible_real(ExtensionProblem(ev, theta.shifted(shift)), lam)
-        if before in ("plus", "both"):
-            assert after in ("plus", "both")
-
-
-class TestBoundaryResidual:
-    def test_zero_inputs(self, two_level_problem):
-        out = boundary_residual(two_level_problem, np.zeros(1), np.zeros(1))
-        assert np.all(out == 0)
-
-    def test_bound_state_of_worked_example(self, two_level_model, two_level_problem):
-        # at a pole z0 the trace of the regular part is -gamma(z0) q, so the
-        # residual collapses to -(theta + gamma(z0)) q
-        from kreinx import charge_vector, scan_spectrum
-        from kreinx.matrixmodel import gamma as model_gamma
-
-        z0 = scan_spectrum(two_level_problem, (1.5, 4.0)).positions()[0]
-        q = charge_vector(two_level_problem, z0)
-        trace_reg = -model_gamma(two_level_model, z0) @ q
-        res = boundary_residual(two_level_problem, trace_reg, q)
-        assert np.linalg.norm(res) <= 1e-10
-
-    def test_laplacian_3d_exact_cancellation(self):
-        ps = PointSet(3, [[0.0, 0.0, 0.0]])
-        alpha = -1.0 / (4.0 * np.pi)
-        problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix([[alpha]]))
-        q = np.array([1.0 + 0j])
-        gamma_z0 = problem.evaluator.gamma(1.0)
-        res = boundary_residual(problem, -gamma_z0 @ q, q)
-        assert np.linalg.norm(res) < 1e-15
 
 
 class TestGridBackendApply:

@@ -370,3 +370,43 @@ class TestRealModel:
         for z in (0.7 + 0.9j, -3.1 - 0.2j):
             want = np.linalg.solve(z * np.eye(12) - b, f)
             assert rel_err(krein_apply(problem, z, f), want) <= 1e-9
+
+
+class TestPointStacks:
+    """A 1-d array of k points gives the k per-point results as a stack."""
+
+    @pytest.mark.parametrize("seed", [2, 7, 19])
+    def test_stack_matches_each_point(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 8, 3)
+        ev = MatrixEvaluator(model)
+        zs = np.array([0.3 + 1.2j, -2.0 - 0.5j, 7.5 + 0.01j, 0.3 - 1.2j])
+        fs = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+        ells = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        maps = g_maps(model, zs)
+        stacked = (gamma(model, zs), maps.g, maps.k, base_resolvent(model, zs))
+        assert [m.shape for m in stacked] == [(4, 3, 3), (4, 8, 3), (4, 8, 3), (4, 8, 8)]
+        r, gbreve, g = ev.actions(zs)
+        for i, z in enumerate(zs):
+            one = g_maps(model, z)
+            each = (gamma(model, z), one.g, one.k, base_resolvent(model, z))
+            for got, want in zip(stacked, each):
+                assert rel_err(got[i], want) <= 1e-13
+            r1, gbreve1, g1 = ev.actions(z)
+            assert rel_err(r(fs)[i], r1(fs[i])) <= 1e-13
+            assert rel_err(gbreve(fs)[i], gbreve1(fs[i])) <= 1e-13
+            assert rel_err(g(ells)[i], g1(ells[i])) <= 1e-13
+
+    def test_spectrum_hit_names_the_point(self, two_level_model):
+        zs = np.array([2.0j, -1.0, 3.0])
+        for call in (base_resolvent, g_maps, gamma):
+            with pytest.raises(SpectrumHit, match=r"z=\(-1\+0j\)"):
+                call(two_level_model, zs)
+        with pytest.raises(SpectrumHit, match=r"z=\(-1\+0j\)"):
+            MatrixEvaluator(two_level_model).actions(zs)
+
+    def test_resolvent_set_flags_each_point(self, two_level_model):
+        ev = MatrixEvaluator(two_level_model)
+        flags = ev.in_resolvent_set(np.array([2.0j, 1.0, 0.5, -1.0]))
+        assert flags.tolist() == [True, False, True, False]
+        assert two_level_model.spectrum_distance(np.array([0.0, 3.0])).tolist() == [1.0, 2.0]

@@ -104,6 +104,27 @@ class TestRangeMax:
     def test_differential_difference(self, differential_difference):
         assert differential_difference.range_max == pytest.approx(0.0, abs=1e-9)
 
+    def test_double_well(self):
+        # -(xi^2 - 1)^2 = -1 + 2 xi^2 - xi^4 peaks at xi = +-1 with value 0
+        sym = Multiplier1D(poly=(-1.0, 0.0, 2.0, 0.0, -1.0))
+        assert sym.range_max == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6),
+        lead=st.floats(0.1, 5.0),
+    )
+    def test_closed_form_matches_the_numeric_sup(self, coeffs, lead):
+        poly = tuple(coeffs[: 2 * (len(coeffs) // 2)]) + (-lead,)
+        sym = Multiplier1D(poly=poly)
+        # a zero cosine term leaves the symbol as it is but takes the
+        # numeric route (grid plus bounded local maximization)
+        numeric = Multiplier1D(poly=poly, cos_terms=((1.0, 0.0),)).range_max
+        radius = max(1.0, 2.0 * (sum(abs(c) for c in poly[:-1]) + 1.0) / lead)
+        grid_max = float(np.max(sym(np.linspace(-radius, radius, 20001))))
+        assert sym.range_max >= grid_max
+        assert abs(sym.range_max - numeric) <= 1e-12 * max(abs(numeric), 1.0)
+
 
 class TestMultiplierGz:
     def test_matches_laplacian_at_origin(self, second_order):

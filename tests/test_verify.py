@@ -9,6 +9,7 @@ from kreinx import (
     check_base_identities,
     check_extension,
     check_gamma_identities,
+    krein_resolvent,
     run_verification,
 )
 from kreinx.matrixmodel import random_model, random_theta
@@ -33,11 +34,26 @@ class TestReportPlumbing:
         a = np.array([[1e8, 0.0], [0.0, 1e8]])
         assert rel_residual(a, a * (1.0 + 1e-12)) == pytest.approx(1e-12, rel=1e-3)
 
+    def test_stack_residual_is_the_worst_pair(self):
+        from kreinx.verify import _entry_max, _worst_residual
+
+        a = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]])
+        b = a.copy()
+        b[1, 0, 0] = 2.5
+        assert _worst_residual(a, b, _entry_max) == rel_residual(a[1], b[1]) == 0.2
+        assert _worst_residual(a[:0], b[:0], _entry_max) == 0.0
+
 
 class TestBaseIdentities:
     def test_worked_example_pair(self, two_level_model):
         report = check_base_identities(two_level_model, [2.0, 3.0j], tol=1e-14)
         assert report.passed
+
+    def test_repeated_points_change_nothing(self, two_level_model):
+        # equal pairs are skipped, so a repeated point only repeats pairs
+        once = check_base_identities(two_level_model, [2.0, 3.0j, 0.5 - 1.0j])
+        twice = check_base_identities(two_level_model, [2.0, 3.0j, 2.0, 0.5 - 1.0j, 3.0j])
+        assert once.rows() == twice.rows()
 
     def test_random_models(self):
         rng = np.random.default_rng(5)
@@ -99,6 +115,36 @@ class TestExtensionChecks:
         names = {c.name for c in report.checks}
         assert "extension/oracle_agreement" not in names
         assert "extension/first_resolvent_identity" in names
+        assert report.passed
+
+    def test_one_stack_of_distinct_points(self, two_level_model, monkeypatch):
+        # a real z is its own conjugate, and a repeated z is one point
+        import kreinx.verify as verify
+
+        stacks = []
+
+        def recording(problem, z):
+            stacks.append(z)
+            return krein_resolvent(problem, z)
+
+        monkeypatch.setattr(verify, "krein_resolvent", recording)
+        report = check_extension(
+            two_level_model, ThetaMatrix([[1.0]]), [2.0, 0.5 + 1.0j, 2.0, 0.5 + 1.0j], tol=1e-12
+        )
+        assert report.passed, report.to_text()
+        assert len(stacks) == 1
+        assert stacks[0].tolist() == [2.0, 0.5 + 1.0j, 0.5 - 1.0j]
+
+    def test_equal_points_make_no_pair(self, two_level_model):
+        from kreinx.verify import _pairs
+
+        zs = np.array([2.0j, 1.0 + 1.0j, 2.0j])
+        assert [p.tolist() for p in _pairs(zs, ordered=False)] == [[1, 2], [0, 1]]
+        assert [p.tolist() for p in _pairs(zs, ordered=True)] == [[0, 1, 1, 2], [1, 0, 2, 1]]
+        # no pair at all: the chained resolvent gets an empty stack
+        report = check_extension(two_level_model, ThetaMatrix([[1.0]]), [2.0j, 2.0j])
+        first = {c.name: c.residual for c in report.checks}["extension/first_resolvent_identity"]
+        assert first == 0.0
         assert report.passed
 
     def test_many_seeded_models(self):
