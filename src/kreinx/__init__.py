@@ -17,7 +17,6 @@ from .greens import (
     eigenfunction_l2_norm,
     g0,
     gamma_matrix,
-    gbreve_apply_1d,
     gz,
     renormalized_diagonal,
 )

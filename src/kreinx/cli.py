@@ -7,7 +7,9 @@ process, runs the handler, writes the one CSV (stdout by default, or
 codes: 0 success, 2 config or validation failure (an unreadable config
 included), 3 numeric failure (no root bracketed, degenerate oracle,
 tolerance breach, non-finite output).  ``verify`` and ``oracle`` take a
-non-negative --seed, 0 by default.
+non-negative --seed, 0 by default; ``spectrum`` and ``resolvent`` draw
+nothing at random and sample no grid, so argparse rejects a --seed or
+--grid there (exit 2).
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ def cmd_verify(args):
 
 
 def cmd_spectrum(args):
-    if args.grid is not None and args.grid < 3:  # checked, then dropped
-        raise InvariantError([f"--grid must be at least 3, got {args.grid}"])
     cfg = _load_config(args)
     if args.a is not None or args.b is not None:
         if cfg.scan is None and (args.a is None or args.b is None):
@@ -220,18 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None,
-                   help="accepted for compatibility: checked (>= 3), then ignored")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for compatibility, ignored")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("resolvent", help="apply the perturbed resolvent to a vector")
     p.add_argument("--config", required=True)
     p.add_argument("--z", default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for compatibility, ignored")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_resolvent)
 

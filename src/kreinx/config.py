@@ -1,4 +1,4 @@
-"""JSON-shaped problem configuration: parsing, validation, round-trip.
+"""JSON-shaped problem configuration: parsing and validation.
 
 Complex scalars are written as ``[re, im]`` pairs (plain numbers are
 accepted on input for real values); a row of plain floats is kept as
@@ -7,9 +7,9 @@ phases, and each raises one error carrying every violation it found:
 
 * ``parse_config`` is the schema phase.  It checks the JSON shape
   (unknown or missing keys, wrong types, ragged rows) and raises only
-  SchemaError.  The keys ``seed`` and ``scan.grid`` of older configs
-  are checked (an integer; a grid of at least 3) and then dropped: no
-  command reads a config seed, and the scan samples no grid.
+  SchemaError.  The key ``scan.grid`` of older configs is checked (an
+  integer of at least 3) and then dropped: the scan samples no grid,
+  but committed configs and workloads still send one.
 * ``build_problem`` is the semantic phase.  It builds the coupling
   matrix, the backend object and the ExtensionProblem once each and
   returns the ExtensionProblem.  It raises one InvariantError that
@@ -45,7 +45,7 @@ BACKENDS = ("matrix", "laplacian1d", "laplacian2d", "laplacian3d", "multiplier1d
 _DIMS = {"laplacian1d": 1, "laplacian2d": 2, "laplacian3d": 3, "multiplier1d": 1}
 _TOP_KEYS = {
     "backend", "matrix", "points", "symbol", "theta", "scan",
-    "tolerances", "seed", "z", "f", "grid1d",
+    "tolerances", "z", "f", "grid1d",
 }
 
 
@@ -273,9 +273,6 @@ def parse_config(text: str) -> ProblemConfig:
             if "tol_root" in block:
                 tol_root = _float_entry(block["tol_root"], "tolerances.tol_root", errs)
 
-    if "seed" in raw:  # checked, then dropped
-        _int_entry(raw["seed"], "seed", errs)
-
     z = None
     if "z" in raw:
         z = _complex_entry(raw["z"], "z", errs)
@@ -318,41 +315,6 @@ def parse_config(text: str) -> ProblemConfig:
         f=f,
         grid1d=grid1d,
     )
-
-
-def serialize_config(cfg: ProblemConfig) -> str:
-    """Canonical JSON text; parse_config(serialize_config(c)) == c."""
-
-    def pair(c: complex):
-        return [c.real, c.imag]
-
-    out: dict = {
-        "backend": cfg.backend,
-        "theta": [[pair(c) for c in row] for row in cfg.theta],
-    }
-    if cfg.matrix_a is not None:
-        out["matrix"] = {
-            "a": [[pair(c) for c in row] for row in cfg.matrix_a],
-            "tau": [[pair(c) for c in row] for row in cfg.matrix_tau],
-        }
-    if cfg.points is not None:
-        out["points"] = [list(p) for p in cfg.points]
-    if cfg.symbol_poly is not None:
-        out["symbol"] = {
-            "poly": list(cfg.symbol_poly),
-            "cos": [list(t) for t in cfg.symbol_cos],
-            "anchor": cfg.symbol_anchor,
-        }
-    if cfg.scan is not None:
-        out["scan"] = {"a": cfg.scan.a, "b": cfg.scan.b}
-    out["tolerances"] = {"tol_linear": cfg.tol_linear, "tol_root": cfg.tol_root}
-    if cfg.z is not None:
-        out["z"] = pair(cfg.z)
-    if cfg.f is not None:
-        out["f"] = [pair(c) for c in cfg.f]
-    if cfg.grid1d is not None:
-        out["grid1d"] = {"lo": cfg.grid1d.lo, "hi": cfg.grid1d.hi, "n": cfg.grid1d.n}
-    return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
 def build_problem(cfg: ProblemConfig) -> ExtensionProblem:

@@ -258,23 +258,6 @@ def _resolved_kappa(h: float, z: complex) -> complex:
     return kappa
 
 
-def gbreve_apply_1d(ps: PointSet, z: complex, xs, fs) -> np.ndarray:
-    """Traces of the resolvent image of grid samples, dim 1.
-
-    Trapezoid quadrature of ``integral gz(|y_j - x|) f(x) dx`` on the
-    uniform grid ``xs`` (which must cover the support of ``f``); accuracy
-    is O(h^2).  Raises GridTooCoarse when the step exceeds a quarter of
-    the kernel decay length 1 / Re sqrt(z).
-    """
-    if ps.dim != 1:
-        raise InvariantError("gbreve_apply_1d requires a dim-1 point set")
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=complex)
-    if xs.ndim != 1 or xs.shape != fs.shape or xs.size < 2:
-        raise InvariantError("xs and fs must be equal-length 1-d arrays")
-    return LaplacianGrid1DEvaluator(ps, xs).actions(z)[1](fs)
-
-
 def point_source_sum(ps: PointSet, z: complex, coeffs, xs) -> np.ndarray:
     """Superposition ``sum_j coeffs_j gz(|x - y_j|)`` at the points ``xs``.
 
@@ -452,6 +435,8 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
     """
 
     def __init__(self, ps: PointSet, xs):
+        if ps.dim != 1:
+            raise InvariantError("the grid backend requires a dim-1 point set")
         super().__init__(ps)
         xs = np.asarray(xs, dtype=float)
         _uniform_step(xs)
@@ -486,9 +471,12 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
         return np.array(out) / (2.0 * kappa)
 
     def actions(self, z: complex):
-        """``r_apply``, the trace quadrature of ``gbreve_apply_1d`` and
-        ``point_source_sum`` at z, on the grid samples; the GridTooCoarse
-        check and the N x n trace kernel are done here, once."""
+        """``r_apply``, the trapezoid quadrature of the traces
+        ``integral gz(|y_j - x|) f(x) dx`` (O(h^2)) and the source
+        superposition on the grid at z.  The GridTooCoarse check and the
+        N x n kernel ``gz(|y_j - x_i|)`` are done here, once: the trace
+        map weighs the samples with it, and the source map is its
+        transpose (the values of ``point_source_sum``, bit for bit)."""
         h = float(self.xs[1] - self.xs[0])
         r = np.abs(self.ps.points[:, 0][:, None] - self.xs[None, :])
         kernel = _gz_array(1, r, _resolved_kappa(h, z))
@@ -500,8 +488,5 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
                 raise InvariantError("sample vector does not match the grid")
             return kernel @ (weights * f)
 
-        return (
-            lambda f: self.r_apply(z, f),
-            gbreve,
-            lambda ell: point_source_sum(self.ps, z, ell, self.xs),
-        )
+        sources = np.ascontiguousarray(kernel.T)
+        return lambda f: self.r_apply(z, f), gbreve, lambda ell: sources @ ell

@@ -209,7 +209,9 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
     ``(r, gbreve, g) = evaluator.actions(z)``.
 
     At k points (see ``gamma_theta``) row i of a (k, n) block is mapped
-    at point i, and one vector at every point, with one solve.
+    at point i, and one vector at every point, with one solve: the block
+    axes become the columns of one right-hand side per pencil, so each
+    pencil is factored once per apply.
 
     Raises OutsideResolventSet, then SingularPencil when the smallest
     singular value of a pencil is at most ``tol_linear`` times its
@@ -230,8 +232,11 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
     r, gbreve, g = problem.evaluator.actions(z)
 
     def apply(f):
-        charges = np.linalg.solve(pencil, np.asarray(gbreve(f), dtype=complex)[..., None])
-        return r(f) + g(charges[..., 0])
+        traces = np.asarray(gbreve(f), dtype=complex)
+        columns = np.moveaxis(traces.reshape(-1, *pencil.shape[:-1]), 0, -1)
+        charges = np.moveaxis(np.linalg.solve(pencil, columns), -1, 0)
+        # contiguous, so the source map multiplies on the BLAS path
+        return r(f) + g(np.ascontiguousarray(charges).reshape(traces.shape))
 
     return apply
 

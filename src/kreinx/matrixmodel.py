@@ -259,7 +259,7 @@ class MatrixEvaluator(GammaEvaluator):
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         t = self.model.traces
         weights = _resolvent_weights(self.model, w) * _resolvent_weights(self.model, z)
-        return (t * weights) @ t.conj().T
+        return (t * weights[..., None, :]) @ t.conj().T
 
 
 # ----------------------------------------------------------------------

@@ -73,10 +73,6 @@ class Multiplier1D:
         object.__setattr__(self, "cos_terms", terms)
 
     @property
-    def degree(self) -> int:
-        return len(self.poly) - 1
-
-    @property
     def is_even(self) -> bool:
         return all(c == 0.0 for c in self.poly[1::2])
 

@@ -190,16 +190,33 @@ class TestSpectrumCommand:
         cfg.write_text(json.dumps(dict(CFG_3D, theta=[[10**400]])))
         assert main(["spectrum", "--config", str(cfg), "-o", str(tmp_path / "s.csv")]) == 2
 
-    def test_grid_accepted_and_ignored(self, tmp_path):
+    def test_scan_grid_accepted_and_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(CFG_3D))
-        outs = [tmp_path / f"s{i}.csv" for i in range(3)]
+        outs = [tmp_path / f"s{i}.csv" for i in range(2)]
         assert main(["spectrum", "--config", str(cfg), "-o", str(outs[0])]) == 0
-        assert main(["spectrum", "--config", str(cfg), "--grid", "3", "-o", str(outs[1])]) == 0
         cfg.write_text(json.dumps(dict(CFG_3D, scan={"a": 0.5, "b": 2.0, "grid": 4096})))
-        assert main(["spectrum", "--config", str(cfg), "-o", str(outs[2])]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
-        assert main(["spectrum", "--config", str(cfg), "--grid", "2", "-o", str(outs[0])]) == 2
+        assert main(["spectrum", "--config", str(cfg), "-o", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_config_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CFG_3D, seed=7)))
+        assert main(["spectrum", "--config", str(cfg), "-o", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'seed'\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("spectrum", "--grid"), ("spectrum", "--seed"), ("resolvent", "--seed"),
+    ])
+    def test_dropped_flags_exit_2(self, tmp_path, capsys, command, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CFG_3D))
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), flag, "64", "-o", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

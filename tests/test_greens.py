@@ -17,7 +17,6 @@ from kreinx import (
     PointSet,
     g0,
     gamma_matrix,
-    gbreve_apply_1d,
     gz,
     renormalized_diagonal,
 )
@@ -261,11 +260,16 @@ class TestGammaMatrixAgainstScalarKernel:
         assert got[0, 1] == pytest.approx(g0(2, 2e9), rel=1e-15)
 
 
-class TestGbreveApply1D:
+def _trace(ps, z, xs, fs):
+    """The grid backend's trace map at z applied to the samples fs."""
+    return LaplacianGrid1DEvaluator(ps, xs).actions(z)[1](fs)
+
+
+class TestGridTraceMap:
     def test_zero_input(self):
         ps = PointSet(1, [0.0])
         xs = np.linspace(-5.0, 5.0, 2001)
-        out = gbreve_apply_1d(ps, 1.0, xs, np.zeros_like(xs))
+        out = _trace(ps, 1.0, xs, np.zeros_like(xs))
         assert np.all(out == 0)
 
     def test_delta_sequence_limit(self):
@@ -277,7 +281,7 @@ class TestGbreveApply1D:
 
         def trace_of_hat(width):
             hat = np.where(np.abs(xs) <= width, (1.0 - np.abs(xs) / width) / width, 0.0)
-            return gbreve_apply_1d(ps, z, xs, hat)[0]
+            return _trace(ps, z, xs, hat)[0]
 
         v1, v2, v3 = trace_of_hat(0.08), trace_of_hat(0.04), trace_of_hat(0.02)
         extrap = (4.0 * (2.0 * v3 - v2) - (2.0 * v2 - v1)) / 3.0
@@ -288,35 +292,52 @@ class TestGbreveApply1D:
         z = 1.5
         xs = np.arange(-20.0, 20.0 + 1e-2, 1e-2)
         f = np.exp(-((xs - 0.3) ** 2))
-        out = gbreve_apply_1d(PointSet(1, [0.4, -1.0]), z, xs, f)
+        out = _trace(PointSet(1, [0.4, -1.0]), z, xs, f)
         shift = 3.0
-        out_shifted = gbreve_apply_1d(
-            PointSet(1, [0.4 + shift, -1.0 + shift]), z, xs + shift, f
-        )
+        out_shifted = _trace(PointSet(1, [0.4 + shift, -1.0 + shift]), z, xs + shift, f)
         assert np.max(np.abs(out - out_shifted)) <= 1e-12
 
     def test_grid_too_coarse(self):
-        ps = PointSet(1, [0.0])
         xs = np.linspace(-10.0, 10.0, 21)  # step 1.0 > 1/(4 sqrt(z))
         with pytest.raises(GridTooCoarse):
-            gbreve_apply_1d(ps, 1.0, xs, np.zeros_like(xs))
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).actions(1.0)
 
-    def test_rejects_point_set_outside_dim_1(self):
-        xs = np.linspace(-1.0, 1.0, 11)
+    def test_rejects_point_set_outside_dim_1_when_built(self):
+        # before, this was accepted and the first resolvent apply died
+        # with a raw numpy reshape error
+        ps = PointSet(2, [[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(InvariantError, match="dim-1 point set"):
-            gbreve_apply_1d(PointSet(2, [[0.0, 0.0]]), 1.0, xs, np.zeros_like(xs))
+            LaplacianGrid1DEvaluator(ps, np.linspace(-5.0, 5.0, 201))
 
-    @pytest.mark.parametrize(
-        "xs, fs",
-        [
-            (np.linspace(-1.0, 1.0, 11), np.zeros(10)),
-            (np.linspace(-1.0, 1.0, 11).reshape(11, 1), np.zeros((11, 1))),
-            (np.array([0.0]), np.array([1.0])),
-        ],
+    def test_rejects_a_grid_that_is_not_1d(self):
+        xs = np.linspace(-1.0, 1.0, 11).reshape(11, 1)
+        with pytest.raises(InvariantError, match="1-d array"):
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
+
+    @pytest.mark.parametrize("shape", [(10,), (12,), (11, 1)])
+    def test_rejects_mismatched_samples(self, shape):
+        xs = np.linspace(-1.0, 1.0, 11)
+        with pytest.raises(InvariantError, match="does not match the grid"):
+            _trace(PointSet(1, [0.0]), 1.0, xs, np.zeros(shape))
+
+
+class TestGridSourceMap:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 400),
+        n_points=st.integers(1, 4),
+        z=st.sampled_from([1.0, 2.5, 0.8 + 0.6j, -0.5 + 1.0j]),
     )
-    def test_rejects_mismatched_samples(self, xs, fs):
-        with pytest.raises(InvariantError, match="equal-length 1-d arrays"):
-            gbreve_apply_1d(PointSet(1, [0.0]), 1.0, xs, fs)
+    def test_is_point_source_sum_bit_for_bit(self, seed, n, n_points, z):
+        # the source map reuses the trace kernel the actions built
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-4.0, 0.0)
+        xs = np.linspace(lo, lo + 0.05 * (n - 1), n)
+        ps = PointSet(1, np.sort(rng.uniform(lo, lo + 0.05 * (n - 1), n_points)))
+        ell = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+        got = LaplacianGrid1DEvaluator(ps, xs).actions(z)[2](ell)
+        assert np.array_equal(got, point_source_sum(ps, z, ell, xs))
 
 
 def _dense_r_apply(xs, z, f):
