@@ -21,6 +21,7 @@ from .greens import (
     renormalized_diagonal,
 )
 from .krein import (
+    EvaluationPoint,
     ExtensionProblem,
     GammaEvaluator,
     ThetaMatrix,

@@ -48,7 +48,7 @@ from .errors import (
     NonpositiveRadius,
     UnsupportedAction,
 )
-from .krein import GammaEvaluator
+from .krein import EvaluationPoint, GammaEvaluator, _admit
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -396,12 +396,11 @@ def eigenfunction_l2_norm(ps: PointSet, q, z0) -> float:
 class LaplacianPointEvaluator(GammaEvaluator):
     """Pencil backend for point interactions of the Laplacian.
 
-    Supplies the renormalized trace matrix in dims 1, 2, 3 and the
-    product matrix in dims 1 and 3 by one two-center quadrature per
-    distinct distance (none in dim 2).  It has no ``actions``: the
-    resolvent and trace maps need a grid to act on (see
-    LaplacianGrid1DEvaluator), and source superpositions are evaluated
-    directly with ``point_source_sum`` or ``eigenfunction_eval``.
+    Its point holds the renormalized trace matrix in dims 1, 2, 3 and no
+    maps: they need a grid (see LaplacianGrid1DEvaluator), and source
+    superpositions are evaluated directly with ``point_source_sum`` or
+    ``eigenfunction_eval``.  The product matrix comes in dims 1 and 3 by
+    one two-center quadrature per distinct distance (none in dim 2).
     """
 
     def __init__(self, ps: PointSet):
@@ -411,14 +410,12 @@ class LaplacianPointEvaluator(GammaEvaluator):
     def n_charges(self) -> int:
         return self.ps.n_points
 
-    def in_resolvent_set(self, z: complex) -> bool:
-        return off_branch_cut(z)
-
     def interval_in_resolvent_set(self, a: float, b: float) -> bool:
         return a <= b and a > 0.0
 
-    def gamma(self, z: complex) -> np.ndarray:
-        return gamma_matrix(self.ps, z)
+    def at(self, z: complex) -> EvaluationPoint:
+        _admit(z, off_branch_cut(z))
+        return EvaluationPoint(gamma_matrix(self.ps, z))
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         return _product_matrix(self.ps, w, z)
@@ -470,23 +467,27 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
             out[i] += acc - v
         return np.array(out) / (2.0 * kappa)
 
-    def actions(self, z: complex):
-        """``r_apply``, the trapezoid quadrature of the traces
+    def at(self, z: complex) -> EvaluationPoint:
+        """The maps are ``r_apply``, the trapezoid quadrature of the traces
         ``integral gz(|y_j - x|) f(x) dx`` (O(h^2)) and the source
-        superposition on the grid at z.  The GridTooCoarse check and the
-        N x n kernel ``gz(|y_j - x_i|)`` are done here, once: the trace
-        map weighs the samples with it, and the source map is its
+        superposition on the grid.  ``actions()`` does the GridTooCoarse
+        check and builds the N x n kernel ``gz(|y_j - x_i|)`` once: the
+        trace map weighs the samples with it, and the source map is its
         transpose (the values of ``point_source_sum``, bit for bit)."""
-        h = float(self.xs[1] - self.xs[0])
-        r = np.abs(self.ps.points[:, 0][:, None] - self.xs[None, :])
-        kernel = _gz_array(1, r, _resolved_kappa(h, z))
-        weights = _trapezoid_weights(self.xs.size, h)
 
-        def gbreve(f):
-            f = np.asarray(f, dtype=complex)
-            if f.shape != self.xs.shape:
-                raise InvariantError("sample vector does not match the grid")
-            return kernel @ (weights * f)
+        def actions():
+            h = float(self.xs[1] - self.xs[0])
+            r = np.abs(self.ps.points[:, 0][:, None] - self.xs[None, :])
+            kernel = _gz_array(1, r, _resolved_kappa(h, z))
+            weights = _trapezoid_weights(self.xs.size, h)
 
-        sources = np.ascontiguousarray(kernel.T)
-        return lambda f: self.r_apply(z, f), gbreve, lambda ell: sources @ ell
+            def gbreve(f):
+                f = np.asarray(f, dtype=complex)
+                if f.shape != self.xs.shape:
+                    raise InvariantError("sample vector does not match the grid")
+                return kernel @ (weights * f)
+
+            sources = np.ascontiguousarray(kernel.T)
+            return lambda f: self.r_apply(z, f), gbreve, lambda ell: sources @ ell
+
+        return EvaluationPoint(super().at(z).gamma, actions)

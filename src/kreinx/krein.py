@@ -1,10 +1,9 @@
 """Backend-independent machinery for rank-N self-adjoint perturbations.
 
 A perturbation is described by two ingredients: a backend evaluator,
-which knows the base operator's resolvent set and produces the
-renormalized trace matrix ``gamma(z)`` (plus optional function-space
-actions), and a hermitian N x N coupling matrix.  The perturbed
-resolvent acts as
+whose ``at(z)`` checks z once and holds the renormalized trace matrix
+``gamma(z)`` (plus, on some backends, the function-space maps), and a
+hermitian N x N coupling matrix.  The perturbed resolvent acts as
 
     base resolvent + (image map) (theta + gamma(z))^{-1} (trace map),
 
@@ -12,9 +11,9 @@ so every spectral question reduces to the N x N pencil
 ``theta + gamma(z)``: it is inverted off the spectrum, and its kernel at
 a singular point carries the charge vector of the corresponding
 eigenfunction.  None of this depends on the vector: ``krein_resolvent``
-builds it once per z, with the backend maps of ``GammaEvaluator.actions``.
-On a backend with ``stacks_points`` z may also be a 1-d array of k
-points, for one pencil check and one solve per stack, by broadcasting.
+builds it once per z, from one point.  On a backend with
+``stacks_points`` z may also be a 1-d array of k points, for one pencil
+check and one solve per stack, by broadcasting.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs; concurrent use is safe.
@@ -25,6 +24,7 @@ from __future__ import annotations
 import cmath
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -94,20 +94,42 @@ class ThetaMatrix:
         return f"ThetaMatrix(n={self.n})"
 
 
+def _no_actions():
+    raise UnsupportedAction("the backend has no function-space actions")
+
+
+@dataclass(frozen=True)
+class EvaluationPoint:
+    """A backend at one checked z, or a checked stack of k points: ``gamma``
+    is the renormalized trace matrix, N x N (k x N x N for a stack), and
+    ``actions()`` gives the maps ``(r, gbreve, g)``, each a function of one
+    vector: the base resolvent ``f -> R(z) f``, the trace of its image
+    ``f -> Gbreve(z) f`` (N values) and the source superposition
+    ``ell -> G(z) ell``; UnsupportedAction on a backend without them."""
+
+    gamma: np.ndarray
+    actions: Callable[[], tuple] = _no_actions
+
+
+def _admit(z, admissible) -> None:
+    """OutsideResolventSet at the first point of z that is not finite (it
+    must not reach LAPACK) or not ``admissible`` (one flag per point)."""
+    if isinstance(z, np.ndarray):
+        admissible = np.isfinite(z) & admissible
+        if not admissible.all():
+            raise OutsideResolventSet(f"z={_point(z, np.argmin(admissible))!r} is outside the resolvent set")
+    elif not (cmath.isfinite(z) and admissible):
+        raise OutsideResolventSet(f"z={z!r} is outside the resolvent set")
+
+
 class GammaEvaluator(ABC):
     """Backend contract consumed by the pencil machinery.
 
-    Required: the resolvent-set predicates (at a point, and on a real
-    interval) and the renormalized trace matrix ``gamma(z)``.
-    Optional: ``actions(z)``, the one entry point to the function-space
-    maps (base resolvent, trace of the resolvent image, source
-    superposition), and the trace/image product matrix ``gbreve_g``;
-    backends that cannot integrate arbitrary inputs raise
-    UnsupportedAction.
-
-    With ``stacks_points``, ``in_resolvent_set``, ``gamma`` and ``actions``
-    also take a 1-d array of k points: one flag, (N, N) matrix or map per
-    point, stacked on a leading axis.
+    Required: ``at(z)``, the one per-z entry point, and the resolvent-set
+    predicate on a real interval.  Optional: the trace/image product
+    matrix ``gbreve_g``; backends that cannot integrate arbitrary inputs
+    raise UnsupportedAction.  With ``stacks_points``, ``at`` also takes
+    a 1-d array of k points.
     """
 
     stacks_points = False
@@ -118,12 +140,8 @@ class GammaEvaluator(ABC):
         """Dimension N of the charge space."""
 
     @abstractmethod
-    def in_resolvent_set(self, z: complex) -> bool:
-        """Whether z is admissible for gamma and the resolvent actions."""
-
-    @abstractmethod
-    def gamma(self, z: complex) -> np.ndarray:
-        """Renormalized trace matrix at z, complex N x N."""
+    def at(self, z: complex) -> EvaluationPoint:
+        """The point z, checked once by ``_admit``."""
 
     @abstractmethod
     def interval_in_resolvent_set(self, a: float, b: float) -> bool:
@@ -132,16 +150,6 @@ class GammaEvaluator(ABC):
         Decided from the backend's spectrum, not by sampling points: the
         root count of ``scan_spectrum`` rests on it.
         """
-
-    # optional actions -------------------------------------------------
-
-    def actions(self, z: complex):
-        """The maps ``(r, gbreve, g)`` at z, each a function of one vector:
-        the base resolvent ``f -> R(z) f``, the trace of its image
-        ``f -> Gbreve(z) f`` (N values) and the source superposition
-        ``ell -> G(z) ell``.  ``krein_resolvent`` asks for them once per z,
-        so every per-z check and kernel belongs here."""
-        raise UnsupportedAction(f"{type(self).__name__} has no function-space actions")
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         """Product matrix (trace map at w) o (source map at z), N x N."""
@@ -182,31 +190,24 @@ def _point(z, i):
     return complex(np.ravel(z)[i]) if np.ndim(z) else z
 
 
-def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:
-    """The pencil theta + gamma(z); hermitian at admissible real z.
-
-    At a 1-d array of k points (a backend with ``stacks_points``) it is
-    the (k, N, N) stack.  Raises OutsideResolventSet, naming the first
-    point that is not in the resolvent set or is not finite, and
-    UnsupportedAction for an array on any other backend.
-    """
+def _at(problem: ExtensionProblem, z: complex) -> EvaluationPoint:
+    """The evaluator's point at z; an array z needs ``stacks_points``."""
     ev = problem.evaluator
-    if isinstance(z, np.ndarray):
-        if not ev.stacks_points:
-            raise UnsupportedAction(f"{type(ev).__name__} takes one point at a time")
-        outside = np.flatnonzero(~(np.isfinite(z) & ev.in_resolvent_set(z)))
-        if outside.size:
-            raise OutsideResolventSet(f"z={_point(z, outside[0])!r} is outside the resolvent set")
-    # a non-finite z is never admissible: it must not reach LAPACK
-    elif not (cmath.isfinite(z) and ev.in_resolvent_set(z)):
-        raise OutsideResolventSet(f"z={z!r} is outside the resolvent set")
-    return problem.theta.entries + ev.gamma(z)
+    if isinstance(z, np.ndarray) and not ev.stacks_points:
+        raise UnsupportedAction(f"{type(ev).__name__} takes one point at a time")
+    return ev.at(z)
+
+
+def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:
+    """The pencil theta + gamma(z), hermitian at admissible real z; the
+    (k, N, N) stack at a 1-d array of k points, as ``_at`` allows."""
+    return problem.theta.entries + _at(problem, z).gamma
 
 
 def krein_resolvent(problem: ExtensionProblem, z: complex):
     """The perturbed resolvent at z as the function ``f ->
     r(f) + g((theta + gamma(z))^{-1} gbreve(f))`` over the maps
-    ``(r, gbreve, g) = evaluator.actions(z)``.
+    ``(r, gbreve, g)`` of the one checked point.
 
     At k points (see ``gamma_theta``) row i of a (k, n) block is mapped
     at point i, and one vector at every point, with one solve: the block
@@ -219,7 +220,8 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
     perturbed operator), then UnsupportedAction for a backend without
     actions, all before any vector is applied and naming the point.
     """
-    pencil = gamma_theta(problem, z)
+    point = _at(problem, z)
+    pencil = problem.theta.entries + point.gamma
     svals = np.linalg.svd(pencil, compute_uv=False)
     singular = svals[..., -1] <= problem.tol_linear * svals[..., 0]
     if singular.any():
@@ -229,14 +231,13 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
             f"pencil at z={_point(z, i)!r} has relative smallest singular value "
             f"{0.0 if top == 0.0 else low / top:.3e}"
         )
-    r, gbreve, g = problem.evaluator.actions(z)
+    r, gbreve, g = point.actions()
 
     def apply(f):
         traces = np.asarray(gbreve(f), dtype=complex)
         columns = np.moveaxis(traces.reshape(-1, *pencil.shape[:-1]), 0, -1)
         charges = np.moveaxis(np.linalg.solve(pencil, columns), -1, 0)
-        # contiguous, so the source map multiplies on the BLAS path
-        return r(f) + g(np.ascontiguousarray(charges).reshape(traces.shape))
+        return r(f) + g(charges.reshape(traces.shape))
 
     return apply
 

@@ -5,11 +5,11 @@ Everything here is exact linear algebra on a hermitian injective matrix
 construction that the other backends realize with Green's functions is
 available twice over:
 
-* through the pencil machinery (``MatrixEvaluator`` + ``krein_resolvent``),
+* through the pencil machinery (``MatrixEvaluator.at`` + ``krein_resolvent``),
   in the eigenbasis ``a = U diag(lam) U^H`` computed once per model:
   with ``T = tau U`` and ``R(z) = (z I - a)^{-1}``, every map is a
-  diagonal weight between ``U`` and ``T``, e.g.
-  ``gamma(z) = tau (R(0) - R(z)) tau^H = T diag(-z/(lam (z - lam))) T^H``;
+  diagonal weight between ``U`` and ``T``, e.g. with ``r = 1/(z - lam)``
+  ``gamma(z) = tau (R(0) - R(z)) tau^H = T diag(-z r/lam) T^H``;
 * as the directly assembled hermitian matrix
   ``b = a + tau^H (theta + tau R(0) tau^H)^{-1} tau`` (dense inverse
   ``base_resolvent``, dense solve), whose ordinary resolvent
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, OracleDegenerate, SpectrumHit
-from .krein import GammaEvaluator, ThetaMatrix, _point
+from .krein import EvaluationPoint, GammaEvaluator, ThetaMatrix, _admit, _point
 
 # Relative spectral-distance floor for resolvent evaluations.
 SPECTRUM_RTOL = 1e-12
@@ -134,13 +134,15 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
 
 
 def _column(x) -> np.ndarray:
-    """x as complex with a trailing unit axis: ``_column(z) - eigs`` has one
-    row per point of z, and a vector becomes a column."""
-    return np.asarray(x, dtype=complex)[..., None]
+    """x as C-ordered complex with a trailing unit axis: ``_column(z) - eigs`` has
+    one row per point of z, and a block of vectors becomes contiguous columns."""
+    return np.asarray(x, dtype=complex, order="C")[..., None]
 
 
 def _check_off_spectrum(model: MatrixModel, z, distance) -> None:
-    """SpectrumHit at the first point of z whose ``distance`` is <= ``pad``."""
+    """InvariantError at a non-finite point of z, else SpectrumHit within ``pad``."""
+    if not np.isfinite(z).all():
+        raise InvariantError(f"z={_point(z, np.argmin(np.isfinite(z)))!r} is not finite")
     hit = distance <= model.pad
     if hit.any():
         raise SpectrumHit(f"z={_point(z, np.argmax(hit))!r} hits the spectrum of the base matrix")
@@ -153,9 +155,11 @@ def _resolvent_weights(model: MatrixModel, z) -> np.ndarray:
     return 1.0 / gaps
 
 
-def _anchored_weights(model: MatrixModel, z) -> np.ndarray:
-    """``-z/(eigs (z - eigs))``: R(0) - R(z) in the eigenbasis."""
-    return -_column(z) * _resolvent_weights(model, z) / model.eigs
+def _trace_matrix(model: MatrixModel, z, r) -> np.ndarray:
+    """``T diag(-z r/eigs) T^H`` from the weights r of R(z): the weight is
+    R(0) - R(z) in the eigenbasis."""
+    t = model.traces
+    return (t * (-_column(z) * r / model.eigs)[..., None, :]) @ t.conj().T
 
 
 def base_resolvent(model: MatrixModel, z) -> np.ndarray:
@@ -178,9 +182,10 @@ class GMaps:
 
 def g_maps(model: MatrixModel, z: complex) -> GMaps:
     u, th = model.basis, model.traces.conj().T
+    r = _resolvent_weights(model, z)
     return GMaps(
-        g=(u * _resolvent_weights(model, z)[..., None, :]) @ th,
-        k=(u * _anchored_weights(model, z)[..., None, :]) @ th,
+        g=(u * r[..., None, :]) @ th,
+        k=(u * (-_column(z) * r / model.eigs)[..., None, :]) @ th,
     )
 
 
@@ -189,8 +194,7 @@ def gamma(model: MatrixModel, z: complex) -> np.ndarray:
     as ``T diag(-z/(lam (z - lam))) T^H``: at real z the weight is real,
     so the result is hermitian to rounding however close z is to the
     base spectrum."""
-    t = model.traces
-    return (t * _anchored_weights(model, z)[..., None, :]) @ t.conj().T
+    return _trace_matrix(model, z, _resolvent_weights(model, z))
 
 
 def anchor_pencil(model: MatrixModel, theta) -> np.ndarray:
@@ -233,28 +237,24 @@ class MatrixEvaluator(GammaEvaluator):
     def n_charges(self) -> int:
         return self.model.n_charges
 
-    def in_resolvent_set(self, z: complex) -> bool:
-        return self.model.spectrum_distance(z) > self.model.pad
-
     def interval_in_resolvent_set(self, a: float, b: float) -> bool:
         eigs, pad = self.model.eigs, self.model.pad
         return a <= b and not np.any((eigs >= a - pad) & (eigs <= b + pad))
 
-    def gamma(self, z: complex) -> np.ndarray:
-        return gamma(self.model, z)
-
-    def actions(self, z: complex):
-        """One spectrum check and one weight vector ``r = 1/(z - lam)`` per
-        point for the maps ``U diag(r) U^H``, ``T diag(r) U^H`` and
+    def at(self, z: complex) -> EvaluationPoint:
+        """One spectrum check and one weight row ``r = 1/(z - lam)`` per point
+        for ``gamma`` and the maps ``U diag(r) U^H``, ``T diag(r) U^H`` and
         ``U diag(r) T^H``, which take each vector as a column."""
-        u, t = self.model.basis, self.model.traces
-        uh, th = u.conj().T, t.conj().T
-        r = _resolvent_weights(self.model, z)[..., None]
-        return (
-            lambda f: (u @ (r * (uh @ _column(f))))[..., 0],
-            lambda f: (t @ (r * (uh @ _column(f))))[..., 0],
-            lambda ell: (u @ (r * (th @ _column(ell))))[..., 0],
+        gaps = _column(z) - self.model.eigs
+        _admit(z, np.abs(gaps).min(axis=-1) > self.model.pad)
+        u, t, r = self.model.basis, self.model.traces, 1.0 / gaps
+        uh, th, rc = u.conj().T, t.conj().T, r[..., None]
+        maps = (
+            lambda f: (u @ (rc * (uh @ _column(f))))[..., 0],
+            lambda f: (t @ (rc * (uh @ _column(f))))[..., 0],
+            lambda ell: (u @ (rc * (th @ _column(ell))))[..., 0],
         )
+        return EvaluationPoint(_trace_matrix(self.model, z, r), lambda: maps)
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         t = self.model.traces

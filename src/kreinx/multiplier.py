@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvariantError, SymbolRangeHit, TailEstimateFailed
 from .greens import PointSet, _per_key_matrix, _quad as quad
-from .krein import GammaEvaluator
+from .krein import EvaluationPoint, GammaEvaluator, _admit
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def _pairwise_fourier_matrix(m, ps, func) -> np.ndarray:
 class MultiplierAnchoredEvaluator(GammaEvaluator):
     """Pencil backend for a generic symbol, anchored at ``w0``.
 
-    ``gamma(z)`` here is the anchored difference relative to ``w0``, so
+    The point's ``gamma`` is the anchored difference relative to ``w0``, so
     the coupling matrix fed to the pencil machinery is the anchored
     re-parametrization ``theta' = theta + gamma(w0)`` of the absolute
     coupling (see the module docstring); poles and charge vectors are
@@ -270,14 +270,12 @@ class MultiplierAnchoredEvaluator(GammaEvaluator):
     def n_charges(self) -> int:
         return self.ps.n_points
 
-    def in_resolvent_set(self, z: complex) -> bool:
-        return self.m.in_resolvent_set(z)
-
     def interval_in_resolvent_set(self, a: float, b: float) -> bool:
         return a <= b and self.m.in_resolvent_set(complex(a))
 
-    def gamma(self, z: complex) -> np.ndarray:
-        return anchored_gamma_1d(self.m, self.ps, z, self.w0)
+    def at(self, z: complex) -> EvaluationPoint:
+        _admit(z, self.m.in_resolvent_set(z))
+        return EvaluationPoint(anchored_gamma_1d(self.m, self.ps, z, self.w0))
 
     def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
         return product_matrix_1d(self.m, self.ps, w, z)

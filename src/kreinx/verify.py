@@ -30,7 +30,7 @@ from .greens import (
     eigenfunction_eval,
     gamma_matrix,
 )
-from .krein import ExtensionProblem, ThetaMatrix, _maxabs, gamma_theta, krein_resolvent
+from .krein import ExtensionProblem, ThetaMatrix, _at, _maxabs, krein_resolvent
 from .matrixmodel import (
     MatrixEvaluator,
     MatrixModel,
@@ -338,10 +338,9 @@ def verify_eigenpair(problem: ExtensionProblem, z0: float, q) -> VerificationRep
     """
     q = np.asarray(q, dtype=complex)
     checks = []
-    pencil = gamma_theta(problem, z0)
-    checks.append(
-        CheckResult("eigenpair/pencil_kernel", float(np.linalg.norm(pencil @ q)), 1e-9)
-    )
+    point = _at(problem, z0)
+    residual = float(np.linalg.norm((problem.theta.entries + point.gamma) @ q))
+    checks.append(CheckResult("eigenpair/pencil_kernel", residual, 1e-9))
 
     ev = problem.evaluator
     if isinstance(ev, MatrixEvaluator):
@@ -350,7 +349,7 @@ def verify_eigenpair(problem: ExtensionProblem, z0: float, q) -> VerificationRep
         except OracleDegenerate:
             b = None
         if b is not None:
-            v = ev.actions(z0)[2](q)
+            v = point.actions()[2](q)
             vnorm = float(np.linalg.norm(v))
             res = 0.0 if vnorm == 0.0 else float(
                 np.linalg.norm(b @ v - z0 * v) / vnorm

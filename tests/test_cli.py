@@ -356,6 +356,22 @@ class TestResolventCommand:
         assert len(rows) == n
 
     @pytest.mark.parametrize("raw, message", [
+        ({"backend": "matrix", "matrix": {"a": [[1.0, 0.0], [0.0, -1.0]], "tau": [[1.0, 1.0]]},
+          "theta": [[1.0]], "z": 1.0, "f": [1.0, 0.0]},
+         "z=(1+0j) is outside the resolvent set"),  # an eigenvalue of a
+        ({"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]],
+          "grid1d": {"lo": -4.0, "hi": 4.0, "n": 3}, "z": -1.0, "f": [0.0, 1.0, 0.0]},
+         "z=(-1+0j) is outside the resolvent set"),  # on the branch cut
+    ], ids=["matrix-eigenvalue", "laplacian1d-branch-cut"])
+    def test_z_on_the_spectrum_exits_3(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "res.csv"
+        assert main(["resolvent", "--config", str(cfg), "-o", str(out)]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, message", [
         (dict(CFG_3D, z=[1.0, 0.5], f=[1.0]),
          "resolvent supports the matrix and laplacian1d backends, not 'laplacian3d'"),
         ({"backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],

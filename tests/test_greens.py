@@ -262,7 +262,7 @@ class TestGammaMatrixAgainstScalarKernel:
 
 def _trace(ps, z, xs, fs):
     """The grid backend's trace map at z applied to the samples fs."""
-    return LaplacianGrid1DEvaluator(ps, xs).actions(z)[1](fs)
+    return LaplacianGrid1DEvaluator(ps, xs).at(z).actions()[1](fs)
 
 
 class TestGridTraceMap:
@@ -300,7 +300,7 @@ class TestGridTraceMap:
     def test_grid_too_coarse(self):
         xs = np.linspace(-10.0, 10.0, 21)  # step 1.0 > 1/(4 sqrt(z))
         with pytest.raises(GridTooCoarse):
-            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).actions(1.0)
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).at(1.0).actions()
 
     def test_rejects_point_set_outside_dim_1_when_built(self):
         # before, this was accepted and the first resolvent apply died
@@ -336,7 +336,7 @@ class TestGridSourceMap:
         xs = np.linspace(lo, lo + 0.05 * (n - 1), n)
         ps = PointSet(1, np.sort(rng.uniform(lo, lo + 0.05 * (n - 1), n_points)))
         ell = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
-        got = LaplacianGrid1DEvaluator(ps, xs).actions(z)[2](ell)
+        got = LaplacianGrid1DEvaluator(ps, xs).at(z).actions()[2](ell)
         assert np.array_equal(got, point_source_sum(ps, z, ell, xs))
 
 

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,11 @@ from kreinx import (
     ExtensionProblem,
     GammaEvaluator,
     InvariantError,
+    LaplacianGrid1DEvaluator,
     LaplacianPointEvaluator,
     MatrixEvaluator,
+    Multiplier1D,
+    MultiplierAnchoredEvaluator,
     NotHermitian,
     OracleDegenerate,
     OutsideResolventSet,
@@ -16,6 +22,9 @@ from kreinx import (
     SingularPencil,
     ThetaMatrix,
     UnsupportedAction,
+    anchored_gamma_1d,
+    gamma,
+    gamma_matrix,
     gamma_theta,
     krein_apply,
     krein_resolvent,
@@ -24,6 +33,23 @@ from kreinx import (
 from kreinx.matrixmodel import base_resolvent, random_model, random_problem_suite, random_theta
 
 from conftest import rel_err
+
+
+class Recording(MatrixEvaluator):
+    """Matrix backend that counts the maps its points build."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.built = 0
+
+    def at(self, z):
+        point = super().at(z)
+
+        def actions():
+            self.built += 1
+            return point.actions()
+
+        return replace(point, actions=actions)
 
 
 class TestThetaMatrix:
@@ -134,8 +160,6 @@ class TestKreinResolvent:
                 assert rel_err(got, want) <= 1e-9
 
     def test_grid_backend_binds_the_evaluator_methods(self):
-        from kreinx import LaplacianGrid1DEvaluator
-
         xs = np.linspace(-6.0, 6.0, 301)
         problem = ExtensionProblem(
             LaplacianGrid1DEvaluator(PointSet(1, [-0.5, 0.5]), xs),
@@ -159,10 +183,8 @@ class TestKreinResolvent:
             krein_resolvent(problem, 4.0)
 
     def test_grid_trace_map_rejects_samples_off_the_grid(self):
-        from kreinx import LaplacianGrid1DEvaluator
-
         xs = np.linspace(-6.0, 6.0, 301)
-        _, gbreve, _ = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).actions(1.5)
+        _, gbreve, _ = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).at(1.5).actions()
         assert gbreve(np.exp(-(xs**2))).shape == (1,)
         with pytest.raises(InvariantError, match="does not match the grid"):
             gbreve(np.ones(300))
@@ -173,17 +195,13 @@ class TestKreinResolvent:
         (1.0 + np.sqrt(2.0), SingularPencil),  # a pole of the perturbation
     ])
     def test_raises_before_any_vector(self, two_level_model, z, error):
-        class Recording(MatrixEvaluator):
-            requested = 0
-
-            def actions(self, z):
-                Recording.requested += 1
-                return super().actions(z)
-
-        problem = ExtensionProblem(Recording(two_level_model), ThetaMatrix([[1.0]]))
+        ev = Recording(two_level_model)
+        problem = ExtensionProblem(ev, ThetaMatrix([[1.0]]))
         with pytest.raises(error):
             krein_resolvent(problem, z)
-        assert Recording.requested == 0
+        assert ev.built == 0
+        krein_resolvent(problem, 2.0j)  # the control: one point, its maps once
+        assert ev.built == 1
 
     @pytest.mark.parametrize("zs, error, named", [
         ([2.0j, 1.0, 3.0j], OutsideResolventSet, r"z=\(1\+0j\)"),  # an eigenvalue of a
@@ -191,17 +209,32 @@ class TestKreinResolvent:
         ([2.0j, 3.0j, 1.0 + np.sqrt(2.0)], SingularPencil, r"z=\(2\.414"),  # a pole
     ])
     def test_stack_names_its_bad_point_before_any_vector(self, two_level_model, zs, error, named):
-        class Recording(MatrixEvaluator):
-            requested = 0
-
-            def actions(self, z):
-                Recording.requested += 1
-                return super().actions(z)
-
-        problem = ExtensionProblem(Recording(two_level_model), ThetaMatrix([[1.0]]))
+        ev = Recording(two_level_model)
+        problem = ExtensionProblem(ev, ThetaMatrix([[1.0]]))
         with pytest.raises(error, match=named):
             krein_resolvent(problem, np.array(zs, dtype=complex))
-        assert Recording.requested == 0
+        assert ev.built == 0
+        krein_resolvent(problem, np.array([2.0j, 3.0j]))
+        assert ev.built == 1
+
+    @pytest.mark.parametrize("z", [0.5 + 1.0j, np.array([2.0j, 0.5 - 1.0j, 3.0])])
+    def test_one_admissibility_check_per_resolvent(self, two_level_problem, monkeypatch, z):
+        from kreinx import krein, matrixmodel
+
+        checks = []
+
+        def spy(name, check):
+            def counted(*args):
+                checks.append(name)
+                return check(*args)
+            return counted
+
+        monkeypatch.setattr(matrixmodel, "_admit", spy("at", krein._admit))
+        monkeypatch.setattr(
+            matrixmodel, "_check_off_spectrum", spy("free", matrixmodel._check_off_spectrum)
+        )
+        krein_resolvent(two_level_problem, z)(np.array([1.0, 2.0 - 1.0j]))
+        assert checks == ["at"]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 10))
@@ -252,6 +285,64 @@ class TestKreinResolvent:
         )
         with pytest.raises(UnsupportedAction):
             krein_resolvent(problem, 1.5 + 0.4j)
+
+
+class TestEvaluationPoint:
+    """``at(z)`` checks z once and holds gamma and the maps at z."""
+
+    def test_matrix_gamma_is_the_free_function_bit_for_bit(self):
+        model = random_model(5, 7, 3)
+        ev = MatrixEvaluator(model)
+        zs = np.array([0.3 + 1.2j, -2.0 - 0.5j, 4.0])
+        assert np.array_equal(ev.at(zs).gamma, gamma(model, zs))
+        for z in zs:
+            assert np.array_equal(ev.at(complex(z)).gamma, gamma(model, complex(z)))
+
+    def test_kernel_backends_gamma_bit_for_bit(self):
+        for ps in (PointSet(1, [0.0, 0.7]), PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])):
+            for z in (1.5, 2.0 + 0.5j):
+                assert np.array_equal(LaplacianPointEvaluator(ps).at(z).gamma, gamma_matrix(ps, z))
+        sym, ps = Multiplier1D(poly=(0.0, 0.0, -1.0)), PointSet(1, [0.0, 0.7])
+        point = MultiplierAnchoredEvaluator(sym, ps, 1.0).at(2.0)
+        assert np.array_equal(point.gamma, anchored_gamma_1d(sym, ps, 2.0, 1.0))
+
+    @pytest.mark.parametrize("z", [complex("inf"), complex("nan"), complex(0.5, float("inf"))])
+    def test_non_finite_z_on_every_backend(self, two_level_model, z):
+        ps = PointSet(1, [0.0, 0.7])
+        backends = (
+            MatrixEvaluator(two_level_model),
+            LaplacianPointEvaluator(ps),
+            LaplacianPointEvaluator(PointSet(2, [[0.0, 0.0]])),
+            LaplacianGrid1DEvaluator(ps, np.linspace(-4.0, 4.0, 81)),
+            MultiplierAnchoredEvaluator(Multiplier1D(poly=(0.0, 0.0, -1.0)), ps, 1.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ev in backends:
+                with pytest.raises(OutsideResolventSet, match="is outside the resolvent set"):
+                    ev.at(z)
+
+    def test_grid_kernel_is_built_by_actions_only(self, monkeypatch):
+        from kreinx import greens
+
+        built = []
+        gz_array = greens._gz_array
+        monkeypatch.setattr(greens, "_gz_array", lambda *a: built.append(1) or gz_array(*a))
+        point = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.linspace(-4.0, 4.0, 81)).at(1.5)
+        assert built == [1]  # the gamma_matrix row only
+        point.actions()
+        assert built == [1, 1]
+
+    def test_at_is_the_only_per_z_method(self):
+        backends = (MatrixEvaluator, LaplacianPointEvaluator, LaplacianGrid1DEvaluator,
+                    MultiplierAnchoredEvaluator)
+        for cls in (GammaEvaluator,) + backends:
+            assert not {"in_resolvent_set", "gamma", "actions"} & set(dir(cls))
+
+    def test_point_without_maps(self):
+        point = LaplacianPointEvaluator(PointSet(1, [0.0])).at(1.5)
+        with pytest.raises(UnsupportedAction):
+            point.actions()
 
 
 class TestGridBackendApply:

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from kreinx import (
     MatrixEvaluator,
     MatrixModel,
     OracleDegenerate,
+    OutsideResolventSet,
     SpectrumHit,
     ThetaMatrix,
     base_resolvent,
@@ -67,10 +71,10 @@ class TestBaseResolvent:
         ev = MatrixEvaluator(model)
         for z in (0.2 + 0.3j, -4.0 - 1.5j, 9.0 + 0.1j):
             f = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-            r, _, _ = ev.actions(z)
+            r, _, _ = ev.at(z).actions()
             assert rel_err(r(f), base_resolvent(model, z) @ f) <= 1e-12
-        with pytest.raises(SpectrumHit):
-            ev.actions(model.eigs[0])
+        with pytest.raises(OutsideResolventSet):
+            ev.at(model.eigs[0])
 
 
 class TestGMaps:
@@ -243,7 +247,7 @@ class TestEigenbasisAgainstDenseInverse:
         for z in zs:
             rz = _dense_resolvent(model, z)
             maps = g_maps(model, z)
-            r, gbreve, g = ev.actions(z)
+            r, gbreve, g = ev.at(z).actions()
             pairs = [
                 (gamma(model, z), tau @ (r0 - rz) @ tau_h),
                 (maps.g, rz @ tau_h),
@@ -328,7 +332,7 @@ class TestRealModel:
         for z in zs:
             rz = dense(z)
             maps = g_maps(model, z)
-            r, gbreve, g = ev.actions(z)
+            r, gbreve, g = ev.at(z).actions()
             pairs = [
                 (gamma(model, z), tau_c @ (r0 - rz) @ tau_h),
                 (maps.g, rz @ tau_h),
@@ -386,13 +390,13 @@ class TestPointStacks:
         maps = g_maps(model, zs)
         stacked = (gamma(model, zs), maps.g, maps.k, base_resolvent(model, zs))
         assert [m.shape for m in stacked] == [(4, 3, 3), (4, 8, 3), (4, 8, 3), (4, 8, 8)]
-        r, gbreve, g = ev.actions(zs)
+        r, gbreve, g = ev.at(zs).actions()
         for i, z in enumerate(zs):
             one = g_maps(model, z)
             each = (gamma(model, z), one.g, one.k, base_resolvent(model, z))
             for got, want in zip(stacked, each):
                 assert rel_err(got[i], want) <= 1e-13
-            r1, gbreve1, g1 = ev.actions(z)
+            r1, gbreve1, g1 = ev.at(z).actions()
             assert rel_err(r(fs)[i], r1(fs[i])) <= 1e-13
             assert rel_err(gbreve(fs)[i], gbreve1(fs[i])) <= 1e-13
             assert rel_err(g(ells)[i], g1(ells[i])) <= 1e-13
@@ -402,11 +406,43 @@ class TestPointStacks:
         for call in (base_resolvent, g_maps, gamma):
             with pytest.raises(SpectrumHit, match=r"z=\(-1\+0j\)"):
                 call(two_level_model, zs)
-        with pytest.raises(SpectrumHit, match=r"z=\(-1\+0j\)"):
-            MatrixEvaluator(two_level_model).actions(zs)
+        with pytest.raises(OutsideResolventSet, match=r"z=\(-1\+0j\)"):
+            MatrixEvaluator(two_level_model).at(zs)
 
-    def test_resolvent_set_flags_each_point(self, two_level_model):
+    def test_strided_blocks_give_the_contiguous_bits(self):
+        # the maps make a block contiguous themselves, so a strided block
+        # (as the stacked resolvent hands them) multiplies on the BLAS path
+        rng = np.random.default_rng(4)
+        model = random_model(rng, 9, 3)
+        zs = np.array([0.3 + 1.2j, -2.0 - 0.5j, 7.5 + 0.01j])
+        r, gbreve, g = MatrixEvaluator(model).at(zs).actions()
+        fs = _complex_vector(rng, (9, 3)).T
+        ells = _complex_vector(rng, (3, 3)).T
+        for apply, block in ((r, fs), (gbreve, fs), (g, ells)):
+            assert not block.flags.c_contiguous
+            assert np.array_equal(apply(block), apply(np.ascontiguousarray(block)))
+
+    @pytest.mark.parametrize("z", [complex("inf"), complex("nan"), complex(0.5, float("inf"))])
+    def test_free_functions_name_a_non_finite_point(self, two_level_model, z):
         ev = MatrixEvaluator(two_level_model)
-        flags = ev.in_resolvent_set(np.array([2.0j, 1.0, 0.5, -1.0]))
-        assert flags.tolist() == [True, False, True, False]
+        calls = (
+            lambda zs: gamma(two_level_model, zs),
+            lambda zs: base_resolvent(two_level_model, zs),
+            lambda zs: g_maps(two_level_model, zs),
+            lambda zs: ev.gbreve_g(2.0j, zs),
+            lambda zs: ev.gbreve_g(zs, 2.0j),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                for zs in (z, np.array([2.0j, z, complex("nan")])):
+                    with pytest.raises(InvariantError, match=re.escape(f"z={z!r} is not finite")):
+                        call(zs)
+
+    def test_point_names_its_first_bad_point(self, two_level_model):
+        ev = MatrixEvaluator(two_level_model)
+        for zs, named in (([2.0j, 1.0, 0.5, -1.0], r"z=\(1\+0j\)"), ([0.5, np.nan], r"z=\(nan\+0j\)")):
+            with pytest.raises(OutsideResolventSet, match=named):
+                ev.at(np.array(zs, dtype=complex))
+        assert ev.at(np.array([2.0j, 0.5])).gamma.shape == (2, 1, 1)
         assert two_level_model.spectrum_distance(np.array([0.0, 3.0])).tolist() == [1.0, 2.0]

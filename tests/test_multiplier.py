@@ -213,7 +213,7 @@ class TestAnchoredGamma:
         ps = PointSet(1, [0.0, 0.7])
         ev = MultiplierAnchoredEvaluator(second_order, ps, 1.0)
         z, w = 3.0, 1.5
-        lhs = ev.gamma(z) - ev.gamma(w)
+        lhs = ev.at(z).gamma - ev.at(w).gamma
         rhs = (z - w) * product_matrix_1d(second_order, ps, w, z)
         assert rel_err(lhs, rhs) <= 1e-7
 

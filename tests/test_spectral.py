@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from kreinx import (
     EvaluationAtSingularity,
+    EvaluationPoint,
     ExtensionProblem,
     InertiaMismatch,
     IntervalOutsideResolventSet,
@@ -128,7 +129,7 @@ class TestScanSpectrum:
             assert len(rep.roots) == 1
             q = rep.roots[0].charge
             assert q[0].real > 0 and abs(q[0].imag) < 1e-13
-            pencil = problem.theta.entries + problem.evaluator.gamma(rep.roots[0].z0)
+            pencil = problem.theta.entries + problem.evaluator.at(rep.roots[0].z0).gamma
             assert np.linalg.norm(pencil @ q) <= 1e-12
             checked += 1
         assert checked >= 4
@@ -191,15 +192,12 @@ class TestScanSpectrum:
             # increasing, but it jumps over zero at z = 2
             n_charges = 1
 
-            def in_resolvent_set(self, z):
-                return True
-
             def interval_in_resolvent_set(self, a, b):
                 return a <= b
 
-            def gamma(self, z):
+            def at(self, z):
                 x = np.real(z) - 2.0
-                return np.array([[x + (1e-3 if x >= 0.0 else -1e-3)]])
+                return EvaluationPoint(np.array([[x + (1e-3 if x >= 0.0 else -1e-3)]]))
 
         problem = ExtensionProblem(JumpEvaluator(), ThetaMatrix([[0.0]]))
         rep = scan_spectrum(problem, (1.0, 3.0))
@@ -223,14 +221,11 @@ class TestScanSpectrum:
         class TouchingEvaluator(GammaEvaluator):
             n_charges = 1
 
-            def in_resolvent_set(self, z):
-                return True
-
             def interval_in_resolvent_set(self, a, b):
                 return a <= b
 
-            def gamma(self, z):
-                return np.array([[(np.real(z) - 2.0) ** 2 + 1e-14]])
+            def at(self, z):
+                return EvaluationPoint(np.array([[(np.real(z) - 2.0) ** 2 + 1e-14]]))
 
         problem = ExtensionProblem(TouchingEvaluator(), ThetaMatrix([[0.0]]))
         with pytest.raises(PencilNotMonotone):
@@ -321,7 +316,7 @@ class TestTwoPointSymmetry:
         rep = scan_spectrum(problem, (0.05, 8.0))
         assert len(rep.roots) == 2
         lower = rep.roots[0]
-        pencil = problem.theta.entries + problem.evaluator.gamma(lower.z0)
+        pencil = problem.theta.entries + problem.evaluator.at(lower.z0).gamma
         assert np.linalg.norm(pencil @ lower.charge) <= 1e-9
         assert np.allclose(lower.charge, [1.0 / SQRT2, 1.0 / SQRT2], atol=1e-10)
         upper = rep.roots[1]

@@ -79,8 +79,8 @@ class TestGammaIdentities:
         for model, _, zs in random_problem_suite(seed, 6):
             zs = zs[:5]
             ev = MatrixEvaluator(model)
-            gammas = np.array([ev.gamma(z) for z in zs])
-            conj = np.array([ev.gamma(np.conj(z)) for z in zs])
+            gammas = np.array([ev.at(z).gamma for z in zs])
+            conj = np.array([ev.at(np.conj(z)).gamma for z in zs])
             z, w = _pairs(zs, ordered=False)
             prods = np.array([ev.gbreve_g(zs[j], zs[i]) for i, j in zip(z, w)])
             dz = (zs[z] - zs[w])[:, None, None]
