@@ -36,9 +36,9 @@ from .errors import (
     SpectrumHit,
 )
 from .greens import LaplacianKernel
-from .krein import hermitian_part, krein_apply
-from .matrixmodel import direct_eigs, gamma, random_model, random_theta
-from .spectral import scan_spectrum
+from .krein import ExtensionProblem, krein_apply
+from .matrixmodel import MatrixEvaluator, direct_eigs, random_model, random_theta
+from .spectral import _branch_values, scan_spectrum
 from .verify import run_verification
 
 _VALIDATION_ERRORS = (
@@ -187,12 +187,12 @@ def cmd_oracle(args):
     eigs = direct_eigs(model, theta)
     rows = [[i, float(v)] for i, v in enumerate(eigs)]
 
+    problem = ExtensionProblem(MatrixEvaluator(model), theta)
     defect = 0.0
     checked = 0
     for v in eigs:
         if model.spectrum_distance(v) > 1e-6 * (1.0 + float(np.max(np.abs(model.eigs)))):
-            pencil = hermitian_part(theta.entries + gamma(model, float(v)))
-            defect = max(defect, float(np.min(np.abs(np.linalg.eigvalsh(pencil)))))
+            defect = max(defect, float(np.min(np.abs(_branch_values(problem, float(v))))))
             checked += 1
     summary = (
         f"oracle: seed={args.seed}, n={args.n}, N={args.ncharges}, "

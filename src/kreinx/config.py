@@ -18,8 +18,9 @@ phases, and each raises one error carrying every violation it found:
   tolerance that is not positive and finite) together with the checks
   no constructor makes: the scan window (finite ends, ``a < b``, and
   ``a > 0`` for a Laplacian backend, whose essential spectrum is
-  ``(-inf, 0]``), a finite ``z`` and ``f``, finite ``grid1d`` ends, and
-  the length of ``f`` against the base matrix or the ``grid1d`` nodes.
+  ``(-inf, 0]``), a finite ``z`` and ``f``, finite ``grid1d`` ends, a
+  ``grid1d.n`` whose nodes fit in memory, and the length of ``f``
+  against the base matrix or the ``grid1d`` nodes.
 
 A window set through ``ProblemConfig.with_scan`` is checked by
 ``build_problem`` like one read from the file.
@@ -369,9 +370,16 @@ def build_problem(cfg: ProblemConfig) -> ExtensionProblem:
         if cfg.f is not None and len(cfg.f) != n:
             viols.append(f"f has length {len(cfg.f)}, grid1d has {n} nodes")
         elif grid_ok and ps is not None:
-            evaluator = attempt(
-                lambda: LaplacianGrid1DEvaluator(ps, np.linspace(lo, hi, n))
-            )
+            try:
+                # past numpy's array size limit linspace raises ValueError or
+                # IndexError, not MemoryError
+                if 8 * n > np.iinfo(np.intp).max:
+                    raise MemoryError
+                evaluator = attempt(
+                    lambda: LaplacianGrid1DEvaluator(ps, np.linspace(lo, hi, n))
+                )
+            except MemoryError:
+                viols.append(f"grid1d.n: {n} nodes do not fit in memory")
     elif ps is not None:
         evaluator = LaplacianPointEvaluator(ps)
 

@@ -19,10 +19,11 @@ and source superpositions are array expressions over all radii at once;
 the scalar ``LaplacianKernel`` methods evaluate one radius at a time
 and serve as their reference.
 
-The product matrix ``gbreve_g(w, z)`` (trace at w of the source at z)
-comes, in dims 1 and 3, from one adaptive ``quad`` of kernel products
-per distinct distance, independent of the closed-form identity
-``gamma(z) - gamma(w) = (z - w) gbreve_g(w, z)`` that it checks.
+The product matrix (trace at w of the source at z) comes from
+``gbreve_g_quadrature_1d`` and ``gbreve_g_radial_3d``: one adaptive
+``quad`` of kernel products per distinct distance, independent of the
+closed-form identity ``gamma(z) - gamma(w) = (z - w) gbreve_g(w, z)``
+that ``verify`` checks with them.
 ``quad`` is a module attribute looked up at call time, a shim that
 imports ``scipy.integrate`` on its first call, so importing this module
 loads no scipy.
@@ -48,7 +49,7 @@ from .errors import (
     NonpositiveRadius,
     UnsupportedAction,
 )
-from .krein import EvaluationPoint, GammaEvaluator, _admit
+from .krein import EvaluationPoint, GammaEvaluator, _admit, _one_point
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -399,8 +400,7 @@ class LaplacianPointEvaluator(GammaEvaluator):
     Its point holds the renormalized trace matrix in dims 1, 2, 3 and no
     maps: they need a grid (see LaplacianGrid1DEvaluator), and source
     superpositions are evaluated directly with ``point_source_sum`` or
-    ``eigenfunction_eval``.  The product matrix comes in dims 1 and 3 by
-    one two-center quadrature per distinct distance (none in dim 2).
+    ``eigenfunction_eval``.  ``at`` takes one point at a time.
     """
 
     def __init__(self, ps: PointSet):
@@ -414,11 +414,9 @@ class LaplacianPointEvaluator(GammaEvaluator):
         return a <= b and a > 0.0
 
     def at(self, z: complex) -> EvaluationPoint:
+        _one_point(self, z)
         _admit(z, off_branch_cut(z))
         return EvaluationPoint(gamma_matrix(self.ps, z))
-
-    def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
-        return _product_matrix(self.ps, w, z)
 
 
 class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):

@@ -11,9 +11,9 @@ so every spectral question reduces to the N x N pencil
 ``theta + gamma(z)``: it is inverted off the spectrum, and its kernel at
 a singular point carries the charge vector of the corresponding
 eigenfunction.  None of this depends on the vector: ``krein_resolvent``
-builds it once per z, from one point.  On a backend with
-``stacks_points`` z may also be a 1-d array of k points, for one pencil
-check and one solve per stack, by broadcasting.
+builds it once per z, from one point.  On the matrix backend z may also
+be a 1-d array of k points, for one pencil check and one solve per
+stack, by broadcasting; every other backend's ``at`` rejects an array.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs; concurrent use is safe.
@@ -122,17 +122,18 @@ def _admit(z, admissible) -> None:
         raise OutsideResolventSet(f"z={z!r} is outside the resolvent set")
 
 
+def _one_point(ev, z) -> None:
+    """UnsupportedAction for an array z: ``ev`` takes one point at a time."""
+    if isinstance(z, np.ndarray):
+        raise UnsupportedAction(f"{type(ev).__name__} takes one point at a time")
+
+
 class GammaEvaluator(ABC):
-    """Backend contract consumed by the pencil machinery.
-
-    Required: ``at(z)``, the one per-z entry point, and the resolvent-set
-    predicate on a real interval.  Optional: the trace/image product
-    matrix ``gbreve_g``; backends that cannot integrate arbitrary inputs
-    raise UnsupportedAction.  With ``stacks_points``, ``at`` also takes
-    a 1-d array of k points.
+    """Backend contract consumed by the pencil machinery: the number of
+    charges, ``at(z)``, the one per-z entry point, and the resolvent-set
+    predicate on a real interval.  ``at`` takes a 1-d array of k points
+    on the matrix backend; the others raise UnsupportedAction for one.
     """
-
-    stacks_points = False
 
     @property
     @abstractmethod
@@ -150,10 +151,6 @@ class GammaEvaluator(ABC):
         Decided from the backend's spectrum, not by sampling points: the
         root count of ``scan_spectrum`` rests on it.
         """
-
-    def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
-        """Product matrix (trace map at w) o (source map at z), N x N."""
-        raise UnsupportedAction(f"{type(self).__name__} has no product matrix")
 
 
 @dataclass(frozen=True)
@@ -190,18 +187,10 @@ def _point(z, i):
     return complex(np.ravel(z)[i]) if np.ndim(z) else z
 
 
-def _at(problem: ExtensionProblem, z: complex) -> EvaluationPoint:
-    """The evaluator's point at z; an array z needs ``stacks_points``."""
-    ev = problem.evaluator
-    if isinstance(z, np.ndarray) and not ev.stacks_points:
-        raise UnsupportedAction(f"{type(ev).__name__} takes one point at a time")
-    return ev.at(z)
-
-
 def gamma_theta(problem: ExtensionProblem, z: complex) -> np.ndarray:
     """The pencil theta + gamma(z), hermitian at admissible real z; the
-    (k, N, N) stack at a 1-d array of k points, as ``_at`` allows."""
-    return problem.theta.entries + _at(problem, z).gamma
+    (k, N, N) stack at a 1-d array of k points, where ``at`` takes one."""
+    return problem.theta.entries + problem.evaluator.at(z).gamma
 
 
 def krein_resolvent(problem: ExtensionProblem, z: complex):
@@ -220,7 +209,7 @@ def krein_resolvent(problem: ExtensionProblem, z: complex):
     perturbed operator), then UnsupportedAction for a backend without
     actions, all before any vector is applied and naming the point.
     """
-    point = _at(problem, z)
+    point = problem.evaluator.at(z)
     pencil = problem.theta.entries + point.gamma
     svals = np.linalg.svd(pencil, compute_uv=False)
     singular = svals[..., -1] <= problem.tol_linear * svals[..., 0]

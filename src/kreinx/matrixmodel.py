@@ -19,9 +19,11 @@ available twice over:
 Disagreement between the two routes is a bug by definition, which is
 what makes this backend the oracle.
 
-Every map also takes a 1-d array of k points, with (k, n) weights checked
-against the spectrum once, and returns a stack of k results; one point
-runs the same broadcasting code with the same bits.
+Every map also takes a 1-d array of k points and returns a stack of k
+results; one point runs the same broadcasting code with the same bits.
+The pencil route checks z once, in ``_weights`` (OutsideResolventSet);
+the oracle's ``base_resolvent`` shares no code with it and checks z
+itself.
 
 Note on scope: in finite dimension the trace map can never have the
 "purely singular dual range" property the unbounded theory assumes, so
@@ -139,34 +141,26 @@ def _column(x) -> np.ndarray:
     return np.asarray(x, dtype=complex, order="C")[..., None]
 
 
-def _check_off_spectrum(model: MatrixModel, z, distance) -> None:
-    """InvariantError at a non-finite point of z, else SpectrumHit within ``pad``."""
-    if not np.isfinite(z).all():
-        raise InvariantError(f"z={_point(z, np.argmin(np.isfinite(z)))!r} is not finite")
-    hit = distance <= model.pad
-    if hit.any():
-        raise SpectrumHit(f"z={_point(z, np.argmax(hit))!r} hits the spectrum of the base matrix")
-
-
-def _resolvent_weights(model: MatrixModel, z) -> np.ndarray:
-    """``1/(z - eigs)``: R(z) in the eigenbasis, one row per point."""
+def _weights(model: MatrixModel, z) -> np.ndarray:
+    """``1/(z - eigs)``: R(z) in the eigenbasis, one row per point of z,
+    which ``_admit`` checks."""
     gaps = _column(z) - model.eigs
-    _check_off_spectrum(model, z, np.abs(gaps).min(axis=-1))
+    _admit(z, np.abs(gaps).min(axis=-1) > model.pad)
     return 1.0 / gaps
-
-
-def _trace_matrix(model: MatrixModel, z, r) -> np.ndarray:
-    """``T diag(-z r/eigs) T^H`` from the weights r of R(z): the weight is
-    R(0) - R(z) in the eigenbasis."""
-    t = model.traces
-    return (t * (-_column(z) * r / model.eigs)[..., None, :]) @ t.conj().T
 
 
 def base_resolvent(model: MatrixModel, z) -> np.ndarray:
     """(z I - a)^{-1} as a dense inverse, (k, n, n) at k points: the
     oracle's matrix, also the independent side of
-    ``verify.check_base_identities``.  The pencil route never forms it."""
-    _check_off_spectrum(model, z, model.spectrum_distance(z))
+    ``verify.check_base_identities``.  The pencil route never forms it,
+    and it checks z itself: InvariantError at a point that is not
+    finite, else SpectrumHit within ``pad`` of the spectrum."""
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise InvariantError(f"z={_point(z, np.argmin(finite))!r} is not finite")
+    hit = model.spectrum_distance(z) <= model.pad
+    if hit.any():
+        raise SpectrumHit(f"z={_point(z, np.argmax(hit))!r} hits the spectrum of the base matrix")
     return np.linalg.inv(_column(z)[..., None] * np.eye(model.n) - model.a)
 
 
@@ -182,7 +176,7 @@ class GMaps:
 
 def g_maps(model: MatrixModel, z: complex) -> GMaps:
     u, th = model.basis, model.traces.conj().T
-    r = _resolvent_weights(model, z)
+    r = _weights(model, z)
     return GMaps(
         g=(u * r[..., None, :]) @ th,
         k=(u * (-_column(z) * r / model.eigs)[..., None, :]) @ th,
@@ -190,11 +184,16 @@ def g_maps(model: MatrixModel, z: complex) -> GMaps:
 
 
 def gamma(model: MatrixModel, z: complex) -> np.ndarray:
-    """Renormalized trace matrix ``tau (R(0) - R(z)) tau^H``, evaluated
-    as ``T diag(-z/(lam (z - lam))) T^H``: at real z the weight is real,
-    so the result is hermitian to rounding however close z is to the
-    base spectrum."""
-    return _trace_matrix(model, z, _resolvent_weights(model, z))
+    """Renormalized trace matrix ``tau (R(0) - R(z)) tau^H``: the
+    ``gamma`` of ``MatrixEvaluator(model).at(z)``."""
+    return MatrixEvaluator(model).at(z).gamma
+
+
+def product_matrix(model: MatrixModel, w: complex, z: complex) -> np.ndarray:
+    """Product matrix (trace map at w) o (source map at z), N x N, as
+    ``T diag(1/((w - lam)(z - lam))) T^H``; a stack where w and z are."""
+    t = model.traces
+    return (t * (_weights(model, w) * _weights(model, z))[..., None, :]) @ t.conj().T
 
 
 def anchor_pencil(model: MatrixModel, theta) -> np.ndarray:
@@ -226,9 +225,7 @@ def direct_eigs(model: MatrixModel, theta) -> np.ndarray:
 
 
 class MatrixEvaluator(GammaEvaluator):
-    """Pencil backend over a MatrixModel; exact, and it stacks points."""
-
-    stacks_points = True
+    """Pencil backend over a MatrixModel; exact, and ``at`` takes arrays."""
 
     def __init__(self, model: MatrixModel):
         self.model = model
@@ -242,24 +239,22 @@ class MatrixEvaluator(GammaEvaluator):
         return a <= b and not np.any((eigs >= a - pad) & (eigs <= b + pad))
 
     def at(self, z: complex) -> EvaluationPoint:
-        """One spectrum check and one weight row ``r = 1/(z - lam)`` per point
-        for ``gamma`` and the maps ``U diag(r) U^H``, ``T diag(r) U^H`` and
-        ``U diag(r) T^H``, which take each vector as a column."""
-        gaps = _column(z) - self.model.eigs
-        _admit(z, np.abs(gaps).min(axis=-1) > self.model.pad)
-        u, t, r = self.model.basis, self.model.traces, 1.0 / gaps
+        """One check of z and one weight row ``r = 1/(z - lam)`` per point
+        (``_weights``) for ``gamma = T diag(-z r/lam) T^H``, whose weight is
+        R(0) - R(z) in the eigenbasis (real at real z, so ``gamma`` is
+        hermitian to rounding however close z is to the spectrum), and the
+        maps ``U diag(r) U^H``, ``T diag(r) U^H`` and ``U diag(r) T^H``,
+        which take each vector as a column."""
+        r = _weights(self.model, z)
+        u, t = self.model.basis, self.model.traces
         uh, th, rc = u.conj().T, t.conj().T, r[..., None]
         maps = (
             lambda f: (u @ (rc * (uh @ _column(f))))[..., 0],
             lambda f: (t @ (rc * (uh @ _column(f))))[..., 0],
             lambda ell: (u @ (rc * (th @ _column(ell))))[..., 0],
         )
-        return EvaluationPoint(_trace_matrix(self.model, z, r), lambda: maps)
-
-    def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
-        t = self.model.traces
-        weights = _resolvent_weights(self.model, w) * _resolvent_weights(self.model, z)
-        return (t * weights[..., None, :]) @ t.conj().T
+        trace = (t * (-_column(z) * r / self.model.eigs)[..., None, :]) @ th
+        return EvaluationPoint(trace, lambda: maps)
 
 
 # ----------------------------------------------------------------------

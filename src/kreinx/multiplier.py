@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvariantError, SymbolRangeHit, TailEstimateFailed
 from .greens import PointSet, _per_key_matrix, _quad as quad
-from .krein import EvaluationPoint, GammaEvaluator, _admit
+from .krein import EvaluationPoint, GammaEvaluator, _admit, _one_point
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,6 @@ class MultiplierAnchoredEvaluator(GammaEvaluator):
         return a <= b and self.m.in_resolvent_set(complex(a))
 
     def at(self, z: complex) -> EvaluationPoint:
+        _one_point(self, z)
         _admit(z, self.m.in_resolvent_set(z))
         return EvaluationPoint(anchored_gamma_1d(self.m, self.ps, z, self.w0))
-
-    def gbreve_g(self, w: complex, z: complex) -> np.ndarray:
-        return product_matrix_1d(self.m, self.ps, w, z)

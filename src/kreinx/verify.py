@@ -29,14 +29,17 @@ from .greens import (
     LaplacianPointEvaluator,
     eigenfunction_eval,
     gamma_matrix,
+    gbreve_g_quadrature_1d,
+    gbreve_g_radial_3d,
 )
-from .krein import ExtensionProblem, ThetaMatrix, _at, _maxabs, krein_resolvent
+from .krein import ExtensionProblem, ThetaMatrix, _maxabs, krein_resolvent
 from .matrixmodel import (
     MatrixEvaluator,
     MatrixModel,
     base_resolvent,
     g_maps,
     gamma,
+    product_matrix,
     random_problem_suite,
     woodbury_extension,
 )
@@ -178,7 +181,7 @@ def check_gamma_identities(model: MatrixModel, z_list) -> VerificationReport:
         gamma(model, zs.conj()), gammas.conj().swapaxes(-2, -1), _entry_max
     )
     z, w = _pairs(zs, ordered=False)
-    prods = MatrixEvaluator(model).gbreve_g(zs[w], zs[z])
+    prods = product_matrix(model, zs[w], zs[z])
     dz = (zs[z] - zs[w])[:, None, None]
     diff_res = _worst_residual(gammas[z] - gammas[w], dz * prods, _entry_max)
     return VerificationReport(
@@ -269,9 +272,12 @@ def _convolution_checks() -> VerificationReport:
     checks = []
 
     z, w, zc = 1.0, 4.0, 2.0 + 1.0j
-    for dim, points in ((1, [-0.4, 0.7]), (3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])):
+    for dim, points, product in (
+        (1, [-0.4, 0.7], gbreve_g_quadrature_1d),
+        (3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], gbreve_g_radial_3d),
+    ):
         ps = PointSet(dim, points)
-        prod = LaplacianPointEvaluator(ps).gbreve_g(w, z)
+        prod = product(ps, w, z)
         diff = gamma_matrix(ps, z) - gamma_matrix(ps, w)
         conj = rel_residual(gamma_matrix(ps, np.conj(zc)), gamma_matrix(ps, zc).conj().T)
         checks.append(
@@ -338,7 +344,7 @@ def verify_eigenpair(problem: ExtensionProblem, z0: float, q) -> VerificationRep
     """
     q = np.asarray(q, dtype=complex)
     checks = []
-    point = _at(problem, z0)
+    point = problem.evaluator.at(z0)
     residual = float(np.linalg.norm((problem.theta.entries + point.gamma) @ q))
     checks.append(CheckResult("eigenpair/pencil_kernel", residual, 1e-9))
 

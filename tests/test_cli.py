@@ -532,6 +532,19 @@ class TestSemanticErrorsExit2:
         assert "grid1d ends must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_grid1d(self, tmp_path, capsys):
+        # 8 PB of nodes: past any 64-bit address space, so it fails at once
+        raw = {"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]],
+               "scan": {"a": 0.5, "b": 2.0}, "grid1d": {"lo": -4, "hi": 4, "n": 10**15}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid1d.n: 1000000000000000 nodes do not fit in memory\n"
+        )
+        assert not out.exists()
+
     def test_infinite_laplacian_window(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(CFG_3D, scan={"a": 0.5, "b": float("inf")})))

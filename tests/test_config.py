@@ -347,6 +347,18 @@ class TestSemanticPhase:
         with pytest.raises(InvariantError, match=r"grid1d ends must be finite, got \(-inf, 1.0\)"):
             build_problem(cfg)
 
+    # every size here is past the 128 TiB a 64-bit process can address, so
+    # its allocation fails at once whatever the memory overcommit policy
+    @pytest.mark.parametrize("n", [10**15, 2**59, 2**60, 2**63 - 1, 10**20])
+    def test_unallocatable_grid1d(self, n):
+        cfg = parse_config(json.dumps({
+            "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
+            "scan": {"a": 0.5, "b": 2.0}, "grid1d": {"lo": -4.0, "hi": 4.0, "n": n},
+        }))
+        with pytest.raises(InvariantError) as err:
+            build_problem(cfg)
+        assert err.value.violations == (f"grid1d.n: {n} nodes do not fit in memory",)
+
     def test_grid_config_builds_the_grid_evaluator(self):
         cfg = parse_config(json.dumps({
             "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import re
 import warnings
 
@@ -23,7 +25,7 @@ from kreinx import (
     scan_spectrum,
     woodbury_extension,
 )
-from kreinx.matrixmodel import anchor_pencil, random_model, random_theta
+from kreinx.matrixmodel import anchor_pencil, product_matrix, random_model, random_theta
 
 from conftest import rel_err
 
@@ -252,8 +254,8 @@ class TestEigenbasisAgainstDenseInverse:
                 (gamma(model, z), tau @ (r0 - rz) @ tau_h),
                 (maps.g, rz @ tau_h),
                 (maps.k, z * r0 @ rz @ tau_h),
-                (ev.gbreve_g(w, z), tau @ rw @ rz @ tau_h),
-                (ev.gbreve_g(z, z), tau @ rz @ rz @ tau_h),
+                (product_matrix(model, w, z), tau @ rw @ rz @ tau_h),
+                (product_matrix(model, z, z), tau @ rz @ rz @ tau_h),
                 (r(f), rz @ f),
                 (gbreve(f), tau @ rz @ f),
                 (g(ell), rz @ tau_h @ ell),
@@ -337,8 +339,8 @@ class TestRealModel:
                 (gamma(model, z), tau_c @ (r0 - rz) @ tau_h),
                 (maps.g, rz @ tau_h),
                 (maps.k, z * r0 @ rz @ tau_h),
-                (ev.gbreve_g(w, z), tau_c @ rw @ rz @ tau_h),
-                (ev.gbreve_g(z, z), tau_c @ rz @ rz @ tau_h),
+                (product_matrix(model, w, z), tau_c @ rw @ rz @ tau_h),
+                (product_matrix(model, z, z), tau_c @ rz @ rz @ tau_h),
                 (r(f), rz @ f),
                 (gbreve(f), tau_c @ rz @ f),
                 (g(ell), rz @ tau_h @ ell),
@@ -402,12 +404,21 @@ class TestPointStacks:
             assert rel_err(g(ells)[i], g1(ells[i])) <= 1e-13
 
     def test_spectrum_hit_names_the_point(self, two_level_model):
+        # the oracle's own check raises SpectrumHit; the pencil route's one
+        # check raises OutsideResolventSet, from the free functions as from at
         zs = np.array([2.0j, -1.0, 3.0])
-        for call in (base_resolvent, g_maps, gamma):
-            with pytest.raises(SpectrumHit, match=r"z=\(-1\+0j\)"):
-                call(two_level_model, zs)
-        with pytest.raises(OutsideResolventSet, match=r"z=\(-1\+0j\)"):
-            MatrixEvaluator(two_level_model).at(zs)
+        with pytest.raises(SpectrumHit, match=r"z=\(-1\+0j\)"):
+            base_resolvent(two_level_model, zs)
+        calls = (
+            lambda zs: g_maps(two_level_model, zs),
+            lambda zs: gamma(two_level_model, zs),
+            lambda zs: product_matrix(two_level_model, 2.0j, zs),
+            lambda zs: product_matrix(two_level_model, zs, 2.0j),
+            MatrixEvaluator(two_level_model).at,
+        )
+        for call in calls:
+            with pytest.raises(OutsideResolventSet, match=r"z=\(-1\+0j\) is outside"):
+                call(zs)
 
     def test_strided_blocks_give_the_contiguous_bits(self):
         # the maps make a block contiguous themselves, so a strided block
@@ -424,19 +435,18 @@ class TestPointStacks:
 
     @pytest.mark.parametrize("z", [complex("inf"), complex("nan"), complex(0.5, float("inf"))])
     def test_free_functions_name_a_non_finite_point(self, two_level_model, z):
-        ev = MatrixEvaluator(two_level_model)
         calls = (
-            lambda zs: gamma(two_level_model, zs),
-            lambda zs: base_resolvent(two_level_model, zs),
-            lambda zs: g_maps(two_level_model, zs),
-            lambda zs: ev.gbreve_g(2.0j, zs),
-            lambda zs: ev.gbreve_g(zs, 2.0j),
+            (lambda zs: base_resolvent(two_level_model, zs), InvariantError, "is not finite"),
+            (lambda zs: gamma(two_level_model, zs), OutsideResolventSet, "is outside"),
+            (lambda zs: g_maps(two_level_model, zs), OutsideResolventSet, "is outside"),
+            (lambda zs: product_matrix(two_level_model, 2.0j, zs), OutsideResolventSet, "is outside"),
+            (lambda zs: product_matrix(two_level_model, zs, 2.0j), OutsideResolventSet, "is outside"),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in calls:
+            for call, error, says in calls:
                 for zs in (z, np.array([2.0j, z, complex("nan")])):
-                    with pytest.raises(InvariantError, match=re.escape(f"z={z!r} is not finite")):
+                    with pytest.raises(error, match=re.escape(f"z={z!r} {says}")):
                         call(zs)
 
     def test_point_names_its_first_bad_point(self, two_level_model):
@@ -446,3 +456,21 @@ class TestPointStacks:
                 ev.at(np.array(zs, dtype=complex))
         assert ev.at(np.array([2.0j, 0.5])).gamma.shape == (2, 1, 1)
         assert two_level_model.spectrum_distance(np.array([0.0, 3.0])).tolist() == [1.0, 2.0]
+
+
+def test_oracle_shares_no_code_with_the_pencil_route():
+    # the Woodbury oracle checks the pencil route, so it must not reach any
+    # of its parts: neither the one check of z nor the maps built on it
+    from kreinx import matrixmodel
+
+    oracle = {"base_resolvent", "anchor_pencil", "woodbury_extension", "direct_eigs"}
+    pencil = {"_weights", "_admit", "MatrixEvaluator", "gamma", "g_maps"}
+    found = {}
+    for node in ast.parse(inspect.getsource(matrixmodel)).body:
+        if isinstance(node, ast.FunctionDef) and node.name in oracle:
+            found[node.name] = {
+                getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)
+            }
+    assert set(found) == oracle
+    for name, names in found.items():
+        assert not names & pencil, name
