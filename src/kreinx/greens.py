@@ -12,10 +12,11 @@ and the finite diagonal limit ``lim_{r->0} (g0 - gz)(r)``, which removes
 the kernel singularity once and for all at the zero-energy anchor (no
 arbitrary spectral shift enters).
 
-Dimension 2 takes K0 from ``scipy.special.kv`` (the AMOS algorithm, see
-``bessel``, which imports it on first use); it also accepts the complex
-arguments arising for z off the positive real axis.  The trace matrix
-and source superpositions are array expressions over all radii at once;
+On the positive real axis sqrt(z) is a float, so the kernels and the
+trace matrix are real (float64); off it they are complex.  Dimension 2
+takes K0 from ``bessel`` (Cephes ``k0`` on a real argument, AMOS ``kv``
+on a complex one, imported on first use).  The trace matrix and source
+superpositions are array expressions over all radii at once;
 the scalar ``LaplacianKernel`` methods evaluate one radius at a time
 and serve as their reference.
 
@@ -70,9 +71,11 @@ def off_branch_cut(z: complex) -> bool:
 
 
 def _sqrt_principal(z: complex) -> complex:
+    """sqrt(z) with Re > 0; a float on the positive real axis."""
     if not off_branch_cut(z):
         raise BranchCut(f"z={z!r} lies on the branch cut (-inf, 0]")
-    return complex(np.sqrt(complex(z)))
+    z = complex(z)
+    return math.sqrt(z.real) if z.imag == 0.0 else complex(np.sqrt(z))
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,16 @@ class LaplacianKernel:
 
     def renormalized_diagonal(self, z: complex) -> complex:
         """lim_{r -> 0} (g0 - gz)(r); finite in every dimension."""
-        kappa = _sqrt_principal(z)
-        if self.dim == 1:
-            return -1.0 / (2.0 * kappa)
-        if self.dim == 2:
-            return (np.log(kappa / 2.0) + EULER_GAMMA) / (2.0 * math.pi)
-        return kappa / (4.0 * math.pi)
+        return _diagonal(self.dim, _sqrt_principal(z))
+
+
+def _diagonal(dim: int, kappa: complex) -> complex:
+    """lim_{r -> 0} (g0 - gz)(r) at kappa = sqrt(z)."""
+    if dim == 1:
+        return -1.0 / (2.0 * kappa)
+    if dim == 2:
+        return (np.log(kappa / 2.0) + EULER_GAMMA) / (2.0 * math.pi)
+    return kappa / (4.0 * math.pi)
 
 
 def _g0_array(dim: int, r: np.ndarray) -> np.ndarray:
@@ -164,10 +171,11 @@ class PointSet:
     """Finitely many pairwise-distinct interaction points in dim 1, 2 or 3.
 
     One-dimensional points may be given as plain floats.  ``distances``
-    is the read-only matrix of pairwise Euclidean distances.
+    is the read-only matrix of pairwise Euclidean distances; ``gamma_matrix``
+    reads its z-independent part, g0 of the distances with a unit diagonal.
     """
 
-    __slots__ = ("dim", "points", "distances")
+    __slots__ = ("dim", "points", "distances", "_radii", "_g0")
 
     def __init__(self, dim: int, points):
         if dim not in (1, 2, 3):
@@ -206,6 +214,10 @@ class PointSet:
         self.dim = dim
         self.points = pts
         self.distances = dist
+        # a unit radius on the diagonal keeps the kernels finite there;
+        # adding zero leaves every off-diagonal distance exact
+        self._radii = dist + np.eye(pts.shape[0])
+        self._g0 = _g0_array(dim, self._radii)
 
     @property
     def n_points(self) -> int:
@@ -226,15 +238,12 @@ def gamma_matrix(ps: PointSet, z: complex) -> np.ndarray:
     """Renormalized trace matrix of the point set at z.
 
     Entry (j, k) is ``(g0 - gz)(|y_j - y_k|)`` for j != k; the diagonal
-    carries the renormalized limit.  Hermitian for real z > 0.
+    carries the renormalized limit.  Real symmetric (float64) for real
+    z > 0, where sqrt(z) is real; complex otherwise.
     """
-    diagonal = LaplacianKernel(ps.dim).renormalized_diagonal(z)
     kappa = _sqrt_principal(z)
-    # a unit radius on the diagonal keeps the kernels finite there; adding
-    # zero leaves every off-diagonal distance exact
-    r = ps.distances + np.eye(ps.n_points)
-    out = _g0_array(ps.dim, r) - _gz_array(ps.dim, r, kappa)
-    np.fill_diagonal(out, diagonal)
+    out = ps._g0 - _gz_array(ps.dim, ps._radii, kappa)
+    np.fill_diagonal(out, _diagonal(ps.dim, kappa))
     return out
 
 

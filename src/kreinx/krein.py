@@ -43,24 +43,30 @@ HERMITICITY_RTOL = 1e-10
 
 def _maxabs(m) -> float:
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Check ``m`` is hermitian and return (m + m^H)/2.
 
     Raises NotHermitian when the defect exceeds
-    ``HERMITICITY_RTOL * (1 + |m|)``.
+    ``HERMITICITY_RTOL * (1 + |m|)``.  A real ``m`` stays real.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    defect = _maxabs(m - m.conj().T)
+    mh = m.conj().T
+    defect = _maxabs(m - mh)
     if defect > HERMITICITY_RTOL * (1.0 + _maxabs(m)):
         raise NotHermitian(
             f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e} * (1 + |m|)"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + mh) / 2.0
+
+
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    """``x`` as float64 when every imaginary part is exactly zero, else ``x``."""
+    return x if x.imag.any() else x.real.copy()
 
 
 class ThetaMatrix:
@@ -68,20 +74,21 @@ class ThetaMatrix:
 
     Construction demands exact hermiticity (entries must equal their
     conjugate transpose bit for bit); build inputs as (m + m^H)/2 if
-    needed, which is exact in IEEE arithmetic.
+    needed, which is exact in IEEE arithmetic.  ``entries`` are float64
+    when every imaginary part is exactly zero (a real pencil stays real).
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        m = np.array(entries, dtype=complex)
+        m = _real_if_exact(np.array(entries, dtype=complex))
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvariantError(
                 f"coupling matrix must be square and nonempty, got shape {m.shape}"
             )
         if not np.array_equal(m, m.conj().T):
             raise NotHermitian("coupling matrix must be exactly hermitian")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.all(np.isfinite(m)):
             raise InvariantError("coupling matrix entries must be finite")
         m.flags.writeable = False
         self.entries = m

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, OracleDegenerate, SpectrumHit
-from .krein import EvaluationPoint, GammaEvaluator, ThetaMatrix, _admit, _point
+from .krein import EvaluationPoint, GammaEvaluator, ThetaMatrix, _admit, _point, _real_if_exact
 
 # Relative spectral-distance floor for resolvent evaluations.
 SPECTRUM_RTOL = 1e-12
@@ -127,12 +127,6 @@ class MatrixModel:
 
     def __repr__(self):
         return f"MatrixModel(n={self.n}, N={self.n_charges})"
-
-
-def _real_if_exact(x: np.ndarray) -> np.ndarray:
-    """``x`` as float64 when every imaginary part is exactly zero, else
-    ``x`` itself."""
-    return x if x.imag.any() else x.real.copy()
 
 
 def _column(x) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from kreinx import (
     ExtensionProblem,
@@ -26,6 +27,24 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=complex)
     denom = max(float(np.max(np.abs(want))), 1e-300)
     return float(np.max(np.abs(got - want))) / denom
+
+
+def complex_gamma_matrix(ps, z):
+    """Reference trace matrix in complex arithmetic throughout: the
+    principal root of z + 0j, complex exp, and AMOS kv in the plane."""
+    kappa = np.sqrt(complex(z) + 0j)
+    r = ps.distances + np.eye(ps.n_points)
+    if ps.dim == 1:
+        out = -r / 2.0 - np.exp(-kappa * r) / (2.0 * kappa)
+        diagonal = -1.0 / (2.0 * kappa)
+    elif ps.dim == 2:
+        out = (-np.log(r) - special.kv(0, kappa * r)) / (2.0 * np.pi)
+        diagonal = (np.log(kappa / 2.0) + np.euler_gamma) / (2.0 * np.pi)
+    else:
+        out = 1.0 / (4.0 * np.pi * r) - np.exp(-kappa * r) / (4.0 * np.pi * r)
+        diagonal = kappa / (4.0 * np.pi)
+    np.fill_diagonal(out, diagonal)
+    return out
 
 
 def count_eighs(monkeypatch, n):

@@ -1,9 +1,10 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import kv
 
 from kreinx import NonpositiveArgument, k0_bessel
-from kreinx.bessel import k0_right_half_plane
+from kreinx.bessel import _k0, k0_right_half_plane
 
 # frozen from a 40-digit evaluation of the defining series (mpmath)
 K0_AT_1 = 0.4210244382407083333
@@ -53,3 +54,27 @@ def test_rejects_nonpositive():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(NonpositiveArgument):
             k0_bessel(bad)
+
+
+def test_real_axis_no_worse_than_amos():
+    # a real array takes Cephes k0 in real arithmetic; its worst relative
+    # error against a 30-digit reference is at most that of AMOS kv
+    mp.mp.dps = 30
+    xs = np.geomspace(1e-6, 600.0, 300)
+    refs = [mp.besselk(0, mp.mpf(float(x))) for x in xs]
+
+    def worst(vals):
+        return max(float(abs((mp.mpf(float(v)) - r) / r)) for v, r in zip(vals, refs))
+
+    got = _k0(xs)
+    assert got.dtype == np.float64
+    assert worst(got) <= worst(kv(0, xs))
+    assert worst(got) <= 2e-15
+
+
+def test_real_axis_far_arguments_underflow_to_zero():
+    xs = np.array([700.0, 746.0, 1e3, 1e9, 2e9, 1e300, np.finfo(float).max])
+    got = _k0(xs)
+    assert np.all(np.isfinite(got))
+    assert got[0] > 0.0 and np.all(got[1:] == 0.0)
+    assert k0_bessel(1e300) == 0.0

@@ -26,7 +26,7 @@ from kreinx.greens import (
     point_source_sum,
 )
 
-from conftest import rel_err
+from conftest import complex_gamma_matrix, rel_err
 
 FOUR_PI = 4.0 * np.pi
 
@@ -257,6 +257,48 @@ class TestGammaMatrixAgainstScalarKernel:
         got = gamma_matrix(ps, 1.0)
         assert np.all(np.isfinite(got))
         assert got[0, 1] == pytest.approx(g0(2, 2e9), rel=1e-15)
+
+
+class TestRealAxis:
+    """On the positive real axis sqrt(z) is real, so the trace matrix is
+    computed in real arithmetic; off it, in complex arithmetic."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("z", [1e-4, 0.3, 4.0, 250.0])
+    def test_real_z_is_float64_and_matches_complex_arithmetic(self, dim, z):
+        rng = np.random.default_rng([dim, 7])
+        ps = PointSet(dim, rng.uniform(0.0, 4.0, size=(8, dim)))
+        got = gamma_matrix(ps, z)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, got.T)
+        want = complex_gamma_matrix(ps, z)
+        assert np.all(want.imag == 0.0)
+        want = want.real
+        # in ulps of the operands g0 and gz of each entry (the diagonal is
+        # one term); in 2-d the entries also carry the disagreement of
+        # Cephes k0 and AMOS kv, a few ulps of K0
+        g0r = np.vectorize(lambda r: g0(dim, r))(ps.distances + np.eye(8))
+        scale = np.where(np.eye(8, dtype=bool), np.abs(want), np.abs(g0r) + np.abs(g0r - want))
+        ulps = 8 if dim == 2 else 2
+        assert np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("z", [2.0 + 1.5j, -1.0 + 0.5j, 2.0 - 1e-300j, -3.0 + 0.0j])
+    def test_complex_z_stays_complex(self, dim, z):
+        ps = PointSet(dim, np.eye(2, dim) if dim > 1 else [0.0, 1.0])
+        if z.imag == 0.0:
+            with pytest.raises(BranchCut):
+                gamma_matrix(ps, z)
+            return
+        got = gamma_matrix(ps, z)
+        assert got.dtype == np.complex128
+        assert rel_err(got, complex_gamma_matrix(ps, z)) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_complex_typed_real_z_is_the_real_point(self, dim):
+        ps = PointSet(dim, np.eye(3, dim) if dim > 1 else [0.0, 1.0, 2.5])
+        assert np.array_equal(gamma_matrix(ps, 2.5 + 0j), gamma_matrix(ps, 2.5))
+        assert gamma_matrix(ps, np.complex128(2.5)).dtype == np.float64
 
 
 def _trace(ps, z, xs, fs):

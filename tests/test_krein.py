@@ -30,6 +30,7 @@ from kreinx import (
     krein_resolvent,
     woodbury_extension,
 )
+from kreinx.krein import hermitian_part
 from kreinx.matrixmodel import base_resolvent, random_model, random_problem_suite, random_theta
 
 from conftest import rel_err
@@ -60,6 +61,53 @@ class TestThetaMatrix:
     def test_accepts_hermitian(self):
         t = ThetaMatrix([[1.0, 1j], [-1j, 2.0]])
         assert t.n == 2
+
+    @pytest.mark.parametrize("entries, dtype", [
+        ([[0.5, -0.2], [-0.2, 1.25]], np.float64),
+        ([[0.5 + 0j, -0.2 - 0j], [-0.2 + 0j, 1.25]], np.float64),
+        ([[1, 2], [2, 3]], np.float64),
+        ([[0.5, 0.1 + 1e-300j], [0.1 - 1e-300j, 1.25]], np.complex128),
+        ([[1.0, 1j], [-1j, 2.0]], np.complex128),
+    ])
+    def test_float64_exactly_when_real(self, entries, dtype):
+        t = ThetaMatrix(entries)
+        assert t.entries.dtype == dtype
+        assert np.array_equal(t.entries, np.array(entries, dtype=complex))
+        assert not t.entries.flags.writeable
+
+    def test_rejects_non_finite_real_entries(self):
+        with pytest.raises(InvariantError, match="finite"):
+            ThetaMatrix([[np.inf]])
+
+
+class TestHermitianPart:
+    def test_real_stays_real(self):
+        m = np.array([[1.0, 2.0], [2.0 + 1e-13, -1.0]])
+        h = hermitian_part(m)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert h[0, 1] == (m[0, 1] + m[1, 0]) / 2.0
+
+    def test_complex_stays_complex(self):
+        m = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, -1.0]])
+        h = hermitian_part(m)
+        assert h.dtype == np.complex128
+        assert np.array_equal(h, m)
+
+    @pytest.mark.parametrize("m", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones((2, 3))])
+    def test_rejects(self, m):
+        with pytest.raises(NotHermitian):
+            hermitian_part(m)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_laplacian_pencil_is_real_at_real_z_with_real_coupling(self, dim):
+        ps = PointSet(dim, np.eye(3, dim) if dim > 1 else [0.0, 1.0, 2.5])
+        real = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix(-0.2 * np.eye(3)))
+        assert hermitian_part(gamma_theta(real, 1.5)).dtype == np.float64
+        assert gamma_theta(real, 1.5 + 0.5j).dtype == np.complex128
+        theta = -0.2 * np.eye(3) + 0.05j * (np.eye(3, k=1) - np.eye(3, k=-1))
+        cplx = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix(theta))
+        assert hermitian_part(gamma_theta(cplx, 1.5)).dtype == np.complex128
 
 
 class TestGammaTheta:

@@ -1,5 +1,6 @@
 import ast
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,8 @@ from kreinx import (
 )
 from kreinx.krein import GammaEvaluator
 from kreinx.matrixmodel import random_model, random_theta
+
+from conftest import complex_gamma_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -230,6 +233,54 @@ class TestScanSpectrum:
         problem = ExtensionProblem(TouchingEvaluator(), ThetaMatrix([[0.0]]))
         with pytest.raises(PencilNotMonotone):
             scan_spectrum(problem, (1.0, 3.0))
+
+
+def _negative_count(theta, ps, lam):
+    """Negative eigenvalues of the pencil built in complex arithmetic."""
+    return int(np.sum(np.linalg.eigvalsh(theta + complex_gamma_matrix(ps, lam)) < 0.0))
+
+
+class TestLaplacianScanCouplings:
+    """A real coupling makes the Laplacian pencil real at real lambda, a
+    complex hermitian one keeps it complex (the benchmark sends only real
+    ones); the scan must hold on both."""
+
+    @pytest.mark.parametrize("dim, alpha, z0", [
+        (1, 0.4, 1.0 / (4.0 * 0.4**2)),
+        (2, -0.1, 4.0 * np.exp(0.4 * np.pi - 2.0 * np.euler_gamma)),
+        (3, -0.1, 16.0 * np.pi**2 * 0.01),
+    ])
+    def test_single_point_closed_form(self, dim, alpha, z0):
+        _, problem = laplacian_problem(dim, np.zeros((1, dim)), alpha)
+        assert problem.theta.entries.dtype == np.float64
+        rep = scan_spectrum(problem, (0.4 * z0, 2.5 * z0))
+        assert len(rep.roots) == 1 and rep.roots[0].multiplicity == 1
+        assert abs(rep.roots[0].z0 - z0) <= 1e-12 * z0
+        assert np.array_equal(rep.roots[0].charge, [1.0])
+
+    @pytest.mark.parametrize("dim, points, alpha, window, count", [
+        (1, [0.0, 0.3, 0.7], 0.6, (0.01, 20.0), 1),
+        (2, [[1.0, 0.0], [0.0, 1.3], [0.0, 0.0]], -0.15, (1e-3, 200.0), 3),
+        (3, [[1.0, 0.0, 0.0], [0.0, 1.3, 0.0], [0.0, 0.0, 0.8]], -0.5, (0.01, 200.0), 3),
+    ])
+    def test_complex_hermitian_coupling(self, dim, points, alpha, window, count):
+        ps = PointSet(dim, points)
+        skew = 0.15j * (np.eye(3, k=1) - np.eye(3, k=-1))
+        theta = alpha * np.eye(3) + 0.1 * (np.eye(3, k=1) + np.eye(3, k=-1)) + skew
+        problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix(theta))
+        assert problem.theta.entries.dtype == np.complex128
+        rep = scan_spectrum(problem, window)
+        assert _negative_count(theta, ps, window[0]) - _negative_count(theta, ps, window[1]) == count
+        assert sum(r.multiplicity for r in rep.roots) == count and rep.warnings == ()
+        # Gamma is real at real lambda, so conj(theta) + Gamma = conj(theta + Gamma):
+        # the same roots, with conjugated charges
+        mirror = scan_spectrum(replace(problem, theta=ThetaMatrix(theta.conj())), window)
+        for root, twin in zip(rep.roots, mirror.roots):
+            pencil = theta + complex_gamma_matrix(ps, root.z0)
+            assert np.linalg.norm(pencil @ root.charge) <= 1e-9
+            assert np.any(np.abs(root.charge.imag) > 1e-3)
+            assert abs(twin.z0 - root.z0) <= 1e-12 * root.z0
+            assert np.allclose(twin.charge, root.charge.conj(), atol=1e-9)
 
 
 class TestScanAgainstOracle:
