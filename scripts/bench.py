@@ -23,10 +23,12 @@ once as k ``krein_apply`` calls and once as one ``krein_resolvent``
 applied k times; and at n = 12 (N = 4) on one vector at each of k = 10
 points, once as one ``krein_resolvent`` per point and once as one
 stacked ``krein_resolvent`` over all 10 points applied to a (10, 12)
-block; and ``spectral._branch_values`` (one pencil evaluation of a scan:
-the trace matrix, the coupling and the eigenvalues) on the Laplacian
-backends in dims 1, 2 and 3 with N = 1, 8 and 16 points, real coupling,
-at one real lambda, timed per call over BRANCH_REPS calls.
+block; and ``spectral._interior_values`` (one pencil evaluation inside a
+scan window, as the scan runs it on an exactly hermitian pencil: the
+trace matrix, the coupling and the eigenvalues, with no hermiticity
+check) on the Laplacian backends in dims 1, 2 and 3 with N = 1, 8 and 16
+points, real coupling, at one real lambda, timed per call over
+BRANCH_REPS calls.
 
 The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
@@ -184,11 +186,11 @@ def krein_apply_layer() -> dict:
     return out
 
 
-def branch_values_layer() -> dict:
+def interior_values_layer() -> dict:
     import numpy as np
 
     from kreinx import ExtensionProblem, LaplacianPointEvaluator, PointSet, ThetaMatrix
-    from kreinx.spectral import _branch_values
+    from kreinx.spectral import _interior_values
 
     out = {}
     for dim in (1, 2, 3):
@@ -197,7 +199,7 @@ def branch_values_layer() -> dict:
             ps = PointSet(dim, rng.uniform(0.0, 4.0, size=(n, dim)))
             problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix(-0.3 * np.eye(n)))
             out[f"dim={dim},N={n}"] = _timed(
-                lambda: _branch_values(problem, BRANCH_LAMBDA), BRANCH_REPS
+                lambda: _interior_values(problem, BRANCH_LAMBDA, True), BRANCH_REPS
             )
     return out
 
@@ -226,7 +228,7 @@ def main(argv) -> int:
         "layer": {
             "greens.r_apply": r_apply_layer(),
             "krein.krein_apply": krein_apply_layer(),
-            "spectral._branch_values": branch_values_layer(),
+            "spectral._interior_values": interior_values_layer(),
         },
     }
     path = ROOT / f"BENCH_{label}.json"
@@ -239,8 +241,8 @@ def main(argv) -> int:
         print(f"r_apply {name:12s} {row['median_s'] * 1e3:.2f} ms")
     for name, row in result["layer"]["krein.krein_apply"].items():
         print(f"{name:32s} {row['median_s'] * 1e3:.3f} ms")
-    for name, row in result["layer"]["spectral._branch_values"].items():
-        print(f"_branch_values {name:12s} {row['median_s'] * 1e6:.1f} us")
+    for name, row in result["layer"]["spectral._interior_values"].items():
+        print(f"_interior_values {name:12s} {row['median_s'] * 1e6:.1f} us")
     print(f"wrote {path}")
     return 0
 

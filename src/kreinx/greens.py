@@ -65,17 +65,13 @@ def _quad(*args, **kwargs):
 quad = _quad
 
 
-def off_branch_cut(z: complex) -> bool:
-    z = complex(z)
-    return not (z.imag == 0.0 and z.real <= 0.0)
-
-
 def _sqrt_principal(z: complex) -> complex:
-    """sqrt(z) with Re > 0; a float on the positive real axis."""
-    if not off_branch_cut(z):
-        raise BranchCut(f"z={z!r} lies on the branch cut (-inf, 0]")
+    """sqrt(z), a float for real z > 0; BranchCut unless Re sqrt(z) > 0 (2j at -4 + 5e-324j)."""
     z = complex(z)
-    return math.sqrt(z.real) if z.imag == 0.0 else complex(np.sqrt(z))
+    kappa = math.sqrt(z.real) if z.imag == 0.0 and z.real > 0.0 else complex(np.sqrt(z))
+    if not kappa.real > 0.0:
+        raise BranchCut(f"z={z!r} is on or next to the branch cut (-inf, 0]")
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ def gamma_matrix(ps: PointSet, z: complex) -> np.ndarray:
     """
     kappa = _sqrt_principal(z)
     out = ps._g0 - _gz_array(ps.dim, ps._radii, kappa)
-    np.fill_diagonal(out, _diagonal(ps.dim, kappa))
+    out.reshape(-1)[:: ps.n_points + 1] = _diagonal(ps.dim, kappa)
     return out
 
 
@@ -424,8 +420,11 @@ class LaplacianPointEvaluator(GammaEvaluator):
 
     def at(self, z: complex) -> EvaluationPoint:
         _one_point(self, z)
-        _admit(z, off_branch_cut(z))
-        return EvaluationPoint(gamma_matrix(self.ps, z))
+        _admit(z, True)
+        try:  # the one branch-cut test: Re sqrt(z) > 0 in gamma_matrix
+            return EvaluationPoint(gamma_matrix(self.ps, z))
+        except BranchCut:
+            _admit(z, False)  # raises OutsideResolventSet
 
 
 class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):

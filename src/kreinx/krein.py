@@ -50,7 +50,8 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Check ``m`` is hermitian and return (m + m^H)/2.
 
     Raises NotHermitian when the defect exceeds
-    ``HERMITICITY_RTOL * (1 + |m|)``.  A real ``m`` stays real.
+    ``HERMITICITY_RTOL * (1 + |m|)``.  A real ``m`` stays real.  A scan
+    checks its window ends and roots only: see ``spectral``.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -14,6 +14,9 @@ points, in ``interval_in_resolvent_set``.  This module holds the scan
 and the charge vectors only; a computed eigenpair is checked against
 the boundary condition by ``verify.verify_eigenpair``, and its
 eigenfunction is evaluated by ``greens.eigenfunction_eval``.
+``hermitian_part`` checks the window ends and roots only, as
+``gamma(z)^H = gamma(conj z)`` makes the pencil hermitian on the whole
+gap; a point in between is symmetrized unless both ends were exactly so.
 
 Energy convention for physics-facing output: a pole z0 of the perturbed
 Laplacian-like operator corresponds to the bound-state energy
@@ -71,6 +74,12 @@ def _branch_values(problem: ExtensionProblem, lam: float) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(gamma_theta(problem, lam)))
 
 
+def _interior_values(problem: ExtensionProblem, lam: float, exact: bool) -> np.ndarray:
+    """``_branch_values`` unchecked, symmetrized only when not ``exact``."""
+    p = gamma_theta(problem, lam)
+    return np.linalg.eigvalsh(p if exact else (p + p.conj().T) / 2.0)
+
+
 def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     """Find all pencil roots in the closed window ``interval`` = (a, b).
 
@@ -96,8 +105,8 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
             f"[{a!r}, {b!r}] is not inside the base real resolvent set"
         )
 
-    ea = _branch_values(problem, a)
-    eb = _branch_values(problem, b)
+    ends = (gamma_theta(problem, a), gamma_theta(problem, b))
+    ea, eb = (np.linalg.eigvalsh(hermitian_part(p)) for p in ends)
     if not np.all(eb > ea):
         k = int(np.argmin(eb - ea))
         raise PencilNotMonotone(
@@ -111,10 +120,11 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     count = k + 1 - lowest
 
     values = {a: ea, b: eb}
+    exact = all(np.array_equal(p, p.conj().T) for p in ends)
 
     def branches_at(x):
         if x not in values:
-            values[x] = _branch_values(problem, x)
+            values[x] = _interior_values(problem, x, exact)
         return values[x]
 
     notes = []

@@ -144,6 +144,14 @@ class TestGreenCommand:
     def test_branch_cut_is_validation_failure(self, tmp_path):
         assert main(["green", "--dim", "2", "--z", "-1", "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("dim", ["1", "2", "3"])
+    def test_underflowing_square_root_is_validation_failure(self, tmp_path, capsys, dim):
+        # Re sqrt(-4 + 5e-324j) underflows to 0: the kernels would not decay
+        out = tmp_path / "x.csv"
+        assert main(["green", "--dim", dim, "--z=-4+5e-324j", "-o", str(out)]) == 2
+        assert "next to the branch cut" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--dim", "3", "--z", "inf"], "--z must be finite"),
         (["--dim", "1", "--z", "nan"], "--z must be finite"),
@@ -362,7 +370,10 @@ class TestResolventCommand:
         ({"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]],
           "grid1d": {"lo": -4.0, "hi": 4.0, "n": 3}, "z": -1.0, "f": [0.0, 1.0, 0.0]},
          "z=(-1+0j) is outside the resolvent set"),  # on the branch cut
-    ], ids=["matrix-eigenvalue", "laplacian1d-branch-cut"])
+        ({"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]],
+          "grid1d": {"lo": -4.0, "hi": 4.0, "n": 3}, "z": [-4.0, 5e-324], "f": [0.0, 1.0, 0.0]},
+         "z=(-4+5e-324j) is outside the resolvent set"),  # Re sqrt(z) underflows to 0
+    ], ids=["matrix-eigenvalue", "laplacian1d-branch-cut", "laplacian1d-underflow"])
     def test_z_on_the_spectrum_exits_3(self, tmp_path, capsys, raw, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))

@@ -13,6 +13,8 @@ from kreinx import (
     GridTooCoarse,
     InvariantError,
     LaplacianKernel,
+    LaplacianPointEvaluator,
+    OutsideResolventSet,
     PointSet,
     g0,
     gamma_matrix,
@@ -21,6 +23,7 @@ from kreinx import (
 )
 from kreinx.greens import (
     LaplacianGrid1DEvaluator,
+    _product_matrix,
     gbreve_g_quadrature_1d,
     gbreve_g_radial_3d,
     point_source_sum,
@@ -531,3 +534,60 @@ class TestPointSourceSum:
     def test_rejects_coefficient_shape(self, coeffs):
         with pytest.raises(InvariantError, match="expected 2 coefficients"):
             point_source_sum(PointSet(1, [0.0, 1.0]), 1.0, coeffs, [0.5])
+
+
+# next to the cut, where Re sqrt(z) underflows to 0: sqrt(-4 + 5e-324j) is 2j
+UNDERFLOW_Z = (-4.0 + 5e-324j, -4.0 - 5e-324j, -1e10 + 5e-324j)
+
+
+def _point_set(dim):
+    return PointSet(dim, np.eye(2, dim) if dim > 1 else [0.0, 1.0])
+
+
+class TestUnderflowNextToBranchCut:
+    """A z whose principal square root has real part 0 by underflow is on
+    the essential spectrum as far as the kernels can tell: every path
+    rejects it on the one ``Re sqrt(z) > 0`` test."""
+
+    @pytest.mark.parametrize("z", UNDERFLOW_Z)
+    def test_square_root_underflows(self, z):
+        assert np.sqrt(z).real == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("z", UNDERFLOW_Z)
+    def test_kernels_raise_branch_cut(self, dim, z):
+        ps = _point_set(dim)
+        calls = [
+            lambda: gz(dim, 1.0, z),
+            lambda: renormalized_diagonal(dim, z),
+            lambda: gamma_matrix(ps, z),
+            lambda: point_source_sum(ps, z, [1.0, 1.0], np.full(dim, 0.5)),
+        ]
+        if dim != 2:
+            calls.append(lambda: _product_matrix(ps, z, 1.0))
+        for call in calls:
+            with pytest.raises(BranchCut, match="next to the branch cut"):
+                call()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("z", UNDERFLOW_Z)
+    def test_evaluators_reject_the_point(self, dim, z):
+        with pytest.raises(OutsideResolventSet, match="is outside the resolvent set"):
+            LaplacianPointEvaluator(_point_set(dim)).at(z)
+
+    @pytest.mark.parametrize("z", UNDERFLOW_Z)
+    def test_grid_backend_rejects_the_point(self, z):
+        ev = LaplacianGrid1DEvaluator(_point_set(1), np.linspace(-4.0, 4.0, 9))
+        with pytest.raises(OutsideResolventSet, match="is outside the resolvent set"):
+            ev.at(z)
+        with pytest.raises(BranchCut):
+            ev.r_apply(z, np.ones(9))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_subnormal_real_part_is_accepted(self, dim):
+        # sqrt(-4 + 1e-320j) keeps the subnormal real part 2.5e-321
+        z = -4.0 + 1e-320j
+        assert np.sqrt(z).real > 0.0
+        got = LaplacianPointEvaluator(_point_set(dim)).at(z).gamma
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, gamma_matrix(_point_set(dim), z))

@@ -239,6 +239,23 @@ class TestAnchoredEvaluator:
         assert ev.interval_in_resolvent_set(0.5, 2.0)
         assert not ev.interval_in_resolvent_set(-1.0, 2.0)
 
+    @pytest.mark.parametrize("symbol", [
+        Multiplier1D(poly=(0.0, 0.0, -1.0)),
+        Multiplier1D(poly=(0.0, 0.5, -1.0)),
+        Multiplier1D(poly=(-2.0, 0.0, -1.0), cos_terms=((1.0, 2.0),)),
+    ], ids=["even", "odd", "cosine"])
+    @pytest.mark.parametrize("lam", [0.5, 2.5])
+    def test_gamma_exactly_hermitian_at_real_lambda(self, symbol, lam):
+        # the scan checks hermiticity at its window ends only and reads the
+        # pencil in between as it is: entries (j, k) and (k, j) are the
+        # transforms at +d and -d, each QUADPACK run on |d| with the same
+        # integrand, so the cosine parts agree bit for bit and the sine
+        # part (odd symbols) only flips sign
+        ev = MultiplierAnchoredEvaluator(symbol, PointSet(1, [-0.4, 0.3, 1.1]), 1.0)
+        g = ev.at(lam).gamma
+        assert np.array_equal(g, g.conj().T)
+        assert symbol.is_even == (not g.imag.any())
+
 
 def _bits(m):
     return np.ascontiguousarray(m).view(np.uint64)

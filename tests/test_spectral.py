@@ -15,10 +15,13 @@ from kreinx import (
     ExtensionProblem,
     InertiaMismatch,
     IntervalOutsideResolventSet,
+    InvariantError,
+    KreinxError,
     LaplacianPointEvaluator,
     MatrixEvaluator,
     MatrixModel,
     NotAPole,
+    NotHermitian,
     OracleDegenerate,
     PencilNotMonotone,
     PointSet,
@@ -498,3 +501,117 @@ def test_spectral_imports_only_krein_and_errors():
         if isinstance(node, ast.ImportFrom) and node.level > 0
     }
     assert relative <= {"krein", "errors"}
+
+
+def _outcome(problem, window):
+    """Everything a scan reports, or the error it raised."""
+    try:
+        rep = scan_spectrum(problem, window)
+    except KreinxError as exc:
+        return type(exc).__name__, str(exc)
+    roots = [(r.z0, r.charge.tobytes(), r.residual, r.multiplicity) for r in rep.roots]
+    return roots, rep.warnings
+
+
+def _checked_outcome(problem, window):
+    """``_outcome`` with every scan point evaluated through the checked
+    ``_branch_values``, as the scan did before it checked only the ends."""
+    from kreinx import spectral
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_interior_values", lambda pr, lam, exact: spectral._branch_values(pr, lam))
+        return _outcome(problem, window)
+
+
+@st.composite
+def _laplacian_sets(draw, dim):
+    n = draw(st.integers(1, 5))
+    pts = draw(st.lists(
+        st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim),
+        min_size=n, max_size=n,
+    ))
+    alpha = draw(st.floats({1: 0.05, 2: -0.3, 3: -0.8}[dim], {1: 1.0, 2: 0.1, 3: -0.05}[dim]))
+    noise = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=n * n, max_size=n * n)))
+    noise = noise.reshape(n, n)
+    theta = alpha * np.eye(n) + (noise + noise.T) / 2.0
+    if draw(st.booleans()):
+        skew = np.triu(noise, 1) * 1j
+        theta = theta + skew - skew.T
+    return np.array(pts), theta
+
+
+class TestHermiticityCheckedOncePerScan:
+    """The scan checks hermiticity at its two window ends and at each
+    root, and evaluates the points in between unchecked; against the
+    scan that checks every point, nothing it reports may move."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_laplacian_matches_checked_scan_bit_for_bit(self, dim, data):
+        pts, theta = data.draw(_laplacian_sets(dim))
+        try:
+            ps = PointSet(dim, pts)
+        except InvariantError:
+            assume(False)
+        problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix(theta))
+        window = (1e-3, 60.0)
+        got = _outcome(problem, window)
+        assert got == _checked_outcome(problem, window)
+
+    @pytest.mark.parametrize("poly", [(0.0, 0.0, -1.0), (0.0, 0.5, -1.0)], ids=["even", "odd"])
+    def test_multiplier_matches_checked_scan_bit_for_bit(self, poly):
+        from kreinx import Multiplier1D, MultiplierAnchoredEvaluator
+
+        ev = MultiplierAnchoredEvaluator(Multiplier1D(poly=poly), PointSet(1, [0.0, 0.8]), 1.0)
+        problem = ExtensionProblem(ev, ThetaMatrix([[0.05, 0.1j], [-0.1j, 0.0]]))
+        got = _outcome(problem, (0.5, 3.0))
+        assert isinstance(got[0], list) and got[0]
+        assert got == _checked_outcome(problem, (0.5, 3.0))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matrix_matches_checked_scan_bit_for_bit(self, seed):
+        # the matrix backend's pencil is hermitian only to rounding, so the
+        # scan symmetrizes its interior pencils as hermitian_part does
+        model = random_model(seed, 6, 1 + seed % 3)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(seed + 1, 1 + seed % 3))
+        for lo, hi in zip(model.eigs[:-1], model.eigs[1:]):
+            window = (lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo))
+            assert _outcome(problem, window) == _checked_outcome(problem, window)
+
+    def test_not_hermitian_evaluator_raises(self):
+        class SkewEvaluator(GammaEvaluator):
+            n_charges = 2
+
+            def interval_in_resolvent_set(self, a, b):
+                return a <= b
+
+            def at(self, z):
+                x = float(np.real(z))
+                return EvaluationPoint(np.array([[x, 1.0], [0.0, x - 1.0]]))
+
+        problem = ExtensionProblem(SkewEvaluator(), ThetaMatrix(np.zeros((2, 2))))
+        with pytest.raises(NotHermitian):
+            scan_spectrum(problem, (-2.0, 3.0))
+
+    @pytest.mark.parametrize("problem", [
+        laplacian_problem(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], -0.1)[1],
+        ExtensionProblem(
+            LaplacianPointEvaluator(PointSet(2, [[1.0, 0.0], [0.0, 1.3], [0.0, 0.0]])),
+            ThetaMatrix(-0.15 * np.eye(3) + 0.05j * (np.eye(3, k=1) - np.eye(3, k=-1))),
+        ),
+        ExtensionProblem(MatrixEvaluator(MatrixModel(np.diag([-1.0, 1e3]), np.eye(2))),
+                         ThetaMatrix([[0.3, 0.2j], [-0.2j, 0.1]])),
+    ], ids=["laplacian3d", "laplacian2d-complex", "matrix"])
+    def test_hermitian_part_runs_at_the_ends_and_roots_only(self, problem):
+        from kreinx import krein, spectral
+
+        window = (1e-3, 200.0)
+        checks, pencils = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "hermitian_part", lambda m: checks.append(1) or krein.hermitian_part(m))
+            mp.setattr(spectral, "gamma_theta", lambda *a: pencils.append(1) or krein.gamma_theta(*a))
+            rep = scan_spectrum(problem, window)
+        assert rep.roots
+        assert len(checks) <= 2 + len(rep.roots)
+        assert len(pencils) > 2 * len(checks)
