@@ -28,7 +28,11 @@ scan window, as the scan runs it on an exactly hermitian pencil: the
 trace matrix, the coupling and the eigenvalues, with no hermiticity
 check) on the Laplacian backends in dims 1, 2 and 3 with N = 1, 8 and 16
 points, real coupling, at one real lambda, timed per call over
-BRANCH_REPS calls.
+BRANCH_REPS calls; and the kernel quadratures, each at one real and one
+complex point: ``multiplier_gz_1d`` of the symbol -xi^2 at x = 0 and
+x = 0.8, ``anchored_gamma_1d`` of -xi^2 - 0.1 xi^4 at N = 2 (points 1.0
+apart, anchor 1.5), and ``gbreve_g_quadrature_1d`` and
+``gbreve_g_radial_3d`` on the two points ``verify`` uses, with w = 4.
 
 The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
@@ -55,6 +59,8 @@ STACK_POINTS = 10
 BRANCH_SIZES = (1, 8, 16)
 BRANCH_LAMBDA = 0.7
 BRANCH_REPS = 200
+# (real, complex) points of the quadrature layer
+QUAD_POINTS = (2.0, 2.0 + 1.0j)
 
 COLD_CASES = {
     "import": ["-c", "import kreinx.cli"],
@@ -204,6 +210,26 @@ def interior_values_layer() -> dict:
     return out
 
 
+def quadrature_layer() -> dict:
+    from kreinx import Multiplier1D, PointSet, anchored_gamma_1d, multiplier_gz_1d
+    from kreinx.greens import gbreve_g_quadrature_1d, gbreve_g_radial_3d
+
+    laplacian = Multiplier1D(poly=(0.0, 0.0, -1.0))
+    quartic = Multiplier1D(poly=(0.0, 0.0, -1.0, 0.0, -0.1))
+    pair = PointSet(1, [0.0, 1.0])
+    line, space = PointSet(1, [-0.4, 0.7]), PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    out = {}
+    for kind, z in zip(("real", "complex"), QUAD_POINTS):
+        for x in (0.0, 0.8):
+            out[f"multiplier_gz_1d,x={x},{kind}"] = _timed(
+                lambda: multiplier_gz_1d(laplacian, z, x))
+        out[f"anchored_gamma_1d,N=2,{kind}"] = _timed(
+            lambda: anchored_gamma_1d(quartic, pair, z, 1.5))
+        out[f"gbreve_g_quadrature_1d,{kind}"] = _timed(lambda: gbreve_g_quadrature_1d(line, 4.0, z))
+        out[f"gbreve_g_radial_3d,{kind}"] = _timed(lambda: gbreve_g_radial_3d(space, 4.0, z))
+    return out
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python scripts/bench.py LABEL", file=sys.stderr)
@@ -229,6 +255,7 @@ def main(argv) -> int:
             "greens.r_apply": r_apply_layer(),
             "krein.krein_apply": krein_apply_layer(),
             "spectral._interior_values": interior_values_layer(),
+            "quadrature": quadrature_layer(),
         },
     }
     path = ROOT / f"BENCH_{label}.json"
@@ -243,6 +270,8 @@ def main(argv) -> int:
         print(f"{name:32s} {row['median_s'] * 1e3:.3f} ms")
     for name, row in result["layer"]["spectral._interior_values"].items():
         print(f"_interior_values {name:12s} {row['median_s'] * 1e6:.1f} us")
+    for name, row in result["layer"]["quadrature"].items():
+        print(f"{name:36s} {row['median_s'] * 1e3:.3f} ms")
     print(f"wrote {path}")
     return 0
 

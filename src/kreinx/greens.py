@@ -298,28 +298,29 @@ def _two_center_integral(
 
     Dim 1 integrates the kernel product on the line, split at the kinks
     x = 0 and x = d.  Dim 3 does the angular integral analytically,
-    leaving one radial integral split at r = d.
+    leaving one radial integral split at r = d.  Float kw and kz (w, z >
+    0) give a float integrand (``math.exp``), one QUADPACK pass per piece.
     """
+    real = isinstance(kw, float) and isinstance(kz, float)
+    exp = math.exp if real else np.exp
     if dim == 1:
         def integrand(x):
-            return _gz_array(1, abs(x), kw) * _gz_array(1, abs(x - d), kz)
+            return exp(-kw * abs(x)) / (2.0 * kw) * (exp(-kz * abs(x - d)) / (2.0 * kz))
 
         cuts, scale = sorted({-np.inf, 0.0, d, np.inf}), 1.0
     elif d == 0.0:
         def integrand(r):
-            return np.exp(-(kw + kz) * r) / (4.0 * math.pi)
+            return exp(-(kw + kz) * r) / (4.0 * math.pi)
 
         cuts, scale = (0.0, np.inf), 1.0
     else:
         def integrand(r):
-            return np.exp(-kw * r) * (
-                np.exp(-kz * abs(r - d)) - np.exp(-kz * (r + d))
-            )
+            return exp(-kw * r) * (exp(-kz * abs(r - d)) - exp(-kz * (r + d)))
 
         cuts, scale = (0.0, d, np.inf), 8.0 * math.pi * d * kz
     tol = 1e-13 * bound * abs(scale)
     total = sum(
-        quad(integrand, a, b, complex_func=True, epsabs=tol, epsrel=0.0)[0]
+        quad(integrand, a, b, complex_func=not real, epsabs=tol, epsrel=0.0)[0]
         for a, b in zip(cuts, cuts[1:])
     )
     return total / scale

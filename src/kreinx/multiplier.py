@@ -11,10 +11,12 @@ z off that set the decaying kernel is the inverse transform
 
 computed with the QUADPACK Fourier algorithm (adaptive Gauss-Kronrod
 panels per half-cycle plus series extrapolation of the cycle sums, which
-stands in for an explicit analytic tail estimate).  Every transform runs
-with the same fixed QUADPACK settings, and its reported error estimate
-is checked against one fixed target, 1e-8 relative with an absolute
-floor of 1e-12; TailEstimateFailed is raised when it cannot be met.
+stands in for an explicit analytic tail estimate).  A real integrand
+(real parameters) is built in float arithmetic, one QUADPACK pass in
+place of ``complex_func``'s two.  Every transform runs with the same
+fixed QUADPACK settings, and its reported error estimate is checked
+against one fixed target, 1e-8 relative with an absolute floor of
+1e-12; TailEstimateFailed is raised when it cannot be met.
 
 There is no closed-form zero-energy kernel for a generic symbol, so no
 absolute renormalization is attempted here: only the anchored difference
@@ -71,6 +73,7 @@ class Multiplier1D:
             raise InvariantError(problems)
         object.__setattr__(self, "poly", coeffs)
         object.__setattr__(self, "cos_terms", terms)
+        object.__setattr__(self, "_horner", coeffs[-2::-1])  # for __call__
 
     @property
     def is_even(self) -> bool:
@@ -79,7 +82,7 @@ class Multiplier1D:
     def __call__(self, xi):
         # Horner's rule in numpy polyval's order, so the same bits
         out = self.poly[-1] + xi * 0
-        for coef in self.poly[-2::-1]:
+        for coef in self._horner:
             out = coef + out * xi
         for k, c in self.cos_terms:
             out = out + c * np.cos(k * xi)
@@ -91,13 +94,23 @@ class Multiplier1D:
 
         Beyond the domination radius the negative leading term wins, so
         the sup is attained at a real critical point.  Without cosine
-        terms it is the largest ``m`` at the real parts of the roots of
-        ``m'``, each at most the sup.  With them a dense grid (fine enough
-        for the fastest cosine) is refined by bounded local maximization.
+        terms it is the largest exact ``m`` at the real parts of the roots
+        of ``m'`` plus Horner's running error bound there (Higham, Alg.
+        5.1), so it bounds the symbol as ``__call__`` rounds it.  With them
+        a dense grid (fine enough for the fastest cosine) is refined by
+        bounded local maximization.
         """
         if not self.cos_terms:
-            critical = np.roots(np.polyder(self.poly[::-1]))
-            return float(np.max(self(critical.real)))
+            from fractions import Fraction
+
+            best = -math.inf
+            for x in map(Fraction, np.roots(np.polyder(self.poly[::-1])).real.tolist()):
+                y, mu = Fraction(self.poly[-1]), abs(self.poly[-1]) / 2.0
+                for coef in self._horner:  # exact Horner, with the running bound mu
+                    y = Fraction(coef) + y * x
+                    mu = float(abs(x)) * mu + float(abs(y))
+                best = max(best, y + Fraction(np.finfo(float).eps * (mu - float(abs(y)) / 2.0)))
+            return float(best)
         from scipy.optimize import minimize_scalar
 
         lead = abs(self.poly[-1])
@@ -140,10 +153,19 @@ def _check_admissible(m: Multiplier1D, z: complex) -> None:
         )
 
 
-def _inverse_transform(func, x, where, *, even):
+def _parameters(m: Multiplier1D, *values):
+    """Check each value off the symbol range; floats if all are real, else complex."""
+    for v in values:
+        _check_admissible(m, v)
+    values = [complex(v) for v in values]
+    return values if any(v.imag for v in values) else [v.real for v in values]
+
+
+def _inverse_transform(func, x, where, *, even, real):
     """(1/2pi) integral over the real line of e^{i xi x} func(xi) d xi.
 
-    func maps a scalar xi to a complex value; even=True declares
+    func maps a scalar xi to a float if ``real`` (one QUADPACK pass), else
+    to a complex value (two, ``complex_func``); even=True declares
     func(-xi) == func(xi) and skips the odd part.  Raises
     TailEstimateFailed (naming ``where``) when the QUADPACK error
     estimate exceeds ``max(1e-8 * |value|, 1e-12)``.
@@ -165,18 +187,17 @@ def _inverse_transform(func, x, where, *, even):
         warnings.simplefilter("ignore", IntegrationWarning)
         if ax < 1e-12:
             val, err = quad(s_plus, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
-                            limit=400, complex_func=True)
+                            limit=400, complex_func=not real)
             err = err.real + err.imag
         else:
-            kw = dict(wvar=ax, epsabs=1e-13, limit=400, limlst=150,
-                      complex_func=True)
+            kw = dict(wvar=ax, epsabs=1e-13, limit=400, limlst=150, complex_func=not real)
             val, err = quad(s_plus, 0.0, np.inf, weight="cos", **kw)
             err = err.real + err.imag
             if not even:
                 sin_val, sin_err = quad(s_minus, 0.0, np.inf, weight="sin", **kw)
                 val += 1j * (1.0 if x > 0 else -1.0) * sin_val
                 err += sin_err.real + sin_err.imag
-    val /= 2.0 * math.pi
+    val = complex(val) / (2.0 * math.pi)
     err /= 2.0 * math.pi
     if err > max(1e-8 * abs(val), 1e-12):
         raise TailEstimateFailed(f"error estimate {err:.3e} exceeds target at {where}")
@@ -190,13 +211,13 @@ def multiplier_gz_1d(m: Multiplier1D, z: complex, x: float) -> complex:
     TailEstimateFailed when the quadrature error estimate exceeds
     ``max(1e-8 * |value|, 1e-12)``.
     """
-    _check_admissible(m, z)
-    z = complex(z)
+    (zs,) = _parameters(m, z)
 
     def func(xi):
-        return 1.0 / (z - complex(m(xi)))
+        return 1.0 / (zs - m(xi))
 
-    return _inverse_transform(func, x, f"z={z!r}, x={x!r}", even=m.is_even)
+    where = f"z={complex(z)!r}, x={x!r}"
+    return _inverse_transform(func, x, where, even=m.is_even, real=isinstance(zs, float))
 
 
 def anchored_gamma_1d(m: Multiplier1D, ps: PointSet, z: complex, w0: complex) -> np.ndarray:
@@ -208,43 +229,33 @@ def anchored_gamma_1d(m: Multiplier1D, ps: PointSet, z: complex, w0: complex) ->
     renormalization).  Hermitian for real z, w0 off the symbol range;
     identically zero at z == w0.
     """
-    _check_admissible(m, z)
-    _check_admissible(m, w0)
-    z = complex(z)
-    w0 = complex(w0)
-    n = ps.n_points
+    z, w0 = _parameters(m, z, w0)
     if z == w0:
-        return np.zeros((n, n), dtype=complex)
-
-    def func_at(xi):
-        mx = complex(m(xi))
-        return (z - w0) / ((w0 - mx) * (z - mx))
-
-    return _pairwise_fourier_matrix(m, ps, func_at)
+        return np.zeros((ps.n_points, ps.n_points), dtype=complex)
+    return _pairwise_fourier_matrix(m, ps, z - w0, w0, z)
 
 
 def product_matrix_1d(m: Multiplier1D, ps: PointSet, w: complex, z: complex) -> np.ndarray:
     """Product matrix (trace map at w) o (source map at z) for the
     multiplier backend: entry (j, k) is the convolution of the two
     kernels evaluated at ``y_j - y_k``."""
-    _check_admissible(m, z)
-    _check_admissible(m, w)
-    w = complex(w)
-    z = complex(z)
-
-    def func_at(xi):
-        mx = complex(m(xi))
-        return 1.0 / ((w - mx) * (z - mx))
-
-    return _pairwise_fourier_matrix(m, ps, func_at)
+    z, w = _parameters(m, z, w)
+    return _pairwise_fourier_matrix(m, ps, 1.0, w, z)
 
 
-def _pairwise_fourier_matrix(m, ps, func) -> np.ndarray:
+def _pairwise_fourier_matrix(m, ps, c, w, z) -> np.ndarray:
+    """Entry (j, k) is the inverse transform of ``c / ((w - m)(z - m))`` at y_j - y_k."""
     if ps.dim != 1:
         raise InvariantError("multiplier backend requires a dim-1 point set")
+
+    def func(xi):
+        mx = m(xi)
+        return c / ((w - mx) * (z - mx))
+
+    real = isinstance(z, float)
     return _per_key_matrix(
         ps.displacements_1d(),
-        lambda r: _inverse_transform(func, r, f"displacement {r!r}", even=m.is_even),
+        lambda r: _inverse_transform(func, r, f"displacement {r!r}", even=m.is_even, real=real),
     )
 
 

@@ -137,18 +137,9 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
             lambda x: branches_at(x)[k], a, b,
             xtol=4e-16, rtol=4.0 * np.finfo(float).eps, disp=False,
         )
-        # brentq stops on a bracket a few doubles wide: step to the sign
-        # change and keep the double with the smaller branch value
         f0 = branches_at(z0)[k]
-        toward = b if f0 < 0.0 else a
-        while f0 != 0.0:
-            z1 = float(np.nextafter(z0, toward))
-            f1 = branches_at(z1)[k]
-            if f1 == 0.0 or (f1 < 0.0) != (f0 < 0.0):
-                if abs(f1) < abs(f0):
-                    z0 = z1
-                break
-            z0, f0 = z1, f1
+        if f0 != 0.0:
+            z0 = _sign_change(lambda x: branches_at(x)[k], z0, f0, b if f0 < 0.0 else a)
         evals = branches_at(z0)
         residual = float(np.min(np.abs(evals)))
         if residual > problem.tol_root:
@@ -178,6 +169,33 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
             f"tol_root to each other or to a window end are not resolved"
         )
     return SpectrumReport(roots=tuple(roots), warnings=tuple(notes))
+
+
+def _ordinal(x: float) -> int:
+    """Position of x among the doubles; both zeros are 0."""
+    return int(np.float64(abs(x)).view(np.int64)) * (1 if x > 0.0 else -1)
+
+
+def _double(n: int) -> float:
+    return float(np.int64(abs(n)).view(np.float64)) * (1 if n >= 0 else -1)
+
+
+def _sign_change(f, x0: float, f0: float, end: float) -> float:
+    """The first double from x0 (f0 = f(x0) != 0) toward end where f is
+    zero or changes sign, or the one before if |f| is smaller there: 16
+    single steps (a branch is not monotone at ulp scale), then doubling
+    steps and bisection on ordinals (near 1e-9 brentq's xtol spans 1e9 doubles)."""
+    lo, last, step, walked, hi = _ordinal(x0), _ordinal(end), 1, 0, None
+    sign = 1 if last > lo else -1
+    while hi is None or abs(hi - lo) > 1:
+        mid = lo + sign * (min(step, abs(last - lo)) if hi is None else abs(hi - lo) // 2)
+        fm = f(_double(mid))
+        if fm == 0.0 or (fm < 0.0) != (f0 < 0.0) or mid == last:
+            hi, f1 = mid, fm
+        else:
+            lo, f0, walked = mid, fm, walked + 1
+            step = 1 if walked < 16 else 2 * step
+    return _double(hi) if abs(f1) < abs(f0) else _double(lo)
 
 
 def charge_vector(problem: ExtensionProblem, z0: float) -> np.ndarray:

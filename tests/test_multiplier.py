@@ -1,6 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kreinx import (
@@ -9,10 +12,13 @@ from kreinx import (
     MultiplierAnchoredEvaluator,
     PointSet,
     SymbolRangeHit,
+    TailEstimateFailed,
     anchored_gamma_1d,
     gz,
     multiplier_gz_1d,
 )
+import kreinx.greens
+import kreinx.multiplier
 from kreinx.greens import _product_matrix, _sqrt_principal, _two_center_integral
 from kreinx.multiplier import _inverse_transform, _pairwise_fourier_matrix, product_matrix_1d
 
@@ -80,9 +86,9 @@ class TestSymbolEvaluation:
 
         def func(xi):
             nodes.append(xi)
-            return 1.0 / (2.0 - complex(second_order(xi)))
+            return 1.0 / (2.0 - second_order(xi))
 
-        val = _inverse_transform(func, x, "test", even=True)
+        val = _inverse_transform(func, x, "test", even=True, real=True)
         assert val == pytest.approx(gz(1, x, 2.0), rel=1e-8)
         assert nodes and all(a != b for a, b in zip(nodes, nodes[1:]))
 
@@ -114,6 +120,9 @@ class TestRangeMax:
         coeffs=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6),
         lead=st.floats(0.1, 5.0),
     )
+    # the correctly rounded sup 1.474442044636429 is one double below the
+    # symbol as computed on the grid
+    @example(coeffs=[0.0, 4.0], lead=2.712890625)
     def test_closed_form_matches_the_numeric_sup(self, coeffs, lead):
         poly = tuple(coeffs[: 2 * (len(coeffs) // 2)]) + (-lead,)
         sym = Multiplier1D(poly=poly)
@@ -288,10 +297,11 @@ class TestPerKeyMatrix:
     def test_multiplier_matrix(self, differential_difference):
         m = differential_difference
         ps = PointSet(1, [0.0, 0.6, 1.2, 2.0])
-        z = 3.0 + 0.5j
+        w, z = 2.5 - 0.25j, 3.0 + 0.5j
 
         def func(xi):
-            return 1.0 / (z - complex(m(xi)))
+            mx = complex(m(xi))
+            return 1.0 / ((w - mx) * (z - mx))
 
         disp = ps.displacements_1d()
         n = ps.n_points
@@ -302,8 +312,150 @@ class TestPerKeyMatrix:
                 r = float(disp[j, k])
                 if r not in cache:
                     cache[r] = _inverse_transform(
-                        func, r, f"displacement {r!r}", even=m.is_even
+                        func, r, f"displacement {r!r}", even=m.is_even, real=False
                     )
                 want[j, k] = cache[r]
-        got = _pairwise_fourier_matrix(m, ps, func)
+        got = _pairwise_fourier_matrix(m, ps, 1.0, w, z)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+_SYMBOLS = [
+    Multiplier1D(poly=(0.0, 0.0, -1.0)),
+    Multiplier1D(poly=(0.0, 0.5, -1.0)),
+    Multiplier1D(poly=(-2.0, 0.0, -1.0), cos_terms=((1.0, 2.0),)),
+]
+_SYMBOL_IDS = ["even", "odd", "cosine"]
+
+
+def _complex_route(func, x, even):
+    """(1/2pi) integral of e^{i xi x} func(xi) for a complex integrand,
+    through ``quad(complex_func=True)`` with the QUADPACK settings of
+    ``_inverse_transform`` and no error gate: the path every real point
+    took before real integrands were integrated in float arithmetic."""
+    from scipy.integrate import IntegrationWarning, quad
+
+    def s_plus(t):
+        return func(t) + func(t if even else -t)
+
+    def s_minus(t):
+        return func(t) - func(-t)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if x == 0.0:
+            val = quad(s_plus, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400,
+                       complex_func=True)[0]
+        else:
+            kw = dict(wvar=abs(x), epsabs=1e-13, limit=400, limlst=150, complex_func=True)
+            val = quad(s_plus, 0.0, np.inf, weight="cos", **kw)[0]
+            if not even:
+                sin_val = quad(s_minus, 0.0, np.inf, weight="sin", **kw)[0]
+                val += 1j * (1.0 if x > 0 else -1.0) * sin_val
+    return val / (2.0 * np.pi)
+
+
+def _complex_route_matrix(m, ps, func):
+    return np.array([
+        [_complex_route(func, float(r), m.is_even) for r in row]
+        for row in ps.displacements_1d()
+    ])
+
+
+class TestRealAxisQuadrature:
+    """At real parameters the integrands are built in float arithmetic and
+    integrated in one QUADPACK pass; the values must be the real parts of
+    the complex route bit for bit (multiplier) or within 2 ulps of it
+    (two-center integrals, where ``math.exp`` replaces ``np.exp``)."""
+
+    @pytest.mark.parametrize("m", _SYMBOLS, ids=_SYMBOL_IDS)
+    @pytest.mark.parametrize("z", [1.5, 4.0])
+    def test_kernel_is_the_complex_route_bit_for_bit(self, m, z):
+        zc = complex(z + m.range_max)
+        for x in (0.0, 0.8, -1.3):
+            got = multiplier_gz_1d(m, zc.real, x)
+            want = _complex_route(lambda xi: 1.0 / (zc - complex(m(xi))), x, m.is_even)
+            assert type(got) is complex
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+    @pytest.mark.parametrize("m", _SYMBOLS, ids=_SYMBOL_IDS)
+    def test_matrices_are_the_complex_route_bit_for_bit(self, m):
+        ps = PointSet(1, [-0.4, 0.3, 1.1])
+        z, w = complex(m.range_max + 2.5), complex(m.range_max + 1.0)
+
+        def anchored(xi):
+            mx = complex(m(xi))
+            return (z - w) / ((w - mx) * (z - mx))
+
+        def product(xi):
+            mx = complex(m(xi))
+            return 1.0 / ((w - mx) * (z - mx))
+
+        got = anchored_gamma_1d(m, ps, z.real, w.real)
+        assert np.array_equal(_bits(got), _bits(_complex_route_matrix(m, ps, anchored)))
+        got = product_matrix_1d(m, ps, w.real, z.real)
+        assert np.array_equal(_bits(got), _bits(_complex_route_matrix(m, ps, product)))
+
+    @pytest.mark.parametrize("dim, points", [
+        (1, [-0.4, 0.7]),
+        (1, [0.0, 0.5, 1.0, 1.5, 2.7]),
+        (3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        (3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.4, 1.2]]),
+    ])
+    @pytest.mark.parametrize("w, z", [(4.0, 1.0), (1.5, 2.0)])
+    def test_product_matrix_within_two_ulps_of_the_complex_route(self, dim, points, w, z):
+        ps = PointSet(dim, points)
+        kw, kz = _sqrt_principal(w), _sqrt_principal(z)
+        assert isinstance(kw, float) and isinstance(kz, float)
+        denom = 4.0 * abs(kw * kz) if dim == 1 else 8.0 * np.pi
+        bound = 1.0 / (denom * np.sqrt(kw * kz))
+        # complex square roots take the complex route: np.exp and complex_func
+        want = np.array([
+            [_two_center_integral(dim, float(d), complex(kw), complex(kz), bound) for d in row]
+            for row in ps.distances
+        ])
+        got = _product_matrix(ps, w, z)
+        assert not want.imag.any() and not got.imag.any()
+        assert np.all(np.abs(got.real - want.real) <= 2.0 * np.spacing(np.abs(want.real)))
+
+    @pytest.mark.parametrize("m, z, x, message", [
+        (Multiplier1D(poly=(0.0, 0.0, -1.0), cos_terms=((3.0, 0.5),)), 3.5, 0.0,
+         "error estimate 2.978e-09 exceeds target at z=(3.5+0j), x=0.0"),
+        (Multiplier1D(poly=(-2.0, 0.0, -1.0), cos_terms=((1.0, 2.0),)), 30.0, 1.0,
+         "error estimate 1.058e-07 exceeds target at z=(30+0j), x=1.0"),
+    ])
+    def test_tail_estimate_failure_is_unchanged(self, m, z, x, message):
+        # the messages the complex route raised at these points
+        with pytest.raises(TailEstimateFailed, match=f"^{re.escape(message)}$"):
+            multiplier_gz_1d(m, z, x)
+
+    def test_complex_func_only_off_the_real_axis(self, monkeypatch):
+        calls = []
+
+        def spy(real_quad):
+            def quad(*args, **kwargs):
+                calls.append(kwargs.get("complex_func", False))
+                return real_quad(*args, **kwargs)
+            return quad
+
+        monkeypatch.setattr(kreinx.multiplier, "quad", spy(kreinx.multiplier.quad))
+        monkeypatch.setattr(kreinx.greens, "quad", spy(kreinx.greens.quad))
+        odd = Multiplier1D(poly=(0.0, 0.5, -1.0))
+        ps1, ps3 = PointSet(1, [-0.4, 0.7]), PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+        multiplier_gz_1d(odd, 2.0, 0.8)
+        anchored_gamma_1d(odd, ps1, 2.5, 1.0)
+        product_matrix_1d(odd, ps1, 1.0, 2.5)
+        _product_matrix(ps1, 4.0, 1.0)
+        _product_matrix(ps3, 4.0, 1.0)
+        assert calls and not any(calls)
+
+        for run in (
+            lambda: multiplier_gz_1d(odd, 2.0 + 0.5j, 0.8),
+            lambda: anchored_gamma_1d(odd, ps1, 2.5 + 0.5j, 1.0),
+            lambda: product_matrix_1d(odd, ps1, 1.0, 2.5 - 0.5j),
+            lambda: _product_matrix(ps1, 4.0, 1.0 + 1.0j),
+            lambda: _product_matrix(ps3, 4.0 - 1.0j, 1.0),
+        ):
+            calls.clear()
+            run()
+            assert calls and all(calls)

@@ -243,6 +243,95 @@ def _negative_count(theta, ps, lam):
     return int(np.sum(np.linalg.eigvalsh(theta + complex_gamma_matrix(ps, lam)) < 0.0))
 
 
+class TestSignChangeWalk:
+    """The walk from brentq's point to the sign change: single doubles
+    first, then a doubling step and bisection on the ordinals of the
+    doubles."""
+
+    @staticmethod
+    def _single_step_walk(f, x0, f0, end):
+        # the walk one double at a time that the scan ran before
+        while f0 != 0.0:
+            x1 = float(np.nextafter(x0, end))
+            f1 = f(x1)
+            if f1 == 0.0 or (f1 < 0.0) != (f0 < 0.0):
+                return x1 if abs(f1) < abs(f0) else x0
+            x0, f0 = x1, f1
+        return x0
+
+    def test_ordinals_count_signed_doubles(self):
+        from kreinx.spectral import _double, _ordinal
+
+        x = -3 * 5e-324
+        for n in range(-3, 4):
+            assert _ordinal(x) == n and _double(n) == x
+            x = float(np.nextafter(x, 1.0))
+        assert _ordinal(-0.0) == 0
+        for x in (2.5e-9, -7.25e-9, 1.0, -np.finfo(float).max):
+            assert _double(_ordinal(x)) == x
+            assert _ordinal(float(np.nextafter(x, np.inf))) == _ordinal(x) + 1
+
+    @pytest.mark.parametrize("x0, offset, end", [
+        (1.0, 3, 2.0),
+        (1.0, 16, 2.0),
+        (1.0, 17, 2.0),
+        (2.5e-9, 40_000, 7.25e-9),
+        (2.5e-9, -40_000, 9.25e-10),
+        (-1e-320, 30_000, 1.0),
+        (1e-320, -30_000, -1.0),
+    ])
+    def test_matches_the_single_step_walk_on_a_monotone_branch(self, x0, offset, end):
+        from kreinx.spectral import _ordinal, _sign_change
+
+        # f is negative up to the double ``offset`` doubles from x0 and
+        # positive above it, smallest in modulus just above it
+        root = _ordinal(x0) + offset
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(_ordinal(x) - root) - 0.75
+
+        f0 = f(x0)
+        want = self._single_step_walk(f, x0, f0, end)
+        calls.clear()
+        assert _sign_change(f, x0, f0, end) == want
+        if abs(offset) < 16:
+            assert len(calls) == abs(offset) + 1
+        else:
+            assert len(calls) <= 16 + 2 * abs(offset).bit_length()
+
+    def test_noisy_branch_keeps_the_first_sign_change_within_sixteen_doubles(self):
+        from kreinx.spectral import _double, _ordinal, _sign_change
+
+        # signs flip at ulp scale: - - - - + - + ... from x0
+        x0 = 0.75
+        pattern = [-1.0, -2.0, -1.0, -1.0, 3.0, -1.0, 1.0] + [1.0] * 20
+
+        def f(x):
+            return pattern[_ordinal(x) - _ordinal(x0)]
+
+        want = self._single_step_walk(f, x0, f(x0), 1.0)
+        assert want == _double(_ordinal(x0) + 3)
+        assert _sign_change(f, x0, f(x0), 1.0) == want
+
+    def test_small_energy_root_in_few_pencil_evaluations(self):
+        # 1-d, one point: theta - 1/(2 sqrt z) = 0 at z0 = 1/(4 theta^2) =
+        # 2.5e-9, where brentq's absolute xtol spans about 1e9 doubles
+        from kreinx import krein, spectral
+
+        theta = 1e4
+        _, problem = laplacian_problem(1, [0.0], theta)
+        evals = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "gamma_theta", lambda *a: evals.append(1) or krein.gamma_theta(*a))
+            rep = scan_spectrum(problem, (9.25e-10, 7.25e-9))
+        assert len(rep.roots) == 1
+        z0 = 1.0 / (4.0 * theta**2)
+        assert abs(rep.roots[0].z0 - z0) <= 1e-12 * z0
+        assert len(evals) <= 150
+
+
 class TestLaplacianScanCouplings:
     """A real coupling makes the Laplacian pencil real at real lambda, a
     complex hermitian one keeps it complex (the benchmark sends only real
