@@ -32,7 +32,12 @@ BRANCH_REPS calls; and the kernel quadratures, each at one real and one
 complex point: ``multiplier_gz_1d`` of the symbol -xi^2 at x = 0 and
 x = 0.8, ``anchored_gamma_1d`` of -xi^2 - 0.1 xi^4 at N = 2 (points 1.0
 apart, anchor 1.5), and ``gbreve_g_quadrature_1d`` and
-``gbreve_g_radial_3d`` on the two points ``verify`` uses, with w = 4.
+``gbreve_g_radial_3d`` on the two points ``verify`` uses, with w = 4;
+and ``parse_config`` on a generated 400 x 400 matrix config and a
+3000-node ``grid1d`` config (the sizes of the ``resolvent`` benchmark
+requests), once by the orjson route and once by the stdlib route
+(orjson refusing the text), the two interleaved in one process so that
+each pair of timings sees the same machine.
 
 The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
@@ -61,6 +66,8 @@ BRANCH_LAMBDA = 0.7
 BRANCH_REPS = 200
 # (real, complex) points of the quadrature layer
 QUAD_POINTS = (2.0, 2.0 + 1.0j)
+CONFIG_MATRIX_N = 400
+CONFIG_GRID_N = 3000
 
 COLD_CASES = {
     "import": ["-c", "import kreinx.cli"],
@@ -230,6 +237,64 @@ def quadrature_layer() -> dict:
     return out
 
 
+def _layer_configs() -> dict:
+    import numpy as np
+
+    rng = np.random.default_rng(CONFIG_MATRIX_N)
+    n = CONFIG_MATRIX_N
+    a = rng.standard_normal((n, n))
+    xs = np.linspace(-14.0, 14.0, CONFIG_GRID_N)
+    return {
+        f"matrix,n={n}": {
+            "backend": "matrix",
+            "matrix": {"a": ((a + a.T) / 2.0).tolist(), "tau": rng.standard_normal((2, n)).tolist()},
+            "theta": [[0.5, 0.1], [0.1, -0.5]],
+            "z": [0.5, 1.0],
+            "f": rng.standard_normal(n).tolist(),
+        },
+        f"grid1d,n={CONFIG_GRID_N}": {
+            "backend": "laplacian1d",
+            "points": [-0.8, 0.6],
+            "theta": [[0.4, 0.1], [0.1, -0.3]],
+            "z": [1.0, 0.5],
+            "f": np.exp(-xs**2).tolist(),
+            "grid1d": {"lo": -14.0, "hi": 14.0, "n": CONFIG_GRID_N},
+        },
+    }
+
+
+def config_layer() -> dict:
+    """One warm-up parse, then RUNS rounds of one parse per route, the
+    route that goes first alternating; the median of each route."""
+    import orjson
+
+    from kreinx.config import parse_config
+
+    def refuse(text):
+        raise orjson.JSONDecodeError("refused", "", 0)
+
+    loads = orjson.loads
+    routes = ("orjson", "json")
+    out = {}
+    try:
+        for name, cfg in _layer_configs().items():
+            text = json.dumps(cfg)
+            parse_config(text)
+            times = {route: [] for route in routes}
+            for r in range(RUNS):
+                for route in routes if r % 2 == 0 else routes[::-1]:
+                    orjson.loads = loads if route == "orjson" else refuse
+                    t0 = time.perf_counter()
+                    parse_config(text)
+                    times[route].append(time.perf_counter() - t0)
+            for route, runs in times.items():
+                out[f"{name},{route}"] = {"median_s": statistics.median(runs), "runs_s": runs,
+                                          "text_bytes": len(text)}
+    finally:
+        orjson.loads = loads
+    return out
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python scripts/bench.py LABEL", file=sys.stderr)
@@ -247,6 +312,7 @@ def main(argv) -> int:
             "python": platform.python_version(),
             "numpy": version("numpy"),
             "scipy": version("scipy"),
+            "orjson": version("orjson"),
         },
         "runs": RUNS,
         "cold_cli": cold_cli(),
@@ -256,6 +322,7 @@ def main(argv) -> int:
             "krein.krein_apply": krein_apply_layer(),
             "spectral._interior_values": interior_values_layer(),
             "quadrature": quadrature_layer(),
+            "config.parse_config": config_layer(),
         },
     }
     path = ROOT / f"BENCH_{label}.json"
@@ -272,6 +339,8 @@ def main(argv) -> int:
         print(f"_interior_values {name:12s} {row['median_s'] * 1e6:.1f} us")
     for name, row in result["layer"]["quadrature"].items():
         print(f"{name:36s} {row['median_s'] * 1e3:.3f} ms")
+    for name, row in result["layer"]["config.parse_config"].items():
+        print(f"parse_config {name:24s} {row['median_s'] * 1e3:.2f} ms")
     print(f"wrote {path}")
     return 0
 

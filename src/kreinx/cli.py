@@ -90,7 +90,7 @@ def cmd_spectrum(args):
         cfg = cfg.with_scan(a=args.a, b=args.b)
     if cfg.scan is None:
         raise InvariantError(["spectrum needs a scan window (config 'scan' or --a/--b)"])
-    problem = build_problem(cfg)
+    problem = build_problem(cfg, nodes=False)
     report = scan_spectrum(problem, (cfg.scan.a, cfg.scan.b))
     n = problem.theta.n
     schema = (

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -544,17 +545,37 @@ class TestSemanticErrorsExit2:
         assert not out.exists()
 
     def test_unallocatable_grid1d(self, tmp_path, capsys):
-        # 8 PB of nodes: past any 64-bit address space, so it fails at once
+        # 800 EB of nodes: past numpy's array size limit, which a scan
+        # checks without building the nodes
         raw = {"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]],
-               "scan": {"a": 0.5, "b": 2.0}, "grid1d": {"lo": -4, "hi": 4, "n": 10**15}}
+               "scan": {"a": 0.5, "b": 2.0}, "grid1d": {"lo": -4, "hi": 4, "n": 10**20}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: grid1d.n: 1000000000000000 nodes do not fit in memory\n"
+            "error: grid1d.n: 100000000000000000000 nodes do not fit in memory\n"
         )
         assert not out.exists()
+
+    # 80 MB and 8 PB of nodes: a scan reads no samples, so it builds none
+    @pytest.mark.parametrize("n", [10**7, 10**15])
+    def test_spectrum_builds_no_grid1d_nodes(self, tmp_path, n):
+        raw = json.loads((SCRIPTS / "spectrum_laplacian1d_small.json").read_text())
+        plain, grid = tmp_path / "plain.json", tmp_path / "grid.json"
+        plain.write_text(json.dumps(raw))
+        grid.write_text(json.dumps(dict(raw, grid1d={"lo": -1.0, "hi": 1.0, "n": n})))
+        outs = [tmp_path / "plain.csv", tmp_path / "grid.csv"]
+        # the first scan pays the imports
+        assert main(["spectrum", "--config", str(plain), "-o", str(outs[0])]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--config", str(grid), "-o", str(outs[1])]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_infinite_laplacian_window(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

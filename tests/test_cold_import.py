@@ -1,7 +1,8 @@
-"""Requests that need no scipy routine load no scipy module.
+"""Requests that need no scipy routine load no scipy module, and only a
+request that reads a config loads orjson.
 
 Run in a fresh interpreter, because the test process itself imports
-scipy for its references.
+scipy and orjson for its references.
 """
 
 import json
@@ -16,23 +17,24 @@ SCRIPTS = ROOT / "scripts"
 PROBE = """
 import json, sys
 import kreinx.cli
-codes, loaded = [], [sorted(m for m in sys.modules if m.startswith("scipy"))]
+package = sys.argv[2]
+codes, loaded = [], [sorted(m for m in sys.modules if m.startswith(package))]
 for argv in json.loads(sys.argv[1]):
     codes.append(kreinx.cli.main(argv))
-    loaded.append(sorted(m for m in sys.modules if m.startswith("scipy")))
+    loaded.append(sorted(m for m in sys.modules if m.startswith(package)))
 print(json.dumps([codes, loaded]))
 """
 
 
-def _scipy_modules_after(argvs):
-    """Exit codes of the requests, and the scipy modules loaded after
-    ``import kreinx.cli`` and after each request."""
+def _modules_after(argvs, package="scipy"):
+    """Exit codes of the requests, and the modules of ``package`` loaded
+    after ``import kreinx.cli`` and after each request."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", PROBE, json.dumps(argvs), package],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -48,7 +50,7 @@ def test_cli_import_and_scipy_free_requests_load_no_scipy(tmp_path):
         ["oracle", "--seed", "7", "-o", str(tmp_path / "o.csv")],
         ["green", "--dim", "3", "--z", "1", "-o", str(tmp_path / "g3.csv")],
     ]
-    codes, loaded = _scipy_modules_after(argvs)
+    codes, loaded = _modules_after(argvs)
     assert codes == [0] * len(argvs)
     assert loaded == [[]] * (len(argvs) + 1)
     assert all(Path(argv[-1]).stat().st_size > 0 for argv in argvs)
@@ -56,7 +58,7 @@ def test_cli_import_and_scipy_free_requests_load_no_scipy(tmp_path):
 
 def test_the_2d_kernel_loads_scipy_special(tmp_path):
     # positive control: the probe does see a module a request imports
-    codes, (before, after) = _scipy_modules_after(
+    codes, (before, after) = _modules_after(
         [["green", "--dim", "2", "--z", "1", "-o", str(tmp_path / "g2.csv")]]
     )
     assert codes == [0]
@@ -77,7 +79,21 @@ def test_rejected_multiplier_resolvent_loads_no_scipy(tmp_path):
         "f": [1.0],
     }))
     out = tmp_path / "m.csv"
-    codes, loaded = _scipy_modules_after([["resolvent", "--config", str(cfg), "-o", str(out)]])
+    codes, loaded = _modules_after([["resolvent", "--config", str(cfg), "-o", str(out)]])
     assert codes == [2]
     assert loaded == [[], []]
     assert not out.exists()
+
+
+def test_only_a_config_request_loads_orjson(tmp_path):
+    argvs = [
+        ["verify", "--seed", "42", "--models", "1", "-o", str(tmp_path / "v.csv")],
+        ["oracle", "--seed", "7", "-o", str(tmp_path / "o.csv")],
+        ["green", "--dim", "3", "--z", "1", "-o", str(tmp_path / "g3.csv")],
+        ["resolvent", "--config", str(SCRIPTS / "resolvent_matrix6.json"),
+         "-o", str(tmp_path / "m.csv")],
+    ]
+    codes, loaded = _modules_after(argvs, "orjson")
+    assert codes == [0] * len(argvs)
+    assert loaded[:-1] == [[]] * len(argvs)
+    assert "orjson" in loaded[-1]

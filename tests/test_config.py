@@ -1,6 +1,10 @@
 import json
+import sys
 import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +28,8 @@ from kreinx.config import (
 )
 
 from conftest import count_eighs
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 MINIMAL_3D = {
     "backend": "laplacian3d",
@@ -202,6 +208,174 @@ class TestNumberRange:
             parse_config(text)
 
 
+# doubles at the edges of the format and of decimal rounding
+_edge_float = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    sys.float_info.max, -sys.float_info.max, 0.1, 1e22, 1e23, 2.0**53 + 2, 2.0**63, 2.0**64,
+])
+_edge_int = st.sampled_from([2**53 + 1, -2**63 - 1, -2**63, 2**63, 2**64 - 1, 2**64, 10**20])
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), _edge_float,
+    st.integers(-2**70, 2**70), _edge_int,
+)
+_json_value = st.recursive(
+    st.one_of(_number, st.text(max_size=4), st.booleans(), st.none()),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=16,
+)
+
+
+def _as_orjson_reads(v):
+    """``v`` as orjson reads its JSON text: an integer outside the 64-bit
+    range becomes its correctly rounded double."""
+    if type(v) is int and not -2**63 <= v < 2**64:
+        return float(v)
+    if isinstance(v, list):
+        return [_as_orjson_reads(c) for c in v]
+    if isinstance(v, dict):
+        return {k: _as_orjson_reads(c) for k, c in v.items()}
+    return v
+
+
+def _refuse(text):
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
+def _stdlib_route(text):
+    """``parse_config`` with orjson refusing every text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orjson, "loads", _refuse)
+        return parse_config(text)
+
+
+def _parsers_called(monkeypatch, text):
+    """The config and the parsers ``parse_config`` called, in order."""
+    calls = []
+    for module, name in ((orjson, "orjson"), (json, "json")):
+        def spy(text, _loads=module.loads, _name=name):
+            calls.append(_name)
+            return _loads(text)
+        monkeypatch.setattr(module, "loads", spy)
+    return parse_config(text), calls
+
+
+def _bits(x):
+    """Every number as the hex of its complex value, so -0.0, and a float
+    row against the complex row of the entry path, compare exactly."""
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, (float, complex)):
+        return (complex(x).real.hex(), complex(x).imag.hex())
+    return x
+
+
+_entry = _number | st.lists(_number, min_size=2, max_size=2)
+
+
+def _rows(k, m):
+    return st.lists(st.lists(_entry, min_size=m, max_size=m), min_size=k, max_size=k)
+
+
+@st.composite
+def _valid_configs(draw):
+    """Configs the schema phase accepts, numbers of every JSON form."""
+    n = draw(st.integers(1, 4))
+    cfg = {"backend": draw(st.sampled_from(["matrix", "laplacian1d"])), "theta": draw(_rows(1, 1))}
+    if cfg["backend"] == "matrix":
+        cfg["matrix"] = {"a": draw(_rows(n, n)), "tau": draw(_rows(1, n))}
+    else:
+        cfg["points"] = draw(st.lists(_number, min_size=1, max_size=3))
+        cfg["grid1d"] = {"lo": draw(_number), "hi": draw(_number),
+                         "n": draw(st.integers(-5, 10**20) | _edge_int)}
+    if draw(st.booleans()):
+        cfg["scan"] = {"a": draw(_number), "b": draw(_number),
+                       "grid": draw(st.integers(3, 10**20) | _edge_int.filter(lambda v: v >= 3))}
+    if draw(st.booleans()):
+        cfg["z"] = draw(_entry)
+        cfg["f"] = draw(st.lists(_entry, min_size=1, max_size=n))
+    if draw(st.booleans()):
+        cfg["tolerances"] = {"tol_linear": draw(_number), "tol_root": draw(_number)}
+    return cfg
+
+
+class TestParsers:
+    """orjson reads a config first, ``json.loads`` when orjson or the schema
+    rejects what it read: the two routes give the same config, and every
+    error is the stdlib route's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_json_value, ascii=st.booleans())
+    def test_orjson_reads_what_json_reads(self, value, ascii):
+        text = json.dumps(value, ensure_ascii=ascii)
+        # repr tells an int from a float and -0.0 from 0.0
+        assert repr(orjson.loads(text)) == repr(_as_orjson_reads(json.loads(text)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_valid_configs())
+    def test_both_routes_give_the_same_config(self, cfg):
+        text = json.dumps(cfg)
+        assert _bits(astuple(parse_config(text))) == _bits(astuple(_stdlib_route(text)))
+
+    @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.json")), ids=lambda p: p.name)
+    def test_committed_configs_read_alike_on_the_orjson_route(self, monkeypatch, path):
+        text = path.read_text(encoding="utf-8")
+        cfg, calls = _parsers_called(monkeypatch, text)
+        assert calls == ["orjson"]  # no silent fallback
+        assert _bits(astuple(cfg)) == _bits(astuple(_stdlib_route(text)))
+
+    def test_integer_scan_grid_beyond_64_bits_is_accepted(self, monkeypatch):
+        text = json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0, "grid": 10**20}))
+        cfg, calls = _parsers_called(monkeypatch, text)
+        # orjson reads 1e20, a float, which the integer field rejects
+        assert calls == ["orjson", "json"]
+        assert cfg == parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0})))
+
+    def test_integer_grid1d_n_beyond_64_bits_reaches_the_memory_check(self, monkeypatch):
+        text = json.dumps({
+            "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
+            "grid1d": {"lo": -4.0, "hi": 4.0, "n": 10**20},
+        })
+        cfg, calls = _parsers_called(monkeypatch, text)
+        assert calls == ["orjson", "json"]
+        assert cfg.grid1d.n == 10**20
+        with pytest.raises(InvariantError) as err:
+            build_problem(cfg)
+        assert err.value.violations == ("grid1d.n: 100000000000000000000 nodes do not fit in memory",)
+
+    @pytest.mark.parametrize("change, message", [
+        ('"z": [0.3, NaN]', "z must be finite"),
+        ('"z": Infinity', "z must be finite"),
+        ('"f": [1.0, NaN]', "f entries must be finite"),
+        ('"f": [1.0, -1e400]', "f entries must be finite"),
+    ])
+    def test_non_finite_literals_take_the_stdlib_route(self, monkeypatch, change, message):
+        text = json.dumps(MATRIX_2)[:-1] + ", " + change + "}"
+        cfg, calls = _parsers_called(monkeypatch, text)
+        assert calls == ["orjson", "json"]
+        with pytest.raises(InvariantError, match=message):
+            build_problem(cfg)
+
+    @pytest.mark.parametrize("text", [
+        "{nope",
+        json.dumps(dict(MATRIX_2, z="\ud800")),
+        json.dumps(MATRIX_2).replace("[[1.0]]", "[[1" + "0" * 5000 + "]]"),
+        "\ufeff" + json.dumps(MATRIX_2),
+    ], ids=["syntax", "lone-surrogate", "digit-limit", "bom"])
+    def test_errors_are_the_stdlib_routes(self, text):
+        with pytest.raises(SchemaError) as err:
+            parse_config(text)
+        with pytest.raises(SchemaError) as want:
+            _stdlib_route(text)
+        assert err.value.violations == want.value.violations
+
+    def test_deep_nesting_fails_as_on_the_stdlib_route(self):
+        # orjson reads any depth, but formatting the bad entry would
+        # overflow; the stdlib decoder refuses the text itself
+        text = json.dumps(MATRIX_2).replace("[[1.0]]", "[[" + "[" * 5000 + "]" * 5000 + "]]")
+        with pytest.raises(RecursionError, match="decoding a JSON array"):
+            parse_config(text)
+
+
 class TestMatrixModelReuse:
     def test_build_problem_diagonalizes_once(self, monkeypatch):
         cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1.0, 2.0])))
@@ -358,6 +532,37 @@ class TestSemanticPhase:
         with pytest.raises(InvariantError) as err:
             build_problem(cfg)
         assert err.value.violations == (f"grid1d.n: {n} nodes do not fit in memory",)
+
+    def test_a_scan_builds_no_grid_nodes(self):
+        cfg = parse_config(json.dumps({
+            "backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
+            "scan": {"a": 0.5, "b": 2.0}, "grid1d": {"lo": -1.0, "hi": 1.0, "n": 10**7},
+        }))
+        tracemalloc.start()
+        try:
+            problem = build_problem(cfg, nodes=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the grid alone would be 80 MB
+        assert type(problem.evaluator) is LaplacianPointEvaluator
+
+    @pytest.mark.parametrize("grid1d, f, message", [
+        ({"lo": 1.0, "hi": -1.0, "n": 5}, None, "grid1d needs lo < hi and n >= 2"),
+        ({"lo": -1.0, "hi": 1.0, "n": 1}, None, "grid1d needs lo < hi and n >= 2"),
+        ({"lo": float("-inf"), "hi": 1.0, "n": 5}, None,
+         "grid1d ends must be finite, got (-inf, 1.0)"),
+        ({"lo": -1.0, "hi": 1.0, "n": 10**7}, [1.0], "f has length 1, grid1d has 10000000 nodes"),
+        ({"lo": -4.0, "hi": 4.0, "n": 10**20}, None,
+         "grid1d.n: 100000000000000000000 nodes do not fit in memory"),
+    ])
+    def test_a_scan_keeps_the_grid1d_checks_that_need_no_nodes(self, grid1d, f, message):
+        raw = {"backend": "laplacian1d", "points": [0.0], "theta": [[0.5]],
+               "scan": {"a": 0.5, "b": 2.0}, "grid1d": grid1d}
+        cfg = parse_config(json.dumps(raw if f is None else dict(raw, f=f)))
+        with pytest.raises(InvariantError) as err:
+            build_problem(cfg, nodes=False)
+        assert err.value.violations == (message,)
 
     def test_grid_config_builds_the_grid_evaluator(self):
         cfg = parse_config(json.dumps({
