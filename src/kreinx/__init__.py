@@ -10,7 +10,6 @@ from .bessel import k0_bessel
 from .errors import *  # noqa: F401,F403 - flat exception namespace
 from .greens import (
     LaplacianGrid1DEvaluator,
-    LaplacianKernel,
     LaplacianPointEvaluator,
     PointSet,
     eigenfunction_eval,

@@ -10,13 +10,12 @@
 #   K0(w) ~ sqrt(pi/(2w)) e^{-w} (1 - 1/(8w)),
 # are exact to double precision (the next term is 9/(128 w^2) < 1e-19).
 #
-# The public wrappers only add the domain guards: kernels need Re w > 0,
-# the real entry point needs x > 0.
+# _k0 checks no domain: its one caller, greens._gz_array, passes
+# w = sqrt(z) r with Re sqrt(z) > 0 (checked by greens._sqrt_principal)
+# and r > 0.  The public k0_bessel adds the guard x > 0.
 #
 # scipy.special is imported inside _k0, so only a request that evaluates
 # K0 (the 2-d kernel) pays for loading it.
-
-import math
 
 import numpy as np
 
@@ -40,20 +39,12 @@ def _k0(w) -> np.ndarray:
     return out
 
 
-def k0_right_half_plane(w: complex) -> complex:
-    """K0 for w with Re w > 0 (internal helper for kernels): a float for
-    a real w, a complex for a complex one."""
-    if complex(w).real <= 0.0:
-        raise NonpositiveArgument(f"K0 evaluated at Re w <= 0: {w!r}")
-    return _k0(w)[0].item()
-
-
 def k0_bessel(x: float) -> float:
     """K0(x) for x > 0, absolute error <= 1e-10.
 
     Raises NonpositiveArgument for x <= 0.
     """
     x = float(x)
-    if not x > 0.0 or math.isnan(x):
+    if not x > 0.0:  # NaN included
         raise NonpositiveArgument(f"K0 requires x > 0, got {x!r}")
-    return k0_right_half_plane(x)
+    return _k0(x)[0].item()

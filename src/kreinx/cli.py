@@ -19,6 +19,7 @@ import cmath
 import functools
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,25 +31,16 @@ from .errors import (
     CsvWriteError,
     InvariantError,
     KreinxError,
-    NonpositiveArgument,
-    NonpositiveRadius,
     SchemaError,
     SpectrumHit,
 )
-from .greens import LaplacianKernel
+from .greens import g0, gz, renormalized_diagonal
 from .krein import ExtensionProblem, krein_apply
 from .matrixmodel import MatrixEvaluator, direct_eigs, random_model, random_theta
 from .spectral import _branch_values, scan_spectrum
 from .verify import run_verification
 
-_VALIDATION_ERRORS = (
-    SchemaError,
-    InvariantError,
-    BranchCut,
-    NonpositiveRadius,
-    NonpositiveArgument,
-    SpectrumHit,
-)
+_VALIDATION_ERRORS = (SchemaError, InvariantError, BranchCut, SpectrumHit)
 
 
 def _parse_complex(text: str) -> complex:
@@ -149,7 +141,6 @@ def cmd_resolvent(args):
 
 def cmd_green(args):
     z = _parse_complex(args.z)
-    kernel = LaplacianKernel(args.dim)
     try:
         radii = [float(r) for r in args.radii.split(",") if r.strip()]
     except ValueError:
@@ -161,18 +152,17 @@ def cmd_green(args):
         viols.append("--radii must list at least one radius")
     elif not all(map(cmath.isfinite, radii)):
         viols.append("--radii entries must be finite")
+    elif min(radii) <= 0.0:
+        viols.append("--radii entries must be > 0")
     if viols:
         raise InvariantError(viols)
-    renorm = kernel.renormalized_diagonal(z)
-    rows = []
-    for r in radii:
-        gzv = kernel.gz(r, z)
-        rows.append(
-            [r, kernel.g0(r), float(gzv.real), float(gzv.imag),
-             float(renorm.real), float(renorm.imag)]
-        )
+    renorm = complex(renormalized_diagonal(args.dim, z))
+    r = np.array(radii)
+    gzv = gz(args.dim, r, z)
+    rows = zip(radii, g0(args.dim, r).tolist(), gzv.real.tolist(), gzv.imag.tolist(),
+               repeat(renorm.real), repeat(renorm.imag))
     schema = ["r", "g0", "gz_re", "gz_im", "renorm_re", "renorm_im"]
-    return schema, rows, f"green: dim={args.dim}, z={z}, {len(rows)} radii", 0
+    return schema, rows, f"green: dim={args.dim}, z={z}, {len(radii)} radii", 0
 
 
 def cmd_oracle(args):

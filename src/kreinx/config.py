@@ -32,11 +32,12 @@ read, ``json.loads`` reads it again and the schema phase runs on that,
 so every error message is the stdlib route's, and so is every config
 only the stdlib reads: ``NaN`` and ``Infinity``, numbers beyond a double
 (``1e400`` is infinite, ``10**400`` a schema error), the 4300-digit
-integer limit, lone surrogates.  Where both parsers accept, they agree
-but on integers beyond 64 bits, which orjson reads as the correctly
-rounded double: every number field turns an integer into that same
-``float``, and the two integer fields (``scan.grid``, ``grid1d.n``)
-reject a float, which sends the text to the stdlib.
+integer limit, lone surrogates, and nesting deeper than the recursion
+limit (a schema error).  Where both parsers accept, they agree but on
+integers beyond 64 bits, which orjson reads as the correctly rounded
+double: every number field turns an integer into that same ``float``,
+and the two integer fields (``scan.grid``, ``grid1d.n``) reject a
+float, which sends the text to the stdlib.
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ def parse_config(text: str) -> ProblemConfig:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise SchemaError([f"not valid JSON: {exc}"])
+    except RecursionError:
+        raise SchemaError(["not valid JSON: nested deeper than the recursion limit"])
     return _schema(raw)
 
 

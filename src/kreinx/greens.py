@@ -15,10 +15,12 @@ arbitrary spectral shift enters).
 On the positive real axis sqrt(z) is a float, so the kernels and the
 trace matrix are real (float64); off it they are complex.  Dimension 2
 takes K0 from ``bessel`` (Cephes ``k0`` on a real argument, AMOS ``kv``
-on a complex one, imported on first use).  The trace matrix and source
-superpositions are array expressions over all radii at once;
-the scalar ``LaplacianKernel`` methods evaluate one radius at a time
-and serve as their reference.
+on a complex one, imported on first use).  Each kernel has one
+implementation, an array expression over all radii at once
+(``_g0_array``, ``_gz_array``, ``_diagonal``); the trace matrix and the
+source superpositions call it directly, and the public ``g0``, ``gz``
+and ``renormalized_diagonal`` are its checked faces for one radius or
+an array of radii.
 
 The product matrix (trace at w of the source at z) comes from
 ``gbreve_g_quadrature_1d`` and ``gbreve_g_radial_3d``: one adaptive
@@ -37,11 +39,10 @@ The eigenfunction of a pole is a source superposition
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _k0, k0_right_half_plane
+from .bessel import _k0
 from .errors import (
     BranchCut,
     EvaluationAtSingularity,
@@ -74,47 +75,9 @@ def _sqrt_principal(z: complex) -> complex:
     return kappa
 
 
-@dataclass(frozen=True)
-class LaplacianKernel:
-    """Closed-form kernel family for one spatial dimension (1, 2 or 3)."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise InvariantError(f"dim must be 1, 2, or 3, got {self.dim!r}")
-
-    @property
-    def sphere_area(self) -> float:
-        """Measure of the unit sphere: 2, 2*pi, 4*pi."""
-        return {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[self.dim]
-
-    def g0(self, r: float) -> float:
-        r = float(r)
-        if not r > 0.0 or math.isnan(r):
-            raise NonpositiveRadius(f"g0 requires r > 0, got {r!r}")
-        if self.dim == 1:
-            return -r / 2.0
-        if self.dim == 2:
-            return -math.log(r) / (2.0 * math.pi)
-        return 1.0 / (self.sphere_area * r)
-
-    def gz(self, r: float, z: complex) -> complex:
-        kappa = _sqrt_principal(z)
-        r = float(r)
-        if self.dim == 1:
-            if r < 0.0 or math.isnan(r):
-                raise NonpositiveRadius(f"gz requires r >= 0 in dim 1, got {r!r}")
-            return np.exp(-kappa * r) / (2.0 * kappa)
-        if not r > 0.0 or math.isnan(r):
-            raise NonpositiveRadius(f"gz requires r > 0 in dim {self.dim}, got {r!r}")
-        if self.dim == 2:
-            return k0_right_half_plane(kappa * r) / (2.0 * math.pi)
-        return np.exp(-kappa * r) / (4.0 * math.pi * r)
-
-    def renormalized_diagonal(self, z: complex) -> complex:
-        """lim_{r -> 0} (g0 - gz)(r); finite in every dimension."""
-        return _diagonal(self.dim, _sqrt_principal(z))
+def _check_dim(dim: int) -> None:
+    if dim not in (1, 2, 3):
+        raise InvariantError(f"dim must be 1, 2, or 3, got {dim!r}")
 
 
 def _diagonal(dim: int, kappa: complex) -> complex:
@@ -127,7 +90,7 @@ def _diagonal(dim: int, kappa: complex) -> complex:
 
 
 def _g0_array(dim: int, r: np.ndarray) -> np.ndarray:
-    """g0 on an array of radii r > 0; same arithmetic as LaplacianKernel.g0."""
+    """g0 on an array of radii r > 0."""
     if dim == 1:
         return -r / 2.0
     if dim == 2:
@@ -151,16 +114,37 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def g0(dim: int, r: float) -> float:
-    return LaplacianKernel(dim).g0(r)
+def _checked_radii(r, positive: bool, what: str) -> np.ndarray:
+    """``r`` as a float array; NonpositiveRadius at its first radius that
+    is not > 0 (``positive``) or not >= 0."""
+    r = np.asarray(r, dtype=float)
+    bad = ~(r > 0.0) if positive else ~(r >= 0.0)
+    if bad.any():
+        raise NonpositiveRadius(f"{what}, got {float(r[bad].flat[0])!r}")
+    return r
 
 
-def gz(dim: int, r: float, z: complex) -> complex:
-    return LaplacianKernel(dim).gz(r, z)
+def g0(dim: int, r):
+    """g0 at one radius r > 0 (a float) or an array of radii (an array)."""
+    _check_dim(dim)
+    r = _checked_radii(r, True, "g0 requires r > 0")
+    return _g0_array(dim, r)
+
+
+def gz(dim: int, r, z: complex):
+    """gz at one radius or an array of radii: r >= 0 in dim 1, r > 0 in
+    dims 2 and 3.  Real (float64) for real z > 0, complex otherwise."""
+    _check_dim(dim)
+    kappa = _sqrt_principal(z)
+    what = "gz requires r >= 0 in dim 1" if dim == 1 else f"gz requires r > 0 in dim {dim}"
+    r = _checked_radii(r, dim != 1, what)
+    return _gz_array(dim, r, kappa).reshape(r.shape)[()]
 
 
 def renormalized_diagonal(dim: int, z: complex) -> complex:
-    return LaplacianKernel(dim).renormalized_diagonal(z)
+    """lim_{r -> 0} (g0 - gz)(r); finite in every dimension."""
+    _check_dim(dim)
+    return _diagonal(dim, _sqrt_principal(z))
 
 
 class PointSet:
@@ -174,8 +158,7 @@ class PointSet:
     __slots__ = ("dim", "points", "distances", "_radii", "_g0")
 
     def __init__(self, dim: int, points):
-        if dim not in (1, 2, 3):
-            raise InvariantError(f"dim must be 1, 2, or 3, got {dim!r}")
+        _check_dim(dim)
         pts = np.array(points, dtype=float)
         if pts.ndim == 1:
             if dim != 1:
@@ -443,7 +426,7 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
             raise InvariantError("the grid backend requires a dim-1 point set")
         super().__init__(ps)
         xs = np.asarray(xs, dtype=float)
-        _uniform_step(xs)
+        self.h = _uniform_step(xs)
         self.xs = xs
 
     def r_apply(self, z: complex, f):
@@ -458,7 +441,7 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
         f = np.asarray(f, dtype=complex)
         if f.shape != self.xs.shape:
             raise InvariantError("sample vector does not match the grid")
-        h = float(self.xs[1] - self.xs[0])
+        h = self.h
         kappa = _resolved_kappa(h, z)
         wf = (_trapezoid_weights(f.size, h) * f).tolist()
         q = complex(np.exp(-kappa * h))
@@ -483,10 +466,9 @@ class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
         transpose (the values of ``point_source_sum``, bit for bit)."""
 
         def actions():
-            h = float(self.xs[1] - self.xs[0])
             r = np.abs(self.ps.points[:, 0][:, None] - self.xs[None, :])
-            kernel = _gz_array(1, r, _resolved_kappa(h, z))
-            weights = _trapezoid_weights(self.xs.size, h)
+            kernel = _gz_array(1, r, _resolved_kappa(self.h, z))
+            weights = _trapezoid_weights(self.xs.size, self.h)
 
             def gbreve(f):
                 f = np.asarray(f, dtype=complex)

@@ -157,6 +157,10 @@ def _parameters(m: Multiplier1D, *values):
     """Check each value off the symbol range; floats if all are real, else complex."""
     for v in values:
         _check_admissible(m, v)
+    return _floats_if_real(*values)
+
+
+def _floats_if_real(*values):
     values = [complex(v) for v in values]
     return values if any(v.imag for v in values) else [v.real for v in values]
 
@@ -229,7 +233,11 @@ def anchored_gamma_1d(m: Multiplier1D, ps: PointSet, z: complex, w0: complex) ->
     renormalization).  Hermitian for real z, w0 off the symbol range;
     identically zero at z == w0.
     """
-    z, w0 = _parameters(m, z, w0)
+    return _anchored_difference(m, ps, *_parameters(m, z, w0))
+
+
+def _anchored_difference(m, ps, z, w0) -> np.ndarray:
+    """``anchored_gamma_1d`` at z and w0 already checked and converted."""
     if z == w0:
         return np.zeros((ps.n_points, ps.n_points), dtype=complex)
     return _pairwise_fourier_matrix(m, ps, z - w0, w0, z)
@@ -285,6 +293,7 @@ class MultiplierAnchoredEvaluator(GammaEvaluator):
         return a <= b and self.m.in_resolvent_set(complex(a))
 
     def at(self, z: complex) -> EvaluationPoint:
+        """One symbol-range check of z; ``__init__`` checked the anchor."""
         _one_point(self, z)
         _admit(z, self.m.in_resolvent_set(z))
-        return EvaluationPoint(anchored_gamma_1d(self.m, self.ps, z, self.w0))
+        return EvaluationPoint(_anchored_difference(self.m, self.ps, *_floats_if_real(z, self.w0)))

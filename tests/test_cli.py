@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinx import CsvWriteError
+from kreinx import CsvWriteError, PointSet, gamma_matrix
 from kreinx.cli import main
 from kreinx.csvio import _template_lines, emit_csv, format_value, render_csv
 
@@ -167,6 +167,35 @@ class TestGreenCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", ["1", "2", "3"])
+    @pytest.mark.parametrize("radii", ["0.5,0", "-1", "1,-1,2"])
+    def test_nonpositive_radius_exits_2(self, tmp_path, capsys, dim, radii):
+        # checked with the other inputs: one InvariantError, no CSV
+        out = tmp_path / "x.csv"
+        argv = ["green", "--dim", dim, "--z", "1", "--radii", radii, "-o", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --radii entries must be > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("z", ["4", "0.3", "1+0.5j", "0.3-2j", "-1+0.5j"])
+    def test_columns_are_gamma_matrix_entries(self, tmp_path, dim, z):
+        # green and the trace matrix run the same array kernels (a scalar
+        # K0 / (2 pi) in complex arithmetic was 1 ulp off at this distance)
+        ps = PointSet(dim, [[0.0] * dim, [1.2] + [0.0] * (dim - 1)])
+        d = float(ps.distances[0, 1])
+        out = tmp_path / "g.csv"
+        assert main(["green", "--dim", str(dim), f"--z={z}", "--radii", repr(d), "-o", str(out)]) == 0
+        _, (row,) = read_csv(out)
+        assert float(row["r"]) == d
+        gzv = np.complex128(complex(float(row["gz_re"]), float(row["gz_im"])))
+        renorm = complex(float(row["renorm_re"]), float(row["renorm_im"]))
+        gamma = gamma_matrix(ps, complex(z))
+        assert np.float64(row["g0"]) - gzv == gamma[0, 1]
+        assert renorm == gamma[0, 0] == gamma[1, 1]
+
 
 class TestSpectrumCommand:
     def test_minimal_config(self, tmp_path):
@@ -198,6 +227,15 @@ class TestSpectrumCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(CFG_3D, theta=[[10**400]])))
         assert main(["spectrum", "--config", str(cfg), "-o", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+    def test_nesting_beyond_the_recursion_limit_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(CFG_3D).replace("[[-0.0795774715]]", "[[" + "[" * 5000 + "]" * 5000 + "]]"))
+        out = tmp_path / "s.csv"
+        assert main([command, "--config", str(cfg), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: not valid JSON: nested deeper than the recursion limit\n"
+        assert not out.exists()
 
     def test_scan_grid_accepted_and_ignored(self, tmp_path):
         cfg = tmp_path / "cfg.json"

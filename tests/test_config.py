@@ -368,12 +368,14 @@ class TestParsers:
             _stdlib_route(text)
         assert err.value.violations == want.value.violations
 
-    def test_deep_nesting_fails_as_on_the_stdlib_route(self):
-        # orjson reads any depth, but formatting the bad entry would
+    @pytest.mark.parametrize("depth", [sys.getrecursionlimit(), 5000, 100_000])
+    def test_deep_nesting_is_a_schema_error(self, depth):
+        # orjson may read the text, but formatting the bad entry would
         # overflow; the stdlib decoder refuses the text itself
-        text = json.dumps(MATRIX_2).replace("[[1.0]]", "[[" + "[" * 5000 + "]" * 5000 + "]]")
-        with pytest.raises(RecursionError, match="decoding a JSON array"):
+        text = json.dumps(MATRIX_2).replace("[[1.0]]", "[[" + "[" * depth + "]" * depth + "]]")
+        with pytest.raises(SchemaError) as err:
             parse_config(text)
+        assert err.value.violations == ("not valid JSON: nested deeper than the recursion limit",)
 
 
 class TestMatrixModelReuse:

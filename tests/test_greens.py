@@ -12,8 +12,8 @@ from kreinx import (
     EvaluationAtSingularity,
     GridTooCoarse,
     InvariantError,
-    LaplacianKernel,
     LaplacianPointEvaluator,
+    NonpositiveRadius,
     OutsideResolventSet,
     PointSet,
     g0,
@@ -47,14 +47,16 @@ class TestG0:
         assert g0(2, 1.0) == pytest.approx(0.0, abs=0.0)
 
     def test_nonpositive_radius(self):
-        from kreinx import NonpositiveRadius
-
         for dim in (1, 2, 3):
             with pytest.raises(NonpositiveRadius):
                 g0(dim, 0.0)
 
-    def test_sphere_area(self):
-        assert LaplacianKernel(3).sphere_area == pytest.approx(FOUR_PI)
+    @pytest.mark.parametrize("dim, area", [(1, 2.0), (2, 2.0 * np.pi), (3, FOUR_PI)])
+    def test_unit_flux(self, dim, area):
+        # -|S^{dim-1}| r^{dim-1} g0'(r) = 1: the flux of a unit source
+        r, h = np.array([0.5, 1.0, 3.0]), 1e-5
+        slope = (g0(dim, r + h) - g0(dim, r - h)) / (2.0 * h)
+        assert np.allclose(-area * r ** (dim - 1) * slope, 1.0, rtol=1e-8)
 
 
 class TestGz:
@@ -116,11 +118,53 @@ class TestGz:
         assert 0.3 <= errs[1] / errs[0] <= 0.7  # first-order decay
 
     def test_radius_domain(self):
-        from kreinx import NonpositiveRadius
-
         for dim in (2, 3):
             with pytest.raises(NonpositiveRadius):
                 gz(dim, 0.0, 1.0)
+
+
+class TestPublicKernels:
+    """``g0``, ``gz`` and ``renormalized_diagonal`` are the checked faces
+    of the array kernels the trace matrix runs."""
+
+    @pytest.mark.parametrize("dim", [0, 4, 2.5])
+    def test_dim_outside_1_to_3(self, dim):
+        for call in (
+            lambda: g0(dim, 1.0),
+            lambda: gz(dim, 1.0, 1.0),
+            lambda: renormalized_diagonal(dim, 1.0),
+            lambda: PointSet(dim, [[0.0] * 4]),
+        ):
+            with pytest.raises(InvariantError, match="dim must be 1, 2, or 3"):
+                call()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("z", [0.3, 4.0, 1.0 + 0.5j, 0.3 - 2.0j])
+    def test_array_radii_match_one_radius_at_a_time(self, dim, z):
+        r = np.geomspace(1e-3, 30.0, 17).reshape(1, 17)
+        got_g0, got_gz = g0(dim, r), gz(dim, r, z)
+        assert got_g0.shape == got_gz.shape == r.shape
+        assert np.isscalar(g0(dim, 1.0)) and np.isscalar(gz(dim, 1.0, z))
+        assert np.array_equal(got_g0[0], [g0(dim, x) for x in r[0]])
+        assert np.array_equal(got_gz[0], [gz(dim, x, z) for x in r[0]])
+
+    @pytest.mark.parametrize("z", [1.0, 1.0 + 0.5j])
+    def test_real_z_is_float64(self, z):
+        for dim in (1, 2, 3):
+            assert gz(dim, np.ones(3), z).dtype == (np.float64 if z.imag == 0 else np.complex128)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_first_bad_radius_is_named(self, dim):
+        with pytest.raises(NonpositiveRadius, match=r"g0 requires r > 0, got -2\.0"):
+            g0(dim, [1.0, -2.0, 0.0])
+        bad = [1.0, np.nan, -1.0]
+        word = ">=" if dim == 1 else ">"
+        with pytest.raises(NonpositiveRadius, match=f"gz requires r {word} 0 in dim {dim}, got nan"):
+            gz(dim, bad, 1.0)
+
+    def test_branch_cut_before_radius(self):
+        with pytest.raises(BranchCut):
+            gz(3, [-1.0], -1.0)
 
 
 class TestRenormalizedDiagonal:
@@ -223,33 +267,20 @@ class TestGammaMatrix:
         assert rel_err(gamma_matrix(ps_shifted, 2.0), gamma_matrix(ps, 2.0)) <= 1e-12
 
 
-def _scalar_gamma_matrix(ps, z):
-    """Reference: the scalar LaplacianKernel methods, one entry at a time."""
-    kernel = LaplacianKernel(ps.dim)
-    dist = ps.distances
-    n = ps.n_points
-    out = np.full((n, n), kernel.renormalized_diagonal(z), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                out[j, k] = kernel.g0(dist[j, k]) - kernel.gz(dist[j, k], z)
-    return out
-
-
-class TestGammaMatrixAgainstScalarKernel:
+class TestGammaMatrixAgainstReferences:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 8, 16])
     @pytest.mark.parametrize("z", [0.3, 4.0, 2.0 + 1.5j, -1.0 + 0.5j, 0.7 - 3.0j])
-    def test_array_kernel_matches_scalar_loop(self, dim, n, z):
+    def test_matches_complex_arithmetic_and_public_kernels(self, dim, n, z):
         rng = np.random.default_rng([dim, n])
         ps = PointSet(dim, rng.uniform(0.0, 4.0, size=(n, dim)))
         got = gamma_matrix(ps, z)
-        want = _scalar_gamma_matrix(ps, z)
-        if dim == 2:
-            # np.log against math.log may differ in the last bit
-            assert rel_err(got, want) <= 1e-12
-        else:
-            assert np.array_equal(got, want)
+        assert rel_err(got, complex_gamma_matrix(ps, z)) <= 1e-12
+        # the public kernels run the same array code: equal bit for bit
+        r = ps.distances + np.eye(n)
+        want = g0(dim, r) - gz(dim, r, z)
+        np.fill_diagonal(want, renormalized_diagonal(dim, z))
+        assert np.array_equal(got, want)
         if complex(z).imag == 0.0:
             assert np.array_equal(got, got.T)
 
@@ -280,7 +311,7 @@ class TestRealAxis:
         # in ulps of the operands g0 and gz of each entry (the diagonal is
         # one term); in 2-d the entries also carry the disagreement of
         # Cephes k0 and AMOS kv, a few ulps of K0
-        g0r = np.vectorize(lambda r: g0(dim, r))(ps.distances + np.eye(8))
+        g0r = g0(dim, ps.distances + np.eye(8))
         scale = np.where(np.eye(8, dtype=bool), np.abs(want), np.abs(g0r) + np.abs(g0r - want))
         ulps = 8 if dim == 2 else 2
         assert np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * scale)
@@ -385,18 +416,12 @@ class TestGridSourceMap:
 
 
 def _dense_r_apply(xs, z, f):
-    """Reference: the trapezoid convolution as a dense kernel, one scalar
-    ``LaplacianKernel(1).gz`` call per node pair."""
-    kernel = LaplacianKernel(1)
-    n = xs.size
+    """Reference: the trapezoid convolution as a dense n x n kernel from
+    the public ``gz``."""
     h = float(xs[1] - xs[0])
-    w = np.full(n, h)
+    w = np.full(xs.size, h)
     w[0] = w[-1] = h / 2.0
-    out = np.zeros(n, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i] += kernel.gz(abs(float(xs[i] - xs[j])), z) * w[j] * f[j]
-    return out
+    return gz(1, np.abs(xs[:, None] - xs[None, :]), z) @ (w * f)
 
 
 def _gaussian_resolvent(xs, z, width):
@@ -446,6 +471,10 @@ class TestGridResolvent1D:
         ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
         with pytest.raises(GridTooCoarse, match="exceeds"):
             ev.r_apply(1.0, np.zeros_like(xs))
+
+    def test_step_is_kept_from_the_constructor(self):
+        xs = np.linspace(-1.0, 2.0, 31)
+        assert LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).h == float(xs[1] - xs[0])
 
     def test_one_node_grid_is_invariant_error(self):
         with pytest.raises(InvariantError, match="two nodes"):

@@ -248,6 +248,21 @@ class TestAnchoredEvaluator:
         assert ev.interval_in_resolvent_set(0.5, 2.0)
         assert not ev.interval_in_resolvent_set(-1.0, 2.0)
 
+    @pytest.mark.parametrize("z, w0", [(2.5, 1.0), (1.0 + 0.5j, 1.0), (1.0, 1.0), (2.0, 1.0 + 0.5j)])
+    def test_one_range_check_per_point(self, second_order, monkeypatch, z, w0):
+        # at checks z once; the constructor checked the anchor
+        ps = PointSet(1, [-0.4, 0.3])
+        ev = MultiplierAnchoredEvaluator(second_order, ps, w0)
+        calls, check = [], Multiplier1D.in_resolvent_set
+        monkeypatch.setattr(
+            Multiplier1D, "in_resolvent_set", lambda m, v: calls.append(v) or check(m, v)
+        )
+        got = ev.at(z).gamma
+        assert calls == [z]
+        want = anchored_gamma_1d(second_order, ps, z, w0)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert (z == w0) == (not got.any())
+
     @pytest.mark.parametrize("symbol", [
         Multiplier1D(poly=(0.0, 0.0, -1.0)),
         Multiplier1D(poly=(0.0, 0.5, -1.0)),
