@@ -32,7 +32,6 @@ from .errors import (
     InvariantError,
     KreinxError,
     SchemaError,
-    SpectrumHit,
 )
 from .greens import g0, gz, renormalized_diagonal
 from .krein import ExtensionProblem, krein_apply
@@ -40,7 +39,7 @@ from .matrixmodel import MatrixEvaluator, direct_eigs, random_model, random_thet
 from .spectral import _branch_values, scan_spectrum
 from .verify import run_verification
 
-_VALIDATION_ERRORS = (SchemaError, InvariantError, BranchCut, SpectrumHit)
+_VALIDATION_ERRORS = (SchemaError, InvariantError, BranchCut)
 
 
 def _parse_complex(text: str) -> complex:

@@ -166,8 +166,11 @@ class ExtensionProblem:
     """A backend evaluator, a coupling matrix, and the numeric tolerances.
 
     ``tol_linear`` is the relative smallest-singular-value cutoff below
-    which the pencil counts as singular; ``tol_root`` is the pencil
-    eigenvalue magnitude below which a scan point counts as a pole.
+    which the pencil counts as singular.  ``tol_root`` is a pencil
+    eigenvalue magnitude: a scan groups the eigenvalues at a root below
+    it into the multiplicity and notes a root whose residual exceeds it
+    (the sign change certifies the root; none is dropped), and
+    ``charge_vector`` rejects a point above it.
     """
 
     evaluator: GammaEvaluator

@@ -60,8 +60,8 @@ class SpectralRoot:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """The located roots in increasing order, and one note per bracketed
-    point that did not refine below ``tol_root``."""
+    """The located roots in increasing order, and one note per root
+    whose pencil residual exceeds ``tol_root``."""
 
     roots: tuple
     warnings: tuple
@@ -74,10 +74,11 @@ def _branch_values(problem: ExtensionProblem, lam: float) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(gamma_theta(problem, lam)))
 
 
-def _interior_values(problem: ExtensionProblem, lam: float, exact: bool) -> np.ndarray:
-    """``_branch_values`` unchecked, symmetrized only when not ``exact``."""
+def _interior_values(problem: ExtensionProblem, lam: float, exact: bool):
+    """The pencil at ``lam`` and its ``_branch_values``, unchecked:
+    symmetrized only when not ``exact``."""
     p = gamma_theta(problem, lam)
-    return np.linalg.eigvalsh(p if exact else (p + p.conj().T) / 2.0)
+    return p, np.linalg.eigvalsh(p if exact else (p + p.conj().T) / 2.0)
 
 
 def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
@@ -88,10 +89,14 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     in [a, b], counted with multiplicity, are then exactly the branches
     k with ``ea[k] <= 0 <= eb[k]`` for the branch values ``ea``, ``eb``
     at the ends (Sylvester inertia).  Each is solved by ``brentq`` (a
-    branch that is zero at an end has its root there).  A root where m
-    pencil eigenvalues are at most ``tol_root`` in magnitude is reported
-    once with multiplicity m and covers m branches; a point that does
-    not refine below ``tol_root`` is dropped with a note.
+    branch that is zero at an end has its root there) and the double
+    next to its sign change, which encloses it, is reported: no root is
+    dropped.  A root where m >= 1 pencil eigenvalues are at most
+    ``tol_root`` in magnitude is reported once with multiplicity m and
+    covers m branches; one whose residual exceeds ``tol_root`` has
+    multiplicity 1 and a note.  The residual and multiplicity are read
+    from the branch values at the root, and the charge from one ``eigh``
+    of the same pencil, checked hermitian there.
 
     Raises PencilNotMonotone when a branch does not increase from a to b
     (an evaluator that is not Nevanlinna on the window), and
@@ -119,13 +124,13 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     k = int(np.sum(ea <= 0.0)) - 1
     count = k + 1 - lowest
 
-    values = {a: ea, b: eb}
+    points = {a: (ends[0], ea), b: (ends[1], eb)}
     exact = all(np.array_equal(p, p.conj().T) for p in ends)
 
     def branches_at(x):
-        if x not in values:
-            values[x] = _interior_values(problem, x, exact)
-        return values[x]
+        if x not in points:
+            points[x] = _interior_values(problem, x, exact)
+        return points[x][1]
 
     notes = []
     roots = []
@@ -140,28 +145,19 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
         f0 = branches_at(z0)[k]
         if f0 != 0.0:
             z0 = _sign_change(lambda x: branches_at(x)[k], z0, f0, b if f0 < 0.0 else a)
-        evals = branches_at(z0)
+        pencil, evals = points[z0]
         residual = float(np.min(np.abs(evals)))
         if residual > problem.tol_root:
             notes.append(
-                f"bracketed point lambda={z0:.9g} did not refine below "
-                f"tol_root (pencil eigenvalue {residual:.3e}); dropped"
+                f"root lambda={z0:.9g} did not refine below tol_root "
+                f"(pencil eigenvalue {residual:.3e})"
             )
-            k -= 1
-            continue
-        mult = int(np.sum(np.abs(evals) <= problem.tol_root))
-        roots.append(
-            SpectralRoot(
-                z0=z0,
-                charge=charge_vector(problem, z0),
-                residual=residual,
-                multiplicity=mult,
-            )
-        )
+        mult = max(1, int(np.sum(np.abs(evals) <= problem.tol_root)))
+        roots.append(SpectralRoot(z0, _kernel_vector(pencil)[1], residual, mult))
         k -= mult
 
-    # a dropped point covers its one branch; k ends below lowest when the
-    # roots found cover more branches than the window brackets
+    # k ends below lowest when the roots found cover more branches than
+    # the window brackets
     if k != lowest - 1:
         raise InertiaMismatch(
             f"[{a!r}, {b!r}] holds {count} roots by inertia but the located "
@@ -198,25 +194,29 @@ def _sign_change(f, x0: float, f0: float, end: float) -> float:
     return _double(hi) if abs(f1) < abs(f0) else _double(lo)
 
 
-def charge_vector(problem: ExtensionProblem, z0: float) -> np.ndarray:
-    """Unit kernel vector of the pencil at a (numerical) pole.
-
-    The eigenvector for the pencil eigenvalue of least modulus; the
-    first component with magnitude above 1e-8 is rotated real-positive
-    so output is reproducible.  Raises NotAPole when the smallest
-    eigenvalue magnitude exceeds ``tol_root``.
-    """
-    pencil = hermitian_part(gamma_theta(problem, z0))
-    evals, vecs = np.linalg.eigh(pencil)
+def _kernel_vector(pencil: np.ndarray):
+    """The least eigenvalue magnitude of the checked ``pencil`` and its
+    unit eigenvector, whose first component with magnitude above 1e-8
+    is rotated real-positive so output is reproducible."""
+    evals, vecs = np.linalg.eigh(hermitian_part(pencil))
     i = int(np.argmin(np.abs(evals)))
-    if abs(evals[i]) > problem.tol_root:
-        raise NotAPole(
-            f"pencil at z0={z0!r} has smallest eigenvalue magnitude "
-            f"{abs(evals[i]):.3e} > tol_root={problem.tol_root:.1e}"
-        )
     v = vecs[:, i]
     for comp in v:
         if abs(comp) > 1e-8:
             v = v * (np.conj(comp) / abs(comp))
             break
-    return v / np.linalg.norm(v)
+    return abs(evals[i]), v / np.linalg.norm(v)
+
+
+def charge_vector(problem: ExtensionProblem, z0: float) -> np.ndarray:
+    """Unit kernel vector of the pencil at a (numerical) pole: the
+    eigenvector of ``_kernel_vector``.  Raises NotAPole when the smallest
+    eigenvalue magnitude exceeds ``tol_root``.
+    """
+    smallest, v = _kernel_vector(gamma_theta(problem, z0))
+    if smallest > problem.tol_root:
+        raise NotAPole(
+            f"pencil at z0={z0!r} has smallest eigenvalue magnitude "
+            f"{smallest:.3e} > tol_root={problem.tol_root:.1e}"
+        )
+    return v

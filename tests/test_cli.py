@@ -218,6 +218,29 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 3
         assert out.read_text().count("\n") == 1  # header-only
 
+    def test_root_above_tol_root_exits_0(self, tmp_path, capsys):
+        # the best double leaves 1.507e-10 > tol_root: one row and one warning
+        from kreinx.matrixmodel import random_model, random_theta
+
+        model, theta = random_model(13, 6, 1), random_theta(14, 1).entries
+
+        def pairs(m):
+            return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(m)]
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "backend": "matrix",
+            "matrix": {"a": pairs(model.a), "tau": pairs(model.tau)},
+            "theta": pairs(theta),
+            "scan": {"a": 5.119143372626481, "b": 5.124013191433564},
+        }))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+        assert float(rows[0]["z0"]) == pytest.approx(5.119957515, abs=1e-9)
+        assert capsys.readouterr().err == "spectrum: 1 roots in [5.11914, 5.12401], 1 warnings\n"
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(CFG_3D, theta=[[0.0, 1.0], [0.0, 0.0]])))

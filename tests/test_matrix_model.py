@@ -285,8 +285,8 @@ class TestEigenbasisAgainstDenseInverse:
     def test_found_window_scans_without_not_hermitian(self):
         model = random_model(13, 6, 1)
         problem = ExtensionProblem(MatrixEvaluator(model), random_theta(14, 1))
-        # Raised NotHermitian before.  Whether the root inside is returned
-        # is the separate absolute tol_root question, so it is not pinned.
+        # Raised NotHermitian before.  The root inside is pinned by
+        # test_spectral.py::TestScanSpectrum::test_steep_root_above_tol_root_reported.
         scan_spectrum(problem, (5.119143372626481, 5.124013191433564))
 
 

@@ -193,7 +193,7 @@ class TestScanSpectrum:
         assert len(want) == 1
         assert abs(rep.roots[0].z0 - want[0]) <= 1e-9 * (1.0 + abs(want[0]))
 
-    def test_unrefined_root_dropped_with_note(self):
+    def test_unrefined_root_reported_with_note(self):
         class JumpEvaluator(GammaEvaluator):
             # increasing, but it jumps over zero at z = 2
             n_charges = 1
@@ -207,9 +207,37 @@ class TestScanSpectrum:
 
         problem = ExtensionProblem(JumpEvaluator(), ThetaMatrix([[0.0]]))
         rep = scan_spectrum(problem, (1.0, 3.0))
-        assert rep.roots == ()
+        assert [(r.z0, r.residual, r.multiplicity) for r in rep.roots] == [(2.0, 1e-3, 1)]
+        assert np.array_equal(rep.roots[0].charge, [1.0])
+        assert rep.warnings == (
+            "root lambda=2 did not refine below tol_root (pencil eigenvalue 1.000e-03)",
+        )
+
+    def test_steep_root_above_tol_root_reported(self):
+        # the best double leaves 1.507e-10 > tol_root: the sign change
+        # encloses the root, so it is reported with one note
+        model = random_model(13, 6, 1)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(14, 1))
+        rep = scan_spectrum(problem, (5.119143372626481, 5.124013191433564))
+        assert len(rep.roots) == 1
+        root = rep.roots[0]
+        assert root.multiplicity == 1
+        assert root.residual == pytest.approx(1.507e-10, rel=1e-3)
+        want = [lam for lam in direct_eigs(model, problem.theta) if 5.11 < lam < 5.13]
+        assert len(want) == 1 and abs(root.z0 - want[0]) <= 1e-9
         assert len(rep.warnings) == 1
-        assert "lambda=2 did not refine below tol_root" in rep.warnings[0]
+        assert "1.507e-10" in rep.warnings[0]
+
+    def test_eigvalsh_and_eigh_disagreeing_at_tol_root(self):
+        # at the root eigvalsh gives 2.9e-15 and eigh 1.057e-13, on either
+        # side of tol_root: the scan reads eigvalsh alone and reports it
+        model = random_model(159, 9, 4)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(1159, 4), tol_root=1e-13)
+        rep = scan_spectrum(problem, (-1.8039526237154562, -1.8037526237154562))
+        assert len(rep.roots) == 1 and rep.warnings == ()
+        assert rep.roots[0].residual <= problem.tol_root
+        want = [lam for lam in direct_eigs(model, problem.theta) if -1.81 < lam < -1.80]
+        assert len(want) == 1 and abs(rep.roots[0].z0 - want[0]) <= 1e-9
 
     def test_unresolved_window_end_raises(self):
         # two decoupled scalar pencils with roots 7e-11 apart, closer than
@@ -386,9 +414,7 @@ class TestScanAgainstOracle:
         # the Woodbury oracle builds the perturbed matrix and runs eigvalsh
         # on it; it shares no code with the pencil scan.  Windows keep 0.01
         # from the base spectrum: closer in, this backend's inverse-based
-        # gamma fails its hermiticity check near clustered eigenvalues, and
-        # the pencil can change by more than tol_root between adjacent
-        # doubles, so no double certifies the root
+        # gamma fails its hermiticity check near clustered eigenvalues
         n_charges = min(n_charges, n)
         model = random_model(seed, n, n_charges)
         theta = random_theta(seed + 1, n_charges)
@@ -453,6 +479,32 @@ class TestTwoPointSymmetry:
         for p in per_point:
             assert abs(per_point_swapped[p] - phase * per_point[p]) <= 1e-12
 
+    @pytest.mark.parametrize("c, y", [((1.0, 1.0), (-0.5, 0.5)), ((2.0, 0.7), (-1.3, 0.4))])
+    def test_two_delta_wells(self, c, y):
+        # the wells -c1 delta(x - y1) - c2 delta(x - y2) need theta =
+        # diag(1/c) + D/2 with the distance matrix D, as the zero-anchored
+        # g0 couples the points; their bound states k^2 solve
+        # (2k - c1)(2k - c2) = c1 c2 exp(-2 k d)
+        d = abs(y[1] - y[0])
+        dist = np.abs(np.subtract.outer(y, y))
+
+        def secular(k):
+            return (2.0 * k - c[0]) * (2.0 * k - c[1]) - c[0] * c[1] * np.exp(-2.0 * k * d)
+
+        ks = np.linspace(1e-3, sum(c), 2001)
+        want = [brentq(secular, lo, hi, xtol=1e-15) ** 2
+                for lo, hi in zip(ks[:-1], ks[1:]) if secular(lo) * secular(hi) < 0.0]
+        assert want
+        window = (1e-4, sum(c) ** 2)
+        ps = PointSet(1, list(y))
+        problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix(np.diag(1.0 / np.array(c)) + dist / 2.0))
+        rep = scan_spectrum(problem, window)
+        assert [r.multiplicity for r in rep.roots] == [1] * len(want)
+        assert np.allclose(rep.positions(), want, rtol=1e-10, atol=0.0)
+        # the diagonal theta alone is another coupling, with other roots
+        got = scan_spectrum(replace(problem, theta=ThetaMatrix(np.diag(1.0 / np.array(c)))), window)
+        assert got.positions().size != len(want) or not np.allclose(got.positions(), want, rtol=1e-3)
+
     def test_3d_two_points_lower_root_symmetric(self):
         d, alpha = 1.0, -0.1
         ps, problem = laplacian_problem(3, [[0.0, 0.0, 0.0], [d, 0.0, 0.0]], alpha)
@@ -507,6 +559,25 @@ class TestEigenfunction:
         val = eigenfunction_eval(ps, [1j], 1.0, 0.0)
         assert val == pytest.approx(-0.5j)
 
+    @pytest.mark.parametrize("z0, q", [(1.0, [1.0, 0.0]), (0.37, [0.6 + 0.2j, -0.3])])
+    def test_1d_distributional_equation(self, z0, q):
+        # psi'' = z0 psi between the points, and psi' jumps by -conj(q_j)
+        # at y_j, for any (z0, q): second differences with Richardson
+        # extrapolation across each point, plain ones away from them
+        ps, q = PointSet(1, [-0.5, 0.7]), np.asarray(q, dtype=complex)
+        h = 1e-3
+        xs = np.arange(-4.0, 4.0, h)
+        vals = eigenfunction_eval(ps, q, z0, xs)
+        second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h**2
+        away = np.min(np.abs(xs[1:-1, None] - ps.points[None, :, 0]), axis=1) > 1.5 * h
+        assert np.max(np.abs(second[away] - z0 * vals[1:-1][away])) <= 1e-6
+        for j, yj in enumerate(ps.points[:, 0]):
+            ests = []
+            for hh in (h, h / 2.0):
+                f3 = eigenfunction_eval(ps, q, z0, np.array([yj - hh, yj, yj + hh]))
+                ests.append((f3[2] - 2.0 * f3[1] + f3[0]) / hh)
+            assert abs(2.0 * ests[1] - ests[0] + np.conj(q[j])) <= 1e-6
+
     def test_singularity_guard(self):
         ps = PointSet(3, [[0.0, 0.0, 0.0]])
         with pytest.raises(EvaluationAtSingularity):
@@ -545,15 +616,26 @@ class TestEigenfunction:
 
 class TestVerifyEigenpair:
     def test_1d_residuals(self):
-        # alpha = 1/2 puts the root at z0 = 1
+        # alpha = 1/2 puts the root at z0 = 1; a Laplacian backend has only
+        # the pencil row (every source superposition solves the equation)
         ps, problem = laplacian_problem(1, [0.0], 0.5)
         rep = scan_spectrum(problem, (0.5, 2.0))
         z0, q = rep.roots[0].z0, rep.roots[0].charge
         report = verify_eigenpair(problem, z0, q)
         assert report.passed
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["eigenpair/interior_equation"].residual <= 1e-6
-        assert by_name["eigenpair/derivative_jumps"].residual <= 1e-6
+        assert [c.name for c in report.checks] == ["eigenpair/pencil_kernel"]
+        assert report.checks[0].residual <= 1e-9
+
+    def test_1d_non_eigenpair_fails(self):
+        ps = PointSet(1, [-0.5, 0.7])
+        problem = ExtensionProblem(
+            LaplacianPointEvaluator(ps), ThetaMatrix([[0.3, 0.1], [0.1, 0.5]])
+        )
+        report = verify_eigenpair(problem, 0.37, [0.6 + 0.2j, -0.3])
+        assert not report.passed
+        assert report.checks[0].name == "eigenpair/pencil_kernel"
+        assert report.checks[0].residual == pytest.approx(0.489, abs=1e-3)
+        assert report.to_text().splitlines()[-1] == "overall: FAIL"
 
     def test_matrix_oracle_action(self, two_level_problem):
         rep = scan_spectrum(two_level_problem, (1.5, 4.0))
@@ -603,12 +685,16 @@ def _outcome(problem, window):
 
 
 def _checked_outcome(problem, window):
-    """``_outcome`` with every scan point evaluated through the checked
-    ``_branch_values``, as the scan did before it checked only the ends."""
-    from kreinx import spectral
+    """``_outcome`` with every scan point's pencil checked by
+    ``hermitian_part``, as the scan did before it checked only the ends."""
+    from kreinx import krein, spectral
+
+    def checked(pr, lam, exact):
+        p = krein.gamma_theta(pr, lam)
+        return p, np.linalg.eigvalsh(krein.hermitian_part(p))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_interior_values", lambda pr, lam, exact: spectral._branch_values(pr, lam))
+        mp.setattr(spectral, "_interior_values", checked)
         return _outcome(problem, window)
 
 
@@ -699,8 +785,10 @@ class TestHermiticityCheckedOncePerScan:
         checks, pencils = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "hermitian_part", lambda m: checks.append(1) or krein.hermitian_part(m))
-            mp.setattr(spectral, "gamma_theta", lambda *a: pencils.append(1) or krein.gamma_theta(*a))
+            mp.setattr(spectral, "gamma_theta", lambda pr, z: pencils.append(z) or krein.gamma_theta(pr, z))
             rep = scan_spectrum(problem, window)
         assert rep.roots
         assert len(checks) <= 2 + len(rep.roots)
         assert len(pencils) > 2 * len(checks)
+        # one pencil evaluation per distinct point: a root reuses its scan point's
+        assert len(pencils) == len(set(pencils))
