@@ -7,7 +7,7 @@ derivative, the product matrix ``gbreve_g(lambda, lambda)``, is positive
 definite, so every sorted eigenvalue branch of the pencil is strictly
 increasing.  Sylvester inertia at the two window ends therefore
 certifies the number of roots, and each root is the one zero of its
-branch, found by ``brentq``; determinants are avoided on purpose (they
+branch, found by ``_root_double``; determinants are avoided on purpose (they
 under/overflow).  The certificate needs the whole window inside a real
 gap, which every backend decides from its spectrum, not by sampling
 points, in ``interval_in_resolvent_set``.  This module holds the scan
@@ -27,6 +27,7 @@ scalar coupling ``alpha`` matches the delta well of strength
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,15 +89,15 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     where every sorted pencil branch is strictly increasing.  The roots
     in [a, b], counted with multiplicity, are then exactly the branches
     k with ``ea[k] <= 0 <= eb[k]`` for the branch values ``ea``, ``eb``
-    at the ends (Sylvester inertia).  Each is solved by ``brentq`` (a
-    branch that is zero at an end has its root there) and the double
-    next to its sign change, which encloses it, is reported: no root is
-    dropped.  A root where m >= 1 pencil eigenvalues are at most
-    ``tol_root`` in magnitude is reported once with multiplicity m and
-    covers m branches; one whose residual exceeds ``tol_root`` has
-    multiplicity 1 and a note.  The residual and multiplicity are read
-    from the branch values at the root, and the charge from one ``eigh``
-    of the same pencil, checked hermitian there.
+    at the ends (Sylvester inertia).  Each is solved by ``_root_double``
+    from the tightest bracket among the points evaluated so far, and the
+    double next to its sign change (or where it is 0), which encloses it,
+    is reported: no root is dropped.  A root where m >= 1 pencil
+    eigenvalues are at most ``tol_root`` in magnitude is reported once
+    with multiplicity m and covers m branches; one whose residual exceeds
+    ``tol_root`` has multiplicity 1 and a note.  The residual and
+    multiplicity are read from the branch values at the root, and the
+    charge from one ``eigh`` of the same pencil, checked hermitian there.
 
     Raises PencilNotMonotone when a branch does not increase from a to b
     (an evaluator that is not Nevanlinna on the window), and
@@ -127,24 +128,17 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     points = {a: (ends[0], ea), b: (ends[1], eb)}
     exact = all(np.array_equal(p, p.conj().T) for p in ends)
 
-    def branches_at(x):
+    def branch(x):  # the value of branch k at x, one pencil per point
         if x not in points:
             points[x] = _interior_values(problem, x, exact)
-        return points[x][1]
+        return float(points[x][1][k])
 
     notes = []
     roots = []
     while k >= lowest:
-        from scipy.optimize import brentq
-
-        # brentq returns an end where the branch is exactly zero
-        z0 = brentq(
-            lambda x: branches_at(x)[k], a, b,
-            xtol=4e-16, rtol=4.0 * np.finfo(float).eps, disp=False,
-        )
-        f0 = branches_at(z0)[k]
-        if f0 != 0.0:
-            z0 = _sign_change(lambda x: branches_at(x)[k], z0, f0, b if f0 < 0.0 else a)
+        lo = max(x for x, (_, v) in points.items() if v[k] <= 0.0)
+        hi = min(x for x, (_, v) in points.items() if x >= lo and v[k] >= 0.0)
+        z0 = _root_double(branch, lo, branch(lo), hi, branch(hi))
         pencil, evals = points[z0]
         residual = float(np.min(np.abs(evals)))
         if residual > problem.tol_root:
@@ -176,22 +170,33 @@ def _double(n: int) -> float:
     return float(np.int64(abs(n)).view(np.float64)) * (1 if n >= 0 else -1)
 
 
-def _sign_change(f, x0: float, f0: float, end: float) -> float:
-    """The first double from x0 (f0 = f(x0) != 0) toward end where f is
-    zero or changes sign, or the one before if |f| is smaller there: 16
-    single steps (a branch is not monotone at ulp scale), then doubling
-    steps and bisection on ordinals (near 1e-9 brentq's xtol spans 1e9 doubles)."""
-    lo, last, step, walked, hi = _ordinal(x0), _ordinal(end), 1, 0, None
-    sign = 1 if last > lo else -1
-    while hi is None or abs(hi - lo) > 1:
-        mid = lo + sign * (min(step, abs(last - lo)) if hi is None else abs(hi - lo) // 2)
-        fm = f(_double(mid))
-        if fm == 0.0 or (fm < 0.0) != (f0 < 0.0) or mid == last:
-            hi, f1 = mid, fm
+def _root_double(f, x_lo: float, f_lo: float, x_hi: float, f_hi: float) -> float:
+    """A double in the bracket ``f(x_lo) = f_lo <= 0 <= f_hi = f(x_hi)``,
+    ``x_lo <= x_hi``, where f is 0, else the one of two adjacent doubles
+    across a sign change with the smaller |f| (lo on a tie).  Each step is
+    an interpolation or, if the last two did not halve the ordinals, a
+    bisection of them, so a root costs at most 3 x 64 evaluations."""
+    lo, hi = _ordinal(x_lo), _ordinal(x_hi)
+    x_p = f_p = math.nan  # no dropped point yet, so no quadratic
+    older = old = math.inf
+    while hi - lo > 1 and 0.0 not in (f_lo, f_hi):
+        n = (lo + hi) // 2
+        if 2 * (hi - lo) <= older:  # the last two steps halved the bracket
+            # the secant, then the inverse quadratic as its Newton term
+            d = (x_hi - x_lo) / (f_hi - f_lo)
+            x = x_lo - f_lo * d
+            if f_p not in (f_lo, f_hi):  # so no divisor is 0
+                q = x + f_lo * f_hi * ((x_p - x_hi) / (f_p - f_hi) - d) / (f_p - f_lo)
+                x = q if x_lo <= q <= x_hi else x
+            n = min(max(_ordinal(x), lo + 1), hi - 1)  # an inf or nan x clamps too
+        older, old = old, hi - lo
+        x = _double(n)
+        fx = f(x)
+        if fx < 0.0:
+            x_p, f_p, lo, x_lo, f_lo = x_lo, f_lo, n, x, fx
         else:
-            lo, f0, walked = mid, fm, walked + 1
-            step = 1 if walked < 16 else 2 * step
-    return _double(hi) if abs(f1) < abs(f0) else _double(lo)
+            x_p, f_p, hi, x_hi, f_hi = x_hi, f_hi, n, x, fx
+    return x_hi if abs(f_hi) < abs(f_lo) else x_lo
 
 
 def _kernel_vector(pencil: np.ndarray):

@@ -467,6 +467,37 @@ class TestResolventCommand:
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+class TestValidationMessages:
+    """The CLI's own argument checks: exit 2, one exact ``error:`` line
+    and no output file."""
+
+    @pytest.mark.parametrize("argv, raw, message", [
+        (["green", "--dim", "1", "--z", "abc"], None, "cannot parse complex number from 'abc'"),
+        (["green", "--dim", "3", "--z", "1", "--radii", ","], None,
+         "--radii must list at least one radius"),
+        (["spectrum", "--a", "0.5"], {k: v for k, v in CFG_3D.items() if k != "scan"},
+         "--a and --b are both required without a scan window"),
+        (["spectrum"], {k: v for k, v in CFG_3D.items() if k != "scan"},
+         "spectrum needs a scan window (config 'scan' or --a/--b)"),
+        (["resolvent"], {"backend": "matrix", "matrix": {"a": [[1.0]], "tau": [[1.0]]},
+                         "theta": [[1.0]], "f": [1.0]},
+         "resolvent needs z (config 'z' or --z)"),
+        (["resolvent"], {"backend": "matrix", "matrix": {"a": [[1.0]], "tau": [[1.0]]},
+                         "theta": [[1.0]], "z": [0.5, 0.5]},
+         "resolvent needs an input vector 'f' in the config"),
+    ], ids=["z-text", "radii-empty", "a-without-window", "no-window", "resolvent-no-z",
+            "resolvent-no-f"])
+    def test_exits_2_with_its_message(self, tmp_path, capsys, argv, raw, message):
+        if raw is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestHugeBaseMatrix:
     # symmetrizing a = diag(1e308, -1e308) as (a + a^H) / 2 gave inf, and
     # LAPACK then raised an uncaught LinAlgError

@@ -97,3 +97,22 @@ def test_only_a_config_request_loads_orjson(tmp_path):
     assert codes == [0] * len(argvs)
     assert loaded[:-1] == [[]] * len(argvs)
     assert "orjson" in loaded[-1]
+
+
+def test_spectrum_loads_no_scipy_optimize(tmp_path):
+    # the root search runs on the doubles, so a scan loads only what its
+    # backend's kernel needs: nothing on the matrix backend or in 1-d
+    codes, loaded = _modules_after([
+        ["spectrum", "--config", str(SCRIPTS / f"{name}.json"), "-o", str(tmp_path / f"{name}.csv")]
+        for name in ("spectrum_matrix5", "spectrum_laplacian1d_small")
+    ])
+    assert codes == [0, 0]
+    assert loaded == [[], [], []]
+    codes, (before, after) = _modules_after([
+        ["spectrum", "--config", str(SCRIPTS / "spectrum_laplacian2d.json"),
+         "-o", str(tmp_path / "spectrum_laplacian2d.csv")],
+    ])
+    assert codes == [0]
+    assert before == []
+    assert "scipy.special" in after
+    assert not any(m.startswith("scipy.optimize") for m in after)

@@ -110,6 +110,78 @@ MATRIX_2 = {
 }
 
 
+MATRIX_1 = {"backend": "matrix", "matrix": {"a": [[1.0]], "tau": [[1.0]]}, "theta": [[1.0]]}
+MULTIPLIER = {
+    "backend": "multiplier1d",
+    "points": [0.0],
+    "symbol": {"poly": [0.0, 0.0, -1.0], "anchor": 1.0},
+    "theta": [[0.0]],
+}
+LAPLACIAN_1D = {"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]]}
+
+
+class TestSchemaMessages:
+    """Every message of the schema phase, pinned exactly."""
+
+    @pytest.mark.parametrize("raw, violations", [
+        ([1, 2], ("top level must be a JSON object",)),
+        (dict(MINIMAL_3D, backend="laplacian4d"), (
+            "backend must be one of ('matrix', 'laplacian1d', 'laplacian2d', 'laplacian3d', "
+            "'multiplier1d'), got 'laplacian4d'",
+            "backend 'matrix' requires a 'matrix' object with 'a' and 'tau'",
+            "'points' is invalid for backend 'matrix'",
+        )),
+        (dict(MATRIX_1, matrix=[[1.0]]),
+         ("backend 'matrix' requires a 'matrix' object with 'a' and 'tau'",)),
+        (dict(MATRIX_1, matrix={"a": [[1.0]], "tau": [[1.0]], "b": [[1.0]]}),
+         ("matrix.b: unknown key",)),
+        (dict(MINIMAL_3D, matrix=MATRIX_1["matrix"]),
+         ("'matrix' payload is invalid for backend 'laplacian3d'",)),
+        (dict(MATRIX_1, points=[0.0]), ("'points' is invalid for backend 'matrix'",)),
+        (dict(MINIMAL_3D, symbol=MULTIPLIER["symbol"]),
+         ("'symbol' is invalid for backend 'laplacian3d'",)),
+        (dict(MULTIPLIER, symbol=[0.0, 0.0, -1.0]),
+         ("backend 'multiplier1d' requires a 'symbol' object",)),
+        (dict(MULTIPLIER, symbol=dict(MULTIPLIER["symbol"], degree=2)),
+         ("symbol.degree: unknown key",)),
+        (dict(MULTIPLIER, symbol={"poly": [], "anchor": 1.0}),
+         ("symbol.poly: expected a list of numbers",)),
+        (dict(MULTIPLIER, symbol=dict(MULTIPLIER["symbol"], cos=[[1.0, 0.5, 2.0]])),
+         ("symbol.cos: expected a list of [frequency, coefficient] pairs",)),
+        (dict(MULTIPLIER, symbol={"poly": [0.0, 0.0, -1.0]}),
+         ("symbol.anchor: required (the reference point of the anchored difference)",)),
+        (dict(MINIMAL_3D, scan=[0.5, 2.0]),
+         ("scan: expected an object with 'a', 'b', optional 'grid'",)),
+        (dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0, "step": 0.1}), ("scan.step: unknown key",)),
+        (dict(MINIMAL_3D, tolerances=1e-10), ("tolerances: expected an object",)),
+        (dict(MINIMAL_3D, tolerances={"tol_root": 1e-10, "tol_abs": 1e-12}),
+         ("tolerances.tol_abs: unknown key",)),
+        (dict(MATRIX_1, z=1.0, f=[]), ("f: expected a nonempty list",)),
+        (dict(LAPLACIAN_1D, grid1d=[-4.0, 4.0, 101]),
+         ("grid1d: expected an object with 'lo', 'hi', 'n'",)),
+        (dict(LAPLACIAN_1D, grid1d={"lo": -4.0, "hi": 4.0, "n": 101, "step": 0.08}),
+         ("grid1d: expected an object with 'lo', 'hi', 'n'",)),
+        (dict(MATRIX_1, theta=[[1.0, 0.0], [0.0]]), ("theta: rows have unequal lengths [1, 2]",)),
+        (dict(MATRIX_1, theta=[1.0]), ("theta: expected a nested list of rows, got [1.0]",)),
+        (dict(MINIMAL_3D, points=[]), ("points: expected a nonempty list of points",)),
+        (dict(MINIMAL_3D, points=[0.0]), ("points[0]: flat coordinates only valid in dim 1",)),
+        (dict(MINIMAL_3D, points=[[0.0, 0.0]]),
+         ("points[0]: expected 3 coordinates, got [0.0, 0.0]",)),
+    ], ids=[
+        "top-level-list", "unknown-backend", "matrix-not-object", "matrix-unknown-key",
+        "matrix-wrong-backend", "points-wrong-backend", "symbol-wrong-backend",
+        "symbol-not-object", "symbol-unknown-key", "symbol-empty-poly", "symbol-bad-cos",
+        "symbol-no-anchor", "scan-not-object", "scan-unknown-key", "tolerances-not-object",
+        "tolerances-unknown-key", "f-empty", "grid1d-not-object", "grid1d-unknown-key",
+        "ragged-rows", "rows-not-lists", "points-empty", "points-flat-in-3d",
+        "points-short-row",
+    ])
+    def test_violations(self, raw, violations):
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(raw))
+        assert err.value.violations == violations
+
+
 class TestMatrixEntries:
     def test_bad_entry_message_names_its_path(self):
         a = [[1.0, 0.0, 0.0], [0.0, 2.0, "x"], [0.0, 0.0, 3.0]]

@@ -1,4 +1,5 @@
 import ast
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -180,9 +181,8 @@ class TestScanSpectrum:
             assert abs(rep.roots[0].z0 - lam) <= 1e-9 * (1.0 + abs(lam))
 
     def test_steep_root_refined_to_the_best_double(self):
-        # the pencil changes by about 1e-10 per double here: brentq stops a
-        # few doubles from the sign change, outside tol_root, and the scan
-        # steps to the double next to it
+        # the pencil changes by about 1e-10 per double here, so only the
+        # double next to the sign change is within tol_root
         model = random_model(191, 6, 1)
         problem = ExtensionProblem(MatrixEvaluator(model), random_theta(192, 1))
         rep = scan_spectrum(problem, (-5.520755366617583, -5.507005856364466))
@@ -271,14 +271,22 @@ def _negative_count(theta, ps, lam):
     return int(np.sum(np.linalg.eigvalsh(theta + complex_gamma_matrix(ps, lam)) < 0.0))
 
 
-class TestSignChangeWalk:
-    """The walk from brentq's point to the sign change: single doubles
-    first, then a doubling step and bisection on the ordinals of the
-    doubles."""
+def _is_root_double(f, x):
+    """Whether x is a double where f is zero, or the one of an adjacent
+    pair with ``f(lo) < 0 < f(hi)`` where |f| is smaller (lo on a tie)."""
+    fx, fb, fa = f(x), f(float(np.nextafter(x, -np.inf))), f(float(np.nextafter(x, np.inf)))
+    return (fx == 0.0
+            or (fx < 0.0 < fa and abs(fx) <= abs(fa))
+            or (fb < 0.0 < fx and abs(fx) < abs(fb)))
+
+
+class TestRootDouble:
+    """The root search on the doubles: a bracket of two ordinals, shrunk
+    by interpolation steps and bisection to two adjacent doubles."""
 
     @staticmethod
     def _single_step_walk(f, x0, f0, end):
-        # the walk one double at a time that the scan ran before
+        # the walk one double at a time that the scan once ran
         while f0 != 0.0:
             x1 = float(np.nextafter(x0, end))
             f1 = f(x1)
@@ -299,17 +307,17 @@ class TestSignChangeWalk:
             assert _double(_ordinal(x)) == x
             assert _ordinal(float(np.nextafter(x, np.inf))) == _ordinal(x) + 1
 
-    @pytest.mark.parametrize("x0, offset, end", [
-        (1.0, 3, 2.0),
-        (1.0, 16, 2.0),
-        (1.0, 17, 2.0),
-        (2.5e-9, 40_000, 7.25e-9),
-        (2.5e-9, -40_000, 9.25e-10),
-        (-1e-320, 30_000, 1.0),
-        (1e-320, -30_000, -1.0),
+    @pytest.mark.parametrize("x0, offset, end, most", [
+        (1.0, 3, 2.0, 2),
+        (1.0, 16, 2.0, 2),
+        (1.0, 17, 2.0, 2),
+        (2.5e-9, 40_000, 7.25e-9, 4),
+        (2.5e-9, -40_000, 9.25e-10, 4),
+        (-1e-320, 30_000, 1.0, 16),
+        (1e-320, -30_000, -1.0, 16),
     ])
-    def test_matches_the_single_step_walk_on_a_monotone_branch(self, x0, offset, end):
-        from kreinx.spectral import _ordinal, _sign_change
+    def test_matches_the_single_step_walk_on_a_monotone_branch(self, x0, offset, end, most):
+        from kreinx.spectral import _ordinal, _root_double
 
         # f is negative up to the double ``offset`` doubles from x0 and
         # positive above it, smallest in modulus just above it
@@ -320,17 +328,18 @@ class TestSignChangeWalk:
             calls.append(x)
             return float(_ordinal(x) - root) - 0.75
 
-        f0 = f(x0)
+        f0, f_end = f(x0), f(end)
         want = self._single_step_walk(f, x0, f0, end)
         calls.clear()
-        assert _sign_change(f, x0, f0, end) == want
-        if abs(offset) < 16:
-            assert len(calls) == abs(offset) + 1
-        else:
-            assert len(calls) <= 16 + 2 * abs(offset).bit_length()
+        got = _root_double(f, x0, f0, end, f_end) if f0 < 0.0 else _root_double(f, end, f_end, x0, f0)
+        assert got == want
+        # where f is linear in x the secant lands next to the sign change
+        # and the neighbour closes the bracket; a bracket across binades,
+        # or across zero, needs a few more steps
+        assert len(calls) <= most
 
-    def test_noisy_branch_keeps_the_first_sign_change_within_sixteen_doubles(self):
-        from kreinx.spectral import _double, _ordinal, _sign_change
+    def test_noisy_branch_returns_an_adjacent_sign_change(self):
+        from kreinx.spectral import _double, _ordinal, _root_double
 
         # signs flip at ulp scale: - - - - + - + ... from x0
         x0 = 0.75
@@ -339,9 +348,47 @@ class TestSignChangeWalk:
         def f(x):
             return pattern[_ordinal(x) - _ordinal(x0)]
 
-        want = self._single_step_walk(f, x0, f(x0), 1.0)
-        assert want == _double(_ordinal(x0) + 3)
-        assert _sign_change(f, x0, f(x0), 1.0) == want
+        end = _double(_ordinal(x0) + len(pattern) - 1)
+        got = _root_double(f, x0, f(x0), end, f(end))
+        assert _is_root_double(f, got)
+        assert got in (_double(_ordinal(x0) + 3), _double(_ordinal(x0) + 5))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    @pytest.mark.parametrize("shape", ["step", "ordinal", "arctan"])
+    @pytest.mark.parametrize("window, root", [
+        ((-1.7e308, 1.7e308), 0.0),
+        ((-1.7e308, 1.7e308), 1e-9),
+        ((-1.7e308, 1.7e308), -3.5e200),
+        ((-1.7e308, 1.7e308), 1.6e308),
+        ((1e-300, 1e300), 2.5e-9),
+        ((-1.0, 1.0), 1e-310),
+    ])
+    def test_any_bracket_in_at_most_192_evaluations(self, window, root, shape, scale):
+        # products of values underflow near 1e-300 and overflow near 1e300,
+        # equal values leave the inverse quadratic undefined, and x_hi - x_lo
+        # overflows on the widest window: no step may raise or stall
+        from kreinx.spectral import _ordinal, _root_double
+
+        n_root = _ordinal(root)
+        shapes = {
+            "step": lambda x: -1.0 if x < root else 1.0,
+            "ordinal": lambda x: (_ordinal(x) - n_root - 0.5) / 2.0**64,
+            "arctan": lambda x: math.atan(x - root),
+        }
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return scale * shapes[shape](x)
+
+        a, b = window
+        fa, fb = f(a), f(b)
+        assert fa < 0.0 < fb
+        calls.clear()
+        got = _root_double(f, a, fa, b, fb)
+        assert len(calls) <= 3 * 64
+        assert a < got < b
+        assert _is_root_double(f, got)
 
     def test_small_energy_root_in_few_pencil_evaluations(self):
         # 1-d, one point: theta - 1/(2 sqrt z) = 0 at z0 = 1/(4 theta^2) =

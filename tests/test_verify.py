@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kreinx import (
+    ExtensionProblem,
     MatrixEvaluator,
     ThetaMatrix,
     check_base_identities,
@@ -9,8 +10,16 @@ from kreinx import (
     check_gamma_identities,
     krein_resolvent,
     run_verification,
+    scan_spectrum,
+    verify_eigenpair,
 )
-from kreinx.matrixmodel import product_matrix, random_model, random_problem_suite, random_theta
+from kreinx.matrixmodel import (
+    base_resolvent,
+    product_matrix,
+    random_model,
+    random_problem_suite,
+    random_theta,
+)
 from kreinx.verify import CheckResult, VerificationReport, merge_reports, rel_residual
 
 
@@ -200,3 +209,36 @@ class TestRunVerification:
         report = run_verification(seed=9, models=3)
         names = [c.name for c in report.sorted_checks()]
         assert names == sorted(names)
+
+
+class TestDegenerateOracle:
+    """theta = -tau R(0) tau^H makes the anchor pencil singular, so the
+    directly built matrix does not exist and its checks are skipped."""
+
+    @staticmethod
+    def _model_and_theta():
+        model = random_model(3, 6, 2)
+        m = model.tau @ base_resolvent(model, 0.0) @ model.tau.conj().T
+        return model, ThetaMatrix(-(m + m.conj().T) / 2.0)
+
+    def test_eigenpair_checks_the_pencil_only(self):
+        model, theta = self._model_and_theta()
+        problem = ExtensionProblem(MatrixEvaluator(model), theta)
+        rep = scan_spectrum(problem, (-3.7, -2.3))
+        assert [r.multiplicity for r in rep.roots] == [1]
+        report = verify_eigenpair(problem, rep.roots[0].z0, rep.roots[0].charge)
+        assert [c.name for c in report.checks] == ["eigenpair/pencil_kernel"]
+        assert report.passed
+
+    def test_run_counts_the_skipped_model(self, monkeypatch):
+        import kreinx.verify as verify
+
+        model, theta = self._model_and_theta()
+        zs = [1.0 + 2.0j, -0.5 + 1.0j, 3.0 - 0.7j]
+        monkeypatch.setattr(verify, "random_problem_suite", lambda seed, count: [(model, theta, zs)])
+        report = run_verification(seed=0, models=1)
+        assert report.model_summary == "models=1 oracle_degenerate_skipped=1"
+        names = {c.name for c in report.checks}
+        assert "extension/oracle_agreement" not in names
+        assert "extension/first_resolvent_identity" in names
+        assert report.passed
