@@ -45,7 +45,7 @@ from .multiplier import (
     anchored_gamma_1d,
     multiplier_gz_1d,
 )
-from .spectral import SpectrumReport, charge_vector, scan_spectrum
+from .spectral import SpectrumReport, scan_spectrum
 from .verify import (
     CheckResult,
     VerificationReport,

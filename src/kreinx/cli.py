@@ -181,7 +181,8 @@ def cmd_oracle(args):
     checked = 0
     for v in eigs:
         if model.spectrum_distance(v) > 1e-6 * (1.0 + float(np.max(np.abs(model.eigs)))):
-            defect = max(defect, float(np.min(np.abs(_branch_values(problem, float(v))))))
+            _, values = _branch_values(problem, float(v))
+            defect = max(defect, float(np.min(np.abs(values))))
             checked += 1
     summary = (
         f"oracle: seed={args.seed}, n={args.n}, N={args.ncharges}, "

@@ -7,9 +7,12 @@ phases, and each raises one error carrying every violation it found:
 
 * ``parse_config`` is the schema phase.  It checks the JSON shape
   (unknown or missing keys, wrong types, ragged rows) and raises only
-  SchemaError.  The key ``scan.grid`` of older configs is checked (an
-  integer of at least 3) and then dropped: the scan samples no grid,
-  but committed configs and workloads still send one.
+  SchemaError.  A block that is present needs its required keys:
+  ``matrix.a`` and ``matrix.tau``, ``scan.a`` and ``scan.b``, and
+  ``grid1d.lo``, ``grid1d.hi`` and ``grid1d.n``.  The key ``scan.grid``
+  of older configs is checked (an integer of at least 3) and then
+  dropped: the scan samples no grid, but committed configs and
+  workloads still send one.
 * ``build_problem`` is the semantic phase.  It builds the coupling
   matrix, the backend object and the ExtensionProblem once each and
   returns the ExtensionProblem.  It raises one InvariantError that
@@ -181,6 +184,18 @@ def _point_rows(v, dim, path, errs) -> tuple:
     return tuple(rows)
 
 
+def _check_keys(block, name, required, optional, errs) -> None:
+    """Report each key of ``block`` that is neither required nor optional,
+    then each required key it lacks (so a caller may read a placeholder
+    for it: the violation keeps that from reaching a config)."""
+    for key in block:
+        if key not in required and key not in optional:
+            errs.append(f"{name}.{key}: unknown key")
+    for key in required:
+        if key not in block:
+            errs.append(f"missing required key '{name}.{key}'")
+
+
 def parse_config(text: str) -> ProblemConfig:
     """The schema phase, on what orjson reads or else on what ``json.loads``
     reads (see the module docstring)."""
@@ -225,9 +240,7 @@ def _schema(raw) -> ProblemConfig:
         if not isinstance(block, dict):
             errs.append("backend 'matrix' requires a 'matrix' object with 'a' and 'tau'")
         else:
-            for key in block:
-                if key not in ("a", "tau"):
-                    errs.append(f"matrix.{key}: unknown key")
+            _check_keys(block, "matrix", ("a", "tau"), (), errs)
             matrix_a = _complex_matrix(block.get("a", [[1.0]]), "matrix.a", errs)
             matrix_tau = _complex_matrix(block.get("tau", [[1.0]]), "matrix.tau", errs)
     elif "matrix" in raw:
@@ -250,9 +263,7 @@ def _schema(raw) -> ProblemConfig:
         if not isinstance(block, dict):
             errs.append("backend 'multiplier1d' requires a 'symbol' object")
         else:
-            for key in block:
-                if key not in ("poly", "cos", "anchor"):
-                    errs.append(f"symbol.{key}: unknown key")
+            _check_keys(block, "symbol", (), ("poly", "cos", "anchor"), errs)
             poly = block.get("poly")
             if isinstance(poly, list) and poly and all(_is_number(c) for c in poly):
                 symbol_poly = tuple(float(c) for c in poly)
@@ -279,9 +290,7 @@ def _schema(raw) -> ProblemConfig:
         if not isinstance(block, dict):
             errs.append("scan: expected an object with 'a', 'b', optional 'grid'")
         else:
-            for key in block:
-                if key not in ("a", "b", "grid"):
-                    errs.append(f"scan.{key}: unknown key")
+            _check_keys(block, "scan", ("a", "b"), ("grid",), errs)
             scan = ScanWindow(
                 a=_float_entry(block.get("a", 0.0), "scan.a", errs),
                 b=_float_entry(block.get("b", 0.0), "scan.b", errs),
@@ -296,9 +305,7 @@ def _schema(raw) -> ProblemConfig:
         if not isinstance(block, dict):
             errs.append("tolerances: expected an object")
         else:
-            for key in block:
-                if key not in ("tol_linear", "tol_root"):
-                    errs.append(f"tolerances.{key}: unknown key")
+            _check_keys(block, "tolerances", (), ("tol_linear", "tol_root"), errs)
             if "tol_linear" in block:
                 tol_linear = _float_entry(block["tol_linear"], "tolerances.tol_linear", errs)
             if "tol_root" in block:
@@ -321,6 +328,7 @@ def _schema(raw) -> ProblemConfig:
         if not isinstance(block, dict) or set(block) - {"lo", "hi", "n"}:
             errs.append("grid1d: expected an object with 'lo', 'hi', 'n'")
         else:
+            _check_keys(block, "grid1d", ("lo", "hi", "n"), (), errs)
             grid1d = Grid1D(
                 lo=_float_entry(block.get("lo", 0.0), "grid1d.lo", errs),
                 hi=_float_entry(block.get("hi", 0.0), "grid1d.hi", errs),

@@ -66,11 +66,6 @@ class IntervalOutsideResolventSet(KreinxError):
     resolvent set."""
 
 
-class NotAPole(KreinxError):
-    """Requested kernel vector at a point where the pencil is not
-    (numerically) singular."""
-
-
 class EvaluationAtSingularity(KreinxError):
     """Eigenfunction evaluation requested at an interaction point where
     the kernel diverges."""

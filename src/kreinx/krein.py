@@ -169,8 +169,7 @@ class ExtensionProblem:
     which the pencil counts as singular.  ``tol_root`` is a pencil
     eigenvalue magnitude: a scan groups the eigenvalues at a root below
     it into the multiplicity and notes a root whose residual exceeds it
-    (the sign change certifies the root; none is dropped), and
-    ``charge_vector`` rejects a point above it.
+    (the sign change certifies the root; none is dropped).
     """
 
     evaluator: GammaEvaluator

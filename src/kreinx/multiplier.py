@@ -243,14 +243,6 @@ def _anchored_difference(m, ps, z, w0) -> np.ndarray:
     return _pairwise_fourier_matrix(m, ps, z - w0, w0, z)
 
 
-def product_matrix_1d(m: Multiplier1D, ps: PointSet, w: complex, z: complex) -> np.ndarray:
-    """Product matrix (trace map at w) o (source map at z) for the
-    multiplier backend: entry (j, k) is the convolution of the two
-    kernels evaluated at ``y_j - y_k``."""
-    z, w = _parameters(m, z, w)
-    return _pairwise_fourier_matrix(m, ps, 1.0, w, z)
-
-
 def _pairwise_fourier_matrix(m, ps, c, w, z) -> np.ndarray:
     """Entry (j, k) is the inverse transform of ``c / ((w - m)(z - m))`` at y_j - y_k."""
     if ps.dim != 1:

@@ -11,9 +11,10 @@ branch, found by ``_root_double``; determinants are avoided on purpose (they
 under/overflow).  The certificate needs the whole window inside a real
 gap, which every backend decides from its spectrum, not by sampling
 points, in ``interval_in_resolvent_set``.  This module holds the scan
-and the charge vectors only; a computed eigenpair is checked against
-the boundary condition by ``verify.verify_eigenpair``, and its
-eigenfunction is evaluated by ``greens.eigenfunction_eval``.
+only, and the scan is the one source of a root's charge vector: it is
+read from the pencil that certifies the root.  A computed eigenpair is
+checked against the boundary condition by ``verify.verify_eigenpair``,
+and its eigenfunction is evaluated by ``greens.eigenfunction_eval``.
 ``hermitian_part`` checks the window ends and roots only, as
 ``gamma(z)^H = gamma(conj z)`` makes the pencil hermitian on the whole
 gap; a point in between is symmetrized unless both ends were exactly so.
@@ -28,6 +29,7 @@ scalar coupling ``alpha`` matches the delta well of strength
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,6 @@ from .errors import (
     InertiaMismatch,
     IntervalOutsideResolventSet,
     InvariantError,
-    NotAPole,
     PencilNotMonotone,
 )
 from .krein import ExtensionProblem, gamma_theta, hermitian_part
@@ -71,12 +72,14 @@ class SpectrumReport:
         return np.array([r.z0 for r in self.roots])
 
 
-def _branch_values(problem: ExtensionProblem, lam: float) -> np.ndarray:
-    return np.linalg.eigvalsh(hermitian_part(gamma_theta(problem, lam)))
+def _branch_values(problem: ExtensionProblem, lam: float):
+    """The pencil at ``lam`` and its sorted eigenvalues, checked hermitian."""
+    p = gamma_theta(problem, lam)
+    return p, np.linalg.eigvalsh(hermitian_part(p))
 
 
 def _interior_values(problem: ExtensionProblem, lam: float, exact: bool):
-    """The pencil at ``lam`` and its ``_branch_values``, unchecked:
+    """``_branch_values`` at ``lam``, unchecked: the pencil is
     symmetrized only when not ``exact``."""
     p = gamma_theta(problem, lam)
     return p, np.linalg.eigvalsh(p if exact else (p + p.conj().T) / 2.0)
@@ -111,8 +114,8 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
             f"[{a!r}, {b!r}] is not inside the base real resolvent set"
         )
 
-    ends = (gamma_theta(problem, a), gamma_theta(problem, b))
-    ea, eb = (np.linalg.eigvalsh(hermitian_part(p)) for p in ends)
+    points = {a: _branch_values(problem, a), b: _branch_values(problem, b)}
+    ea, eb = points[a][1], points[b][1]
     if not np.all(eb > ea):
         k = int(np.argmin(eb - ea))
         raise PencilNotMonotone(
@@ -125,8 +128,7 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     k = int(np.sum(ea <= 0.0)) - 1
     count = k + 1 - lowest
 
-    points = {a: (ends[0], ea), b: (ends[1], eb)}
-    exact = all(np.array_equal(p, p.conj().T) for p in ends)
+    exact = all(np.array_equal(p, p.conj().T) for p, _ in points.values())
 
     def branch(x):  # the value of branch k at x, one pencil per point
         if x not in points:
@@ -147,7 +149,7 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
                 f"(pencil eigenvalue {residual:.3e})"
             )
         mult = max(1, int(np.sum(np.abs(evals) <= problem.tol_root)))
-        roots.append(SpectralRoot(z0, _kernel_vector(pencil)[1], residual, mult))
+        roots.append(SpectralRoot(z0, _kernel_vector(pencil), residual, mult))
         k -= mult
 
     # k ends below lowest when the roots found cover more branches than
@@ -161,13 +163,16 @@ def scan_spectrum(problem: ExtensionProblem, interval) -> SpectrumReport:
     return SpectrumReport(roots=tuple(roots), warnings=tuple(notes))
 
 
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+
+
 def _ordinal(x: float) -> int:
     """Position of x among the doubles; both zeros are 0."""
-    return int(np.float64(abs(x)).view(np.int64)) * (1 if x > 0.0 else -1)
+    return _I64.unpack(_F64.pack(abs(x)))[0] * (1 if x > 0.0 else -1)
 
 
 def _double(n: int) -> float:
-    return float(np.int64(abs(n)).view(np.float64)) * (1 if n >= 0 else -1)
+    return _F64.unpack(_I64.pack(abs(n)))[0] * (1 if n >= 0 else -1)
 
 
 def _root_double(f, x_lo: float, f_lo: float, x_hi: float, f_hi: float) -> float:
@@ -199,29 +204,15 @@ def _root_double(f, x_lo: float, f_lo: float, x_hi: float, f_hi: float) -> float
     return x_hi if abs(f_hi) < abs(f_lo) else x_lo
 
 
-def _kernel_vector(pencil: np.ndarray):
-    """The least eigenvalue magnitude of the checked ``pencil`` and its
-    unit eigenvector, whose first component with magnitude above 1e-8
-    is rotated real-positive so output is reproducible."""
+def _kernel_vector(pencil: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of the checked ``pencil`` for its least
+    eigenvalue magnitude: a root's charge.  Its first component with
+    magnitude above 1e-8 is rotated real-positive so output is
+    reproducible."""
     evals, vecs = np.linalg.eigh(hermitian_part(pencil))
-    i = int(np.argmin(np.abs(evals)))
-    v = vecs[:, i]
+    v = vecs[:, int(np.argmin(np.abs(evals)))]
     for comp in v:
         if abs(comp) > 1e-8:
             v = v * (np.conj(comp) / abs(comp))
             break
-    return abs(evals[i]), v / np.linalg.norm(v)
-
-
-def charge_vector(problem: ExtensionProblem, z0: float) -> np.ndarray:
-    """Unit kernel vector of the pencil at a (numerical) pole: the
-    eigenvector of ``_kernel_vector``.  Raises NotAPole when the smallest
-    eigenvalue magnitude exceeds ``tol_root``.
-    """
-    smallest, v = _kernel_vector(gamma_theta(problem, z0))
-    if smallest > problem.tol_root:
-        raise NotAPole(
-            f"pencil at z0={z0!r} has smallest eigenvalue magnitude "
-            f"{smallest:.3e} > tol_root={problem.tol_root:.1e}"
-        )
-    return v
+    return v / np.linalg.norm(v)

@@ -485,8 +485,16 @@ class TestValidationMessages:
         (["resolvent"], {"backend": "matrix", "matrix": {"a": [[1.0]], "tau": [[1.0]]},
                          "theta": [[1.0]], "z": [0.5, 0.5]},
          "resolvent needs an input vector 'f' in the config"),
+        (["spectrum", "--a", "0.5"], dict(CFG_3D, scan={"b": 1.5}),
+         "missing required key 'scan.a'"),
+        (["resolvent"], {"backend": "matrix", "matrix": {"a": [[2.0]]}, "theta": [[1.0]],
+                         "z": [0.5, 0.5], "f": [1.0]},
+         "missing required key 'matrix.tau'"),
+        (["resolvent"], {"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]],
+                         "grid1d": {"hi": 4.0, "n": 3}, "z": [1.0, 0.5], "f": [0.0, 1.0, 0.0]},
+         "missing required key 'grid1d.lo'"),
     ], ids=["z-text", "radii-empty", "a-without-window", "no-window", "resolvent-no-z",
-            "resolvent-no-f"])
+            "resolvent-no-f", "scan-no-a", "matrix-no-tau", "grid1d-no-lo"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, argv, raw, message):
         if raw is not None:
             cfg = tmp_path / "cfg.json"

@@ -161,6 +161,14 @@ class TestSchemaMessages:
          ("grid1d: expected an object with 'lo', 'hi', 'n'",)),
         (dict(LAPLACIAN_1D, grid1d={"lo": -4.0, "hi": 4.0, "n": 101, "step": 0.08}),
          ("grid1d: expected an object with 'lo', 'hi', 'n'",)),
+        (dict(MATRIX_1, matrix={"a": [[2.0]]}), ("missing required key 'matrix.tau'",)),
+        (dict(MATRIX_1, matrix={"tau": [[1.0]], "b": [[1.0]]}),
+         ("matrix.b: unknown key", "missing required key 'matrix.a'")),
+        (dict(MINIMAL_3D, scan={"b": 1.5}), ("missing required key 'scan.a'",)),
+        (dict(MINIMAL_3D, scan={"grid": 64}),
+         ("missing required key 'scan.a'", "missing required key 'scan.b'")),
+        (dict(LAPLACIAN_1D, grid1d={"hi": 4.0, "n": 3}), ("missing required key 'grid1d.lo'",)),
+        (dict(LAPLACIAN_1D, grid1d={"lo": -4.0, "hi": 4.0}), ("missing required key 'grid1d.n'",)),
         (dict(MATRIX_1, theta=[[1.0, 0.0], [0.0]]), ("theta: rows have unequal lengths [1, 2]",)),
         (dict(MATRIX_1, theta=[1.0]), ("theta: expected a nested list of rows, got [1.0]",)),
         (dict(MINIMAL_3D, points=[]), ("points: expected a nonempty list of points",)),
@@ -173,6 +181,8 @@ class TestSchemaMessages:
         "symbol-not-object", "symbol-unknown-key", "symbol-empty-poly", "symbol-bad-cos",
         "symbol-no-anchor", "scan-not-object", "scan-unknown-key", "tolerances-not-object",
         "tolerances-unknown-key", "f-empty", "grid1d-not-object", "grid1d-unknown-key",
+        "matrix-no-tau", "matrix-unknown-and-missing", "scan-no-a", "scan-no-ends",
+        "grid1d-no-lo", "grid1d-no-n",
         "ragged-rows", "rows-not-lists", "points-empty", "points-flat-in-3d",
         "points-short-row",
     ])

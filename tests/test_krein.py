@@ -136,11 +136,10 @@ class TestGammaTheta:
     def test_bound_state_charge_spans_the_pencil_kernel(self, two_level_problem):
         # the coupling condition of a bound state (z0, q): the trace of the
         # regular part, -gamma(z0) q, equals theta q
-        from kreinx import charge_vector, scan_spectrum
+        from kreinx import scan_spectrum
 
-        z0 = scan_spectrum(two_level_problem, (1.5, 4.0)).positions()[0]
-        q = charge_vector(two_level_problem, z0)
-        assert np.linalg.norm(gamma_theta(two_level_problem, z0) @ q) <= 1e-10
+        (root,) = scan_spectrum(two_level_problem, (1.5, 4.0)).roots
+        assert np.linalg.norm(gamma_theta(two_level_problem, root.z0) @ root.charge) <= 1e-10
 
     def test_stack_matches_each_point(self, two_level_problem):
         zs = np.array([0.0, 2.0, 0.5 + 1.5j])

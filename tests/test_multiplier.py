@@ -20,9 +20,16 @@ from kreinx import (
 import kreinx.greens
 import kreinx.multiplier
 from kreinx.greens import _product_matrix, _sqrt_principal, _two_center_integral
-from kreinx.multiplier import _inverse_transform, _pairwise_fourier_matrix, product_matrix_1d
+from kreinx.multiplier import _inverse_transform, _pairwise_fourier_matrix, _parameters
 
 from conftest import rel_err
+
+
+def _product_matrix_1d(m, ps, w, z):
+    """(trace map at w) o (source map at z) for a symbol: the pairwise
+    transform of ``1 / ((w - m)(z - m))``, at checked w and z."""
+    z, w = _parameters(m, z, w)
+    return _pairwise_fourier_matrix(m, ps, 1.0, w, z)
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +230,7 @@ class TestAnchoredGamma:
         ev = MultiplierAnchoredEvaluator(second_order, ps, 1.0)
         z, w = 3.0, 1.5
         lhs = ev.at(z).gamma - ev.at(w).gamma
-        rhs = (z - w) * product_matrix_1d(second_order, ps, w, z)
+        rhs = (z - w) * _product_matrix_1d(second_order, ps, w, z)
         assert rel_err(lhs, rhs) <= 1e-7
 
     def test_matches_laplacian_backend(self, second_order):
@@ -407,7 +414,7 @@ class TestRealAxisQuadrature:
 
         got = anchored_gamma_1d(m, ps, z.real, w.real)
         assert np.array_equal(_bits(got), _bits(_complex_route_matrix(m, ps, anchored)))
-        got = product_matrix_1d(m, ps, w.real, z.real)
+        got = _product_matrix_1d(m, ps, w.real, z.real)
         assert np.array_equal(_bits(got), _bits(_complex_route_matrix(m, ps, product)))
 
     @pytest.mark.parametrize("dim, points", [
@@ -459,7 +466,7 @@ class TestRealAxisQuadrature:
 
         multiplier_gz_1d(odd, 2.0, 0.8)
         anchored_gamma_1d(odd, ps1, 2.5, 1.0)
-        product_matrix_1d(odd, ps1, 1.0, 2.5)
+        _product_matrix_1d(odd, ps1, 1.0, 2.5)
         _product_matrix(ps1, 4.0, 1.0)
         _product_matrix(ps3, 4.0, 1.0)
         assert calls and not any(calls)
@@ -467,7 +474,7 @@ class TestRealAxisQuadrature:
         for run in (
             lambda: multiplier_gz_1d(odd, 2.0 + 0.5j, 0.8),
             lambda: anchored_gamma_1d(odd, ps1, 2.5 + 0.5j, 1.0),
-            lambda: product_matrix_1d(odd, ps1, 1.0, 2.5 - 0.5j),
+            lambda: _product_matrix_1d(odd, ps1, 1.0, 2.5 - 0.5j),
             lambda: _product_matrix(ps1, 4.0, 1.0 + 1.0j),
             lambda: _product_matrix(ps3, 4.0 - 1.0j, 1.0),
         ):

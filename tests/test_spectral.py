@@ -21,13 +21,11 @@ from kreinx import (
     LaplacianPointEvaluator,
     MatrixEvaluator,
     MatrixModel,
-    NotAPole,
     NotHermitian,
     OracleDegenerate,
     PencilNotMonotone,
     PointSet,
     ThetaMatrix,
-    charge_vector,
     direct_eigs,
     eigenfunction_eval,
     eigenfunction_l2_norm,
@@ -307,6 +305,25 @@ class TestRootDouble:
             assert _double(_ordinal(x)) == x
             assert _ordinal(float(np.nextafter(x, np.inf))) == _ordinal(x) + 1
 
+    @pytest.mark.parametrize("x, n", [
+        (0.0, 0),
+        (-0.0, 0),
+        (5e-324, 1),
+        (-5e-324, -1),
+        (np.finfo(float).smallest_normal, 0x0010000000000000),
+        (-np.finfo(float).smallest_normal, -0x0010000000000000),
+        (np.finfo(float).max, 0x7FEFFFFFFFFFFFFF),
+        (-np.finfo(float).max, -0x7FEFFFFFFFFFFFFF),
+    ])
+    def test_edge_ordinals(self, x, n):
+        from kreinx.spectral import _double, _ordinal
+
+        # the ordinal is the bit pattern of |x| read as an int64, signed
+        # like x; the numpy view is the reference
+        assert n == int(np.float64(abs(x)).view(np.int64)) * (1 if x > 0.0 else -1)
+        assert _ordinal(float(x)) == n
+        assert _double(n) == x and type(_double(n)) is float
+
     @pytest.mark.parametrize("x0, offset, end, most", [
         (1.0, 3, 2.0, 2),
         (1.0, 16, 2.0, 2),
@@ -459,9 +476,8 @@ class TestScanAgainstOracle:
     )
     def test_counts_and_positions_match_direct_eigs(self, seed, n, n_charges):
         # the Woodbury oracle builds the perturbed matrix and runs eigvalsh
-        # on it; it shares no code with the pencil scan.  Windows keep 0.01
-        # from the base spectrum: closer in, this backend's inverse-based
-        # gamma fails its hermiticity check near clustered eigenvalues
+        # on it; it shares no code with the pencil scan.  Each window
+        # keeps 1% of its gap from the base spectrum
         n_charges = min(n_charges, n)
         model = random_model(seed, n, n_charges)
         theta = random_theta(seed + 1, n_charges)
@@ -471,7 +487,7 @@ class TestScanAgainstOracle:
             assume(False)
         problem = ExtensionProblem(MatrixEvaluator(model), theta)
         for lo, hi in zip(model.eigs[:-1], model.eigs[1:]):
-            margin = max(0.01 * (hi - lo), 0.01)
+            margin = 0.01 * (hi - lo)
             a, b = lo + margin, hi - margin
             if not a < b:
                 continue
@@ -567,12 +583,22 @@ class TestTwoPointSymmetry:
 
 class TestChargeVector:
     def test_single_charge_is_unity(self, two_level_problem):
-        q = charge_vector(two_level_problem, 1.0 + SQRT2)
-        assert np.allclose(q, [1.0], atol=1e-15)
+        (root,) = scan_spectrum(two_level_problem, (1.5, 4.0)).roots
+        assert root.z0 == pytest.approx(1.0 + SQRT2, rel=1e-14)
+        assert np.allclose(root.charge, [1.0], atol=1e-15)
 
-    def test_not_a_pole(self, two_level_problem):
-        with pytest.raises(NotAPole):
-            charge_vector(two_level_problem, 3.0)
+    def test_root_above_tol_root_has_a_verified_charge(self):
+        # the scan's charge at a root whose residual 1.507e-10 exceeds
+        # tol_root is still an eigenpair by the pencil and the oracle
+        model = random_model(13, 6, 1)
+        problem = ExtensionProblem(MatrixEvaluator(model), random_theta(14, 1))
+        (root,) = scan_spectrum(problem, (5.119143372626481, 5.124013191433564)).roots
+        assert root.residual > problem.tol_root
+        assert np.array_equal(root.charge, [1.0])
+        report = verify_eigenpair(problem, root.z0, root.charge)
+        assert [c.name for c in report.checks] == [
+            "eigenpair/pencil_kernel", "eigenpair/oracle_action"]
+        assert report.passed
 
     def test_phase_fixing(self):
         d, alpha = 1.0, -0.3
