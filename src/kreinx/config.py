@@ -9,9 +9,12 @@ phases, and each raises one error carrying every violation it found:
   (unknown or missing keys, wrong types, ragged rows) and raises only
   SchemaError.  A block that is present needs its required keys:
   ``matrix.a`` and ``matrix.tau``, ``scan.a`` and ``scan.b``, and
-  ``grid1d.lo``, ``grid1d.hi`` and ``grid1d.n``.  The key ``scan.grid``
-  of older configs is checked (an integer of at least 3) and then
-  dropped: the scan samples no grid, but committed configs and
+  ``grid1d.lo``, ``grid1d.hi`` and ``grid1d.n``.  A block that belongs
+  to another backend is an error: ``matrix`` off the matrix backend,
+  ``points`` on it, ``symbol`` off ``multiplier1d``, and ``grid1d`` (the
+  trapezoid grid of the 1-d resolvent) off ``laplacian1d``.  The key
+  ``scan.grid`` of older configs is checked (an integer of at least 3)
+  and then dropped: the scan samples no grid, but committed configs and
   workloads still send one.
 * ``build_problem`` is the semantic phase.  It builds the coupling
   matrix, the backend object and the ExtensionProblem once each and
@@ -323,9 +326,9 @@ def _schema(raw) -> ProblemConfig:
             errs.append("f: expected a nonempty list")
 
     grid1d = None
-    if "grid1d" in raw:
+    if backend == "laplacian1d" and "grid1d" in raw:
         block = raw["grid1d"]
-        if not isinstance(block, dict) or set(block) - {"lo", "hi", "n"}:
+        if not isinstance(block, dict):
             errs.append("grid1d: expected an object with 'lo', 'hi', 'n'")
         else:
             _check_keys(block, "grid1d", ("lo", "hi", "n"), (), errs)
@@ -334,6 +337,8 @@ def _schema(raw) -> ProblemConfig:
                 hi=_float_entry(block.get("hi", 0.0), "grid1d.hi", errs),
                 n=_int_entry(block.get("n", 0), "grid1d.n", errs),
             )
+    elif "grid1d" in raw:
+        errs.append(f"'grid1d' is invalid for backend {backend!r}")
 
     if errs:
         raise SchemaError(errs)

@@ -58,6 +58,24 @@ class TestEmitCsv:
     def test_negative_zero_normalized(self):
         assert format_value(-0.0) == "0"
 
+    @pytest.mark.parametrize("v, text", [
+        (np.int64(7), "7"),
+        (np.int32(-3), "-3"),
+        (np.float32(0.5), "0.5"),
+    ])
+    def test_numpy_scalar_goes_through_float(self, v, text):
+        assert format_value(v) == text
+
+    @pytest.mark.parametrize("v, message", [
+        (1.0 + 2.0j, "split complex values into _re/_im columns"),
+        (object, "cannot format <class 'object'> for CSV"),
+        ([1.0], "cannot format [1.0] for CSV"),
+    ], ids=["complex", "class", "list"])
+    def test_refuses_a_cell_it_cannot_format(self, v, message):
+        with pytest.raises(CsvWriteError) as err:
+            format_value(v)
+        assert str(err.value) == message
+
 
 def _per_value_csv(rows, schema):
     # the slow path: every cell through format_value, joined here
@@ -493,8 +511,17 @@ class TestValidationMessages:
         (["resolvent"], {"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]],
                          "grid1d": {"hi": 4.0, "n": 3}, "z": [1.0, 0.5], "f": [0.0, 1.0, 0.0]},
          "missing required key 'grid1d.lo'"),
+        (["spectrum"], {"backend": "laplacian1d", "points": [float("nan")], "theta": [[1.0]],
+                        "scan": {"a": 0.5, "b": 2.0}},
+         "point coordinates must be finite"),
+        (["resolvent"], {"backend": "matrix",
+                         "matrix": {"a": [[1.0, 0.0], [0.0, -1.0]], "tau": [[1.0, 1.0]]},
+                         "theta": [[1.0]], "z": [0.3, 0.8], "f": [1.0, 0.0],
+                         "grid1d": {"lo": 5, "hi": 1, "n": 1}},
+         "'grid1d' is invalid for backend 'matrix'"),
     ], ids=["z-text", "radii-empty", "a-without-window", "no-window", "resolvent-no-z",
-            "resolvent-no-f", "scan-no-a", "matrix-no-tau", "grid1d-no-lo"])
+            "resolvent-no-f", "scan-no-a", "matrix-no-tau", "grid1d-no-lo", "points-nan",
+            "grid1d-on-matrix"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, argv, raw, message):
         if raw is not None:
             cfg = tmp_path / "cfg.json"

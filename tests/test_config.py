@@ -118,6 +118,7 @@ MULTIPLIER = {
     "theta": [[0.0]],
 }
 LAPLACIAN_1D = {"backend": "laplacian1d", "points": [0.0], "theta": [[1.0]]}
+GRID_1D = {"lo": -4.0, "hi": 4.0, "n": 3}
 
 
 class TestSchemaMessages:
@@ -160,7 +161,12 @@ class TestSchemaMessages:
         (dict(LAPLACIAN_1D, grid1d=[-4.0, 4.0, 101]),
          ("grid1d: expected an object with 'lo', 'hi', 'n'",)),
         (dict(LAPLACIAN_1D, grid1d={"lo": -4.0, "hi": 4.0, "n": 101, "step": 0.08}),
-         ("grid1d: expected an object with 'lo', 'hi', 'n'",)),
+         ("grid1d.step: unknown key",)),
+        (dict(MATRIX_1, grid1d=GRID_1D), ("'grid1d' is invalid for backend 'matrix'",)),
+        (dict(LAPLACIAN_1D, backend="laplacian2d", points=[[0.0, 0.0]], grid1d=GRID_1D),
+         ("'grid1d' is invalid for backend 'laplacian2d'",)),
+        (dict(MINIMAL_3D, grid1d=GRID_1D), ("'grid1d' is invalid for backend 'laplacian3d'",)),
+        (dict(MULTIPLIER, grid1d=GRID_1D), ("'grid1d' is invalid for backend 'multiplier1d'",)),
         (dict(MATRIX_1, matrix={"a": [[2.0]]}), ("missing required key 'matrix.tau'",)),
         (dict(MATRIX_1, matrix={"tau": [[1.0]], "b": [[1.0]]}),
          ("matrix.b: unknown key", "missing required key 'matrix.a'")),
@@ -181,6 +187,8 @@ class TestSchemaMessages:
         "symbol-not-object", "symbol-unknown-key", "symbol-empty-poly", "symbol-bad-cos",
         "symbol-no-anchor", "scan-not-object", "scan-unknown-key", "tolerances-not-object",
         "tolerances-unknown-key", "f-empty", "grid1d-not-object", "grid1d-unknown-key",
+        "grid1d-on-matrix", "grid1d-on-laplacian2d", "grid1d-on-laplacian3d",
+        "grid1d-on-multiplier1d",
         "matrix-no-tau", "matrix-unknown-and-missing", "scan-no-a", "scan-no-ends",
         "grid1d-no-lo", "grid1d-no-n",
         "ragged-rows", "rows-not-lists", "points-empty", "points-flat-in-3d",

@@ -16,6 +16,8 @@ from kreinx import (
     NonpositiveRadius,
     OutsideResolventSet,
     PointSet,
+    UnsupportedAction,
+    eigenfunction_l2_norm,
     g0,
     gamma_matrix,
     gz,
@@ -211,6 +213,15 @@ class TestPointSet:
         assert ps.n_points == 2
         with pytest.raises(InvariantError):
             PointSet(2, [0.0, 1.5])
+
+    @pytest.mark.parametrize("dim, points, violation", [
+        (2, [[0.0, 0.0, 0.0]], "points must have shape (N, 2), got (1, 3)"),
+        (1, [0.0, float("nan")], "point coordinates must be finite"),
+    ], ids=["shape", "nan"])
+    def test_rejects_with_its_message(self, dim, points, violation):
+        with pytest.raises(InvariantError) as err:
+            PointSet(dim, points)
+        assert err.value.violations == (violation,)
 
     @pytest.mark.parametrize("dim, points", [
         (1, [0.0, 1e200]),
@@ -486,6 +497,36 @@ class TestGridResolvent1D:
     def test_nonuniform_or_decreasing_grid_is_invariant_error(self, xs):
         with pytest.raises(InvariantError, match="uniform and increasing"):
             LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
+
+
+_PLANE = PointSet(2, [[0.0, 0.0], [1.0, 0.0]])
+_LINE = PointSet(1, [-0.4, 0.7])
+_SPACE = PointSet(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+class TestWrongFace:
+    """A face called outside its dimension, point or grid raises its own
+    typed error."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: _PLANE.displacements_1d(), InvariantError,
+         "signed displacements only exist in dim 1"),
+        (lambda: gbreve_g_radial_3d(_LINE, 4.0, 1.0), InvariantError,
+         "radial product matrix requires dim 3"),
+        (lambda: gbreve_g_quadrature_1d(_SPACE, 4.0, 1.0), InvariantError,
+         "line product matrix requires dim 1"),
+        (lambda: eigenfunction_l2_norm(_PLANE, [1.0, 0.0], 1.0), UnsupportedAction,
+         "no product-matrix quadrature in dim 2"),
+        (lambda: eigenfunction_l2_norm(_LINE, [1.0, 0.0], 1.0 + 0.5j), InvariantError,
+         "l2 norm implemented for real z0 > 0 only"),
+        (lambda: LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.linspace(-1.0, 1.0, 11))
+         .r_apply(1.0, np.zeros(10)), InvariantError, "sample vector does not match the grid"),
+    ], ids=["displacements-2d", "radial-1d", "line-3d", "l2-norm-2d", "l2-norm-complex",
+            "r-apply-off-grid"])
+    def test_raises_its_message(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
 
 
 class TestProductMatrices:

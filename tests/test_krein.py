@@ -79,6 +79,18 @@ class TestThetaMatrix:
         with pytest.raises(InvariantError, match="finite"):
             ThetaMatrix([[np.inf]])
 
+    @pytest.mark.parametrize("entries, shape", [
+        ([[1.0, 0.0]], (1, 2)),
+        ([], (0,)),
+        ([[]], (1, 0)),
+    ])
+    def test_rejects_a_shape_that_is_not_square_and_nonempty(self, entries, shape):
+        with pytest.raises(InvariantError) as err:
+            ThetaMatrix(entries)
+        assert err.value.violations == (
+            f"coupling matrix must be square and nonempty, got shape {shape}",
+        )
+
 
 class TestHermitianPart:
     def test_real_stays_real(self):

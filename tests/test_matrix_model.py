@@ -52,6 +52,17 @@ class TestConstruction:
         with pytest.raises(InvariantError, match="trace matrix entries must be finite"):
             MatrixModel(np.diag([1.0, -1.0]), [[1.0, bad]])
 
+    @pytest.mark.parametrize("a, tau, violation", [
+        ([[1.0, 0.0]], [[1.0]], "base matrix must be square, got (1, 2)"),
+        (np.diag([1.0, -1.0]), [[1.0, 0.0, 0.0]], "trace matrix has 3 columns, base matrix is 2x2"),
+        (np.diag([1.0, -1.0]), [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+         "trace matrix cannot have more rows than columns"),
+    ], ids=["a-not-square", "tau-columns", "tau-more-rows"])
+    def test_rejects_a_shape_mismatch(self, a, tau, violation):
+        with pytest.raises(InvariantError) as err:
+            MatrixModel(a, tau)
+        assert err.value.violations == (violation,)
+
     def test_trace_bound_constant(self, two_level_model):
         # |tau a^{-1}|_2 = |(1, -1)|_2 = sqrt(2)
         assert two_level_model.trace_bound_constant == pytest.approx(SQRT2)
@@ -162,6 +173,30 @@ class TestRandomModels:
         m2 = random_model(123, 8, 3)
         assert np.array_equal(m1.a, m2.a)
         assert np.array_equal(m1.tau, m2.tau)
+
+    @pytest.mark.parametrize("n, n_charges", [(2, 3), (3, 0)])
+    def test_charge_count_outside_1_to_n(self, n, n_charges):
+        with pytest.raises(InvariantError) as err:
+            random_model(1, n, n_charges)
+        assert err.value.violations == ("need 1 <= n_charges <= n",)
+
+    def test_singular_anchor_pencil_redraws_theta(self, monkeypatch):
+        import kreinx.matrixmodel as matrixmodel
+
+        (model, plain, _), = matrixmodel.random_problem_suite(3, 1)
+        seen = []
+
+        def singular_once(drawn, theta):
+            seen.append(theta)
+            m = anchor_pencil(drawn, theta)
+            return np.zeros_like(m) if len(seen) == 1 else m
+
+        monkeypatch.setattr(matrixmodel, "anchor_pencil", singular_once)
+        (redrawn_model, theta, _), = matrixmodel.random_problem_suite(3, 1)
+        assert np.array_equal(redrawn_model.a, model.a)
+        assert len(seen) == 2 and seen[1] is theta
+        assert np.array_equal(seen[0].entries, plain.entries)
+        assert not np.array_equal(theta.entries, plain.entries)
 
     def test_spectrum_magnitudes(self):
         model = random_model(7, 12, 4)

@@ -60,6 +60,16 @@ class TestSymbolValidation:
         with pytest.raises(InvariantError):
             Multiplier1D(poly=(0.0, 0.0, -1.0), cos_terms=((0.0, 1.0),))
 
+    def test_trailing_zero_coefficients_are_stripped(self):
+        m = Multiplier1D(poly=(0, 0, -1, 0))
+        assert m.poly == (0.0, 0.0, -1.0)
+        assert m(2.0) == -4.0
+
+    def test_rejects_a_nan_coefficient(self):
+        with pytest.raises(InvariantError) as err:
+            Multiplier1D(poly=(float("nan"), 0.0, -1.0))
+        assert err.value.violations == ("polynomial coefficients must be finite",)
+
     def test_evenness_detection(self, second_order):
         assert second_order.is_even
         assert not Multiplier1D(poly=(0.0, 0.5, -1.0)).is_even
@@ -248,6 +258,16 @@ class TestAnchoredEvaluator:
         ps = PointSet(1, [0.0])
         with pytest.raises(SymbolRangeHit):
             MultiplierAnchoredEvaluator(second_order, ps, -1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda m, ps: anchored_gamma_1d(m, ps, 2.5, 1.0),
+        lambda m, ps: MultiplierAnchoredEvaluator(m, ps, 1.0),
+    ], ids=["anchored_gamma_1d", "evaluator"])
+    def test_rejects_a_dim_2_point_set(self, second_order, build):
+        ps = PointSet(2, [[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(InvariantError) as err:
+            build(second_order, ps)
+        assert err.value.violations == ("multiplier backend requires a dim-1 point set",)
 
     def test_interval_check(self, second_order):
         ps = PointSet(1, [0.0])

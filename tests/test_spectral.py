@@ -146,6 +146,12 @@ class TestScanSpectrum:
         with pytest.raises(IntervalOutsideResolventSet):
             scan_spectrum(problem, (-1.0, 2.0))
 
+    @pytest.mark.parametrize("window", [(2.0, 2.0), (3.0, 2.0)])
+    def test_window_needs_a_below_b(self, two_level_problem, window):
+        with pytest.raises(InvariantError) as err:
+            scan_spectrum(two_level_problem, window)
+        assert err.value.violations == (f"need a < b, got {window}",)
+
     def test_close_roots_on_two_branches(self):
         # two decoupled scalar pencils with roots lambda_i = a_i + 1/(theta_i
         # - 1/a_i) about 7e-4 apart: each branch holds one of them
@@ -708,7 +714,7 @@ class TestVerifyEigenpair:
         assert not report.passed
         assert report.checks[0].name == "eigenpair/pencil_kernel"
         assert report.checks[0].residual == pytest.approx(0.489, abs=1e-3)
-        assert report.to_text().splitlines()[-1] == "overall: FAIL"
+        assert report.rows() == [("eigenpair/pencil_kernel", report.checks[0].residual, 1e-9, 0)]
 
     def test_matrix_oracle_action(self, two_level_problem):
         rep = scan_spectrum(two_level_problem, (1.5, 4.0))
@@ -719,14 +725,13 @@ class TestVerifyEigenpair:
         by_name = {c.name: c for c in report.checks}
         assert by_name["eigenpair/oracle_action"].residual <= 1e-10
 
-    def test_text_is_sorted_and_ends_with_overall(self, two_level_problem):
+    def test_rows_are_sorted_and_pass(self, two_level_problem):
         rep = scan_spectrum(two_level_problem, (1.5, 4.0))
-        text = verify_eigenpair(
+        rows = verify_eigenpair(
             two_level_problem, rep.roots[0].z0, rep.roots[0].charge
-        ).to_text()
-        lines = text.splitlines()
-        assert lines[-1] == "overall: pass"
-        assert lines[:-1] == sorted(lines[:-1], key=lambda line: line.split()[1])
+        ).rows()
+        assert [row[0] for row in rows] == ["eigenpair/oracle_action", "eigenpair/pencil_kernel"]
+        assert all(row[3] == 1 for row in rows)
 
     def test_zero_charge_passes(self):
         ps, problem = laplacian_problem(1, [0.0], 0.5)
