@@ -35,9 +35,15 @@ apart, anchor 1.5), and ``gbreve_g_quadrature_1d`` and
 ``gbreve_g_radial_3d`` on the two points ``verify`` uses, with w = 4;
 and ``parse_config`` on a generated 400 x 400 matrix config and a
 3000-node ``grid1d`` config (the sizes of the ``resolvent`` benchmark
-requests), once by the orjson route and once by the stdlib route
-(orjson refusing the text), the two interleaved in one process so that
-each pair of timings sees the same machine.
+requests), given as UTF-8 bytes as the CLI reads them, once by the
+orjson route and once by the stdlib route (orjson refusing the text),
+the two interleaved in one process so that each pair of timings sees
+the same machine; and ``csvio.render_csv`` on the two table shapes the
+CLI writes most: a 3000 x 5 table of float64 array columns (a
+3000-node ``resolvent`` on the 1-d grid) and the 8 x 37 table of a
+16-charge ``spectrum`` with eight roots (lists of roots and float64
+array columns of charges, as the CLI passes them), timed per call over
+CSV_REPS calls.
 
 The package is taken from ``src/`` next to this script, so a copy of
 this file in another checkout measures that checkout.
@@ -68,6 +74,9 @@ BRANCH_REPS = 200
 QUAD_POINTS = (2.0, 2.0 + 1.0j)
 CONFIG_MATRIX_N = 400
 CONFIG_GRID_N = 3000
+CSV_GRID_ROWS = 3000
+CSV_SPECTRUM = (8, 16)  # roots, charges: 5 + 2 x 16 = 37 columns
+CSV_REPS = 200
 
 COLD_CASES = {
     "import": ["-c", "import kreinx.cli"],
@@ -278,7 +287,7 @@ def config_layer() -> dict:
     out = {}
     try:
         for name, cfg in _layer_configs().items():
-            text = json.dumps(cfg)
+            text = json.dumps(cfg).encode("utf-8")
             parse_config(text)
             times = {route: [] for route in routes}
             for r in range(RUNS):
@@ -293,6 +302,29 @@ def config_layer() -> dict:
     finally:
         orjson.loads = loads
     return out
+
+
+def csv_layer() -> dict:
+    import numpy as np
+
+    from kreinx.csvio import render_csv
+
+    rng = np.random.default_rng(CSV_GRID_ROWS)
+    grid = [np.linspace(-8.0, 8.0, CSV_GRID_ROWS), *rng.standard_normal((4, CSV_GRID_ROWS))]
+    grid_schema = ["x", "f_re", "f_im", "rf_re", "rf_im"]
+    roots, n = CSV_SPECTRUM
+    z0 = np.sort(rng.uniform(0.1, 2.0, roots)).tolist()
+    charges = rng.standard_normal((roots, n)) + 1j * rng.standard_normal((roots, n))
+    spectrum = [range(roots), z0, [-z for z in z0], [1] * roots,
+                [1e-14 * (i + 1) for i in range(roots)], *charges.real.T, *charges.imag.T]
+    spectrum_schema = (["root_index", "z0", "energy", "multiplicity", "residual"]
+                       + [f"Q_re_{j + 1}" for j in range(n)] + [f"Q_im_{j + 1}" for j in range(n)])
+    return {
+        f"grid,{CSV_GRID_ROWS}x{len(grid)}": _timed(lambda: render_csv(grid, grid_schema)),
+        f"spectrum,{roots}x{len(spectrum)}": _timed(
+            lambda: render_csv(spectrum, spectrum_schema), CSV_REPS
+        ),
+    }
 
 
 def main(argv) -> int:
@@ -323,6 +355,7 @@ def main(argv) -> int:
             "spectral._interior_values": interior_values_layer(),
             "quadrature": quadrature_layer(),
             "config.parse_config": config_layer(),
+            "csvio.render_csv": csv_layer(),
         },
     }
     path = ROOT / f"BENCH_{label}.json"
@@ -341,6 +374,8 @@ def main(argv) -> int:
         print(f"{name:36s} {row['median_s'] * 1e3:.3f} ms")
     for name, row in result["layer"]["config.parse_config"].items():
         print(f"parse_config {name:24s} {row['median_s'] * 1e3:.2f} ms")
+    for name, row in result["layer"]["csvio.render_csv"].items():
+        print(f"render_csv {name:26s} {row['median_s'] * 1e3:.3f} ms")
     print(f"wrote {path}")
     return 0
 

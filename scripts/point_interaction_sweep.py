@@ -29,20 +29,24 @@ def main(argv=None) -> int:
     ap.add_argument("-o", "--output", default="-")
     args = ap.parse_args(argv)
 
-    rows = []
+    alphas = []
     for alpha in (float(a) for a in args.alphas.split(",")):
         if alpha >= 0.0:
             print(f"skipping alpha={alpha}: no bound state", file=sys.stderr)
             continue
-        ps = PointSet(3, [[0.0, 0.0, 0.0]])
-        problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix([[alpha]]))
-        closed = 16.0 * np.pi**2 * alpha**2
-        rep = scan_spectrum(problem, (0.5 * closed, 2.0 * closed))
-        z0 = rep.roots[0].z0
-        rows.append([alpha, z0, -z0, closed, abs(z0 - closed) / closed])
+        alphas.append(alpha)
+    alpha = np.array(alphas)
+    closed = 16.0 * np.pi**2 * alpha**2
+    ps = PointSet(3, [[0.0, 0.0, 0.0]])
+    z0 = []
+    for a, c in zip(alphas, closed.tolist()):
+        problem = ExtensionProblem(LaplacianPointEvaluator(ps), ThetaMatrix([[a]]))
+        z0.append(scan_spectrum(problem, (0.5 * c, 2.0 * c)).roots[0].z0)
+    z0 = np.array(z0)
 
     schema = ["alpha", "z0", "energy", "closed_form", "rel_gap"]
-    emit_csv(rows, schema, sys.stdout if args.output == "-" else args.output)
+    columns = [alpha, z0, -z0, closed, np.abs(z0 - closed) / closed]
+    emit_csv(columns, schema, sys.stdout if args.output == "-" else args.output)
     return 0
 
 

@@ -1,12 +1,16 @@
 """Command-line entry point: verify / spectrum / resolvent / green / oracle.
 
 Each ``cmd_*`` handler computes its table and returns
-``(schema, rows, summary, code)``; ``main`` parses with one parser per
-process, runs the handler, writes the one CSV (stdout by default, or
---output FILE) and then prints the one-line summary to stderr.  Exit
-codes: 0 success, 2 config or validation failure (an unreadable config
-included), 3 numeric failure (no root bracketed, degenerate oracle,
-tolerance breach, non-finite output).  ``verify`` and ``oracle`` take a
+``(schema, columns, summary, code)``, passing its arrays as they are:
+the float64 columns of ``resolvent``, ``green`` and ``oracle``, and the
+charge columns of ``spectrum``; ``verify`` transposes its rows.
+``main`` parses with one parser per process, runs the handler, writes
+the one CSV (stdout by default, or --output FILE) and then prints the
+one-line summary to stderr.  A config is read as bytes, which
+``parse_config`` decodes as UTF-8 only if orjson refuses them.  Exit
+codes: 0 success, 2 config or validation failure (an unreadable or
+non-UTF-8 config included), 3 numeric failure (no root bracketed,
+degenerate oracle, tolerance breach, non-finite output).  ``verify`` and ``oracle`` take a
 non-negative --seed, 0 by default; ``spectrum`` and ``resolvent`` draw
 nothing at random and sample no grid, so argparse rejects a --seed or
 --grid there (exit 2).
@@ -19,7 +23,6 @@ import cmath
 import functools
 import sys
 from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +58,11 @@ def _summary(text: str) -> None:
 
 def _load_config(args):
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        # parse_config decodes the bytes only when orjson refuses them
+        return parse_config(Path(args.config).read_bytes())
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise SchemaError([f"cannot read config {args.config}: {reason}"])
-    return parse_config(text)
 
 
 def cmd_verify(args):
@@ -70,7 +73,8 @@ def cmd_verify(args):
         f"{report.model_summary}"
     )
     code = 0 if report.passed else 3
-    return ["check", "residual", "tolerance", "pass"], report.rows(), summary, code
+    columns = list(zip(*report.rows())) or [()] * 4
+    return ["check", "residual", "tolerance", "pass"], columns, summary, code
 
 
 def cmd_spectrum(args):
@@ -89,24 +93,18 @@ def cmd_spectrum(args):
         + [f"Q_re_{j + 1}" for j in range(n)]
         + [f"Q_im_{j + 1}" for j in range(n)]
     )
-    rows = []
-    for i, root in enumerate(report.roots):
-        rows.append(
-            [i, root.z0, root.energy, root.multiplicity, root.residual]
-            + [float(c.real) for c in root.charge]
-            + [float(c.imag) for c in root.charge]
-        )
+    roots = report.roots
+    charges = np.array([root.charge for root in roots]).reshape(len(roots), n)
+    columns = [
+        range(len(roots)), [r.z0 for r in roots], [r.energy for r in roots],
+        [r.multiplicity for r in roots], [r.residual for r in roots],
+        *charges.real.T, *charges.imag.T,
+    ]
     summary = (
         f"spectrum: {len(report.roots)} roots in [{cfg.scan.a:g}, {cfg.scan.b:g}], "
         f"{len(report.warnings)} warnings"
     )
-    return schema, rows, summary, 0 if report.roots else 3
-
-
-def _node_rows(nodes, f, result):
-    """One (node, f_re, f_im, rf_re, rf_im) row per node, built column-wise."""
-    return zip(nodes, f.real.tolist(), f.imag.tolist(),
-               result.real.tolist(), result.imag.tolist())
+    return schema, columns, summary, 0 if roots else 3
 
 
 def cmd_resolvent(args):
@@ -132,10 +130,11 @@ def cmd_resolvent(args):
         where = f"matrix backend, n={problem.evaluator.model.n}"
     else:
         xs = problem.evaluator.xs
-        nodes, label = xs.tolist(), "x"
+        nodes, label = xs, "x"
         where = f"laplacian1d backend, {xs.size} nodes"
     schema = [label, "f_re", "f_im", "rf_re", "rf_im"]
-    return schema, _node_rows(nodes, f, result), f"resolvent: {where}, z={cfg.z}", 0
+    columns = [nodes, f.real, f.imag, result.real, result.imag]
+    return schema, columns, f"resolvent: {where}, z={cfg.z}", 0
 
 
 def cmd_green(args):
@@ -158,10 +157,10 @@ def cmd_green(args):
     renorm = complex(renormalized_diagonal(args.dim, z))
     r = np.array(radii)
     gzv = gz(args.dim, r, z)
-    rows = zip(radii, g0(args.dim, r).tolist(), gzv.real.tolist(), gzv.imag.tolist(),
-               repeat(renorm.real), repeat(renorm.imag))
+    columns = [r, g0(args.dim, r), gzv.real, gzv.imag,
+               [renorm.real] * r.size, [renorm.imag] * r.size]
     schema = ["r", "g0", "gz_re", "gz_im", "renorm_re", "renorm_im"]
-    return schema, rows, f"green: dim={args.dim}, z={z}, {len(radii)} radii", 0
+    return schema, columns, f"green: dim={args.dim}, z={z}, {len(radii)} radii", 0
 
 
 def cmd_oracle(args):
@@ -174,7 +173,6 @@ def cmd_oracle(args):
     model = random_model(rng, args.n, args.ncharges)
     theta = random_theta(rng, args.ncharges)
     eigs = direct_eigs(model, theta)
-    rows = [[i, float(v)] for i, v in enumerate(eigs)]
 
     problem = ExtensionProblem(MatrixEvaluator(model), theta)
     defect = 0.0
@@ -189,7 +187,7 @@ def cmd_oracle(args):
         f"trace bound c={model.trace_bound_constant:.6g}, "
         f"max pencil defect over {checked} eigenvalues={defect:.3e}"
     )
-    return ["index", "eigenvalue"], rows, summary, 0
+    return ["index", "eigenvalue"], [range(eigs.size), eigs], summary, 0
 
 
 @functools.cache
@@ -239,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        schema, rows, summary, code = args.func(args)
-        emit_csv(rows, schema, sys.stdout if args.output == "-" else args.output)
+        schema, columns, summary, code = args.func(args)
+        emit_csv(columns, schema, sys.stdout if args.output == "-" else args.output)
     except _VALIDATION_ERRORS as exc:
         _summary(f"error: {exc}")
         return 2

@@ -31,7 +31,8 @@ phases, and each raises one error carrying every violation it found:
 A window set through ``ProblemConfig.with_scan`` is checked by
 ``build_problem`` like one read from the file.
 
-Two parsers read the text, and both give the same config.  orjson reads
+Two parsers read the text, and both give the same config.  The text is
+a str or UTF-8 bytes, which orjson reads with no decode.  orjson reads
 it first (several times faster than the stdlib on long numeric rows).
 When orjson rejects the text, or the schema phase rejects what orjson
 read, ``json.loads`` reads it again and the schema phase runs on that,
@@ -39,8 +40,10 @@ so every error message is the stdlib route's, and so is every config
 only the stdlib reads: ``NaN`` and ``Infinity``, numbers beyond a double
 (``1e400`` is infinite, ``10**400`` a schema error), the 4300-digit
 integer limit, lone surrogates, and nesting deeper than the recursion
-limit (a schema error).  Where both parsers accept, they agree but on
-integers beyond 64 bits, which orjson reads as the correctly rounded
+limit (a schema error).  Bytes are decoded as UTF-8 for the stdlib
+route, so a BOM is a JSON error, as in a str, and bytes that are not
+UTF-8 raise UnicodeDecodeError.  Where both parsers accept, they agree
+but on integers beyond 64 bits, which orjson reads as the correctly rounded
 double: every number field turns an integer into that same ``float``,
 and the two integer fields (``scan.grid``, ``grid1d.n``) reject a
 float, which sends the text to the stdlib.
@@ -199,17 +202,21 @@ def _check_keys(block, name, required, optional, errs) -> None:
             errs.append(f"missing required key '{name}.{key}'")
 
 
-def parse_config(text: str) -> ProblemConfig:
+def parse_config(data) -> ProblemConfig:
     """The schema phase, on what orjson reads or else on what ``json.loads``
-    reads (see the module docstring)."""
+    reads (see the module docstring) from ``data``, a str or UTF-8 bytes.
+    Bytes that are not UTF-8 raise the UnicodeDecodeError of
+    ``data.decode("utf-8")``."""
     import orjson  # here, so that importing the CLI does not load it
 
     try:
-        return _schema(orjson.loads(text))
+        return _schema(orjson.loads(data))
     # RecursionError: orjson reads nesting the stdlib refuses, and the
     # schema phase may then overflow formatting such a value
     except (orjson.JSONDecodeError, SchemaError, RecursionError):
         pass
+    # decoded here, not by json.loads, which would also take UTF-16 and a BOM
+    text = data if isinstance(data, str) else str(data, "utf-8")
     try:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit

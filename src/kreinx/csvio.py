@@ -1,13 +1,15 @@
 """Deterministic CSV output: 17 significant digits, '.' decimal point,
 '\\n' line endings, header always present, non-finite values refused.
 
+A table is a list of columns, one per schema name, all of one length.
 ``format_value`` is the rule for one cell.  ``render_csv`` applies it
-through one ``%``-template per row (``%d`` for ints, ``%.17g`` for
-floats) when every row has the same type signature of ints and floats;
-there the float columns are checked for finiteness and cleared of
-negative zero as one array.  Any other table, or one with a non-finite
-float, goes cell by cell through ``format_value``, which raises the
-error.  Both give the same bytes.
+through one ``%``-template per row: every float column (an array of a
+float dtype, or cells that are all ``float``) is checked for finiteness
+and cleared of negative zero in one numpy block and takes ``%.17g``, a
+column of ``int`` or ``bool`` cells takes ``%d``, and any other column
+goes cell by cell through ``format_value``.  A table with a non-finite float goes cell by cell in
+row order, so the error names the cell ``format_value`` meets first.
+Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvWriteError
-
-# the %-conversion that formats a cell of each type as format_value does
-_TEMPLATES = {int: "%d", float: "%.17g"}
 
 
 def format_value(v) -> str:
@@ -46,50 +45,45 @@ def format_value(v) -> str:
         raise CsvWriteError(f"cannot format {v!r} for CSV") from exc
 
 
-def _template_lines(rows, width):
-    """The lines of a table whose rows share one type signature of ints
-    and floats and hold only finite floats; None for any other table."""
-    if not rows:
-        return []
-    sig = tuple(map(type, rows[0]))
-    if len(sig) != width or not sig or not set(sig) <= _TEMPLATES.keys():
-        return None
-    if any(tuple(map(type, row)) != sig for row in rows):
-        return None
-    cols = list(zip(*rows))
-    fcols = [j for j, t in enumerate(sig) if t is float]
+def _conversion(col) -> str:
+    """The %-conversion of every cell of ``col``; ``%s`` for a cell
+    ``format_value`` turns into a string first."""
+    if isinstance(col, np.ndarray):
+        return "%.17g" if col.dtype.kind == "f" else "%s"
+    types = set(map(type, col))
+    return "%.17g" if types <= {float} else "%d" if types <= {int, bool} else "%s"
+
+
+def render_csv(columns, schema) -> str:
+    cols = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if len(cols) != len(schema):
+        raise CsvWriteError(f"table has {len(cols)} columns, schema has {len(schema)}")
+    lengths = sorted({len(c) for c in cols})
+    if len(lengths) > 1:
+        raise CsvWriteError(f"columns have unequal lengths {lengths}")
+    conv = list(map(_conversion, cols))
+    fcols = [j for j, c in enumerate(conv) if c == "%.17g"]
+    slow = [j for j, c in enumerate(conv) if c == "%s"]
     if fcols:
-        block = np.array([cols[j] for j in fcols])
+        block = np.array([cols[j] for j in fcols], dtype=float)
         if not np.isfinite(block).all():
-            return None
-        block[block == 0.0] = 0.0  # drop the sign of negative zero
+            slow = range(len(cols))  # every cell, so the first bad one raises
+        block += 0.0  # -0.0 + 0.0 is 0.0, and no other value changes
         for j, col in zip(fcols, block.tolist()):
             cols[j] = col
-    template = ",".join(_TEMPLATES[t] for t in sig)
-    return list(map(template.__mod__, zip(*cols)))
-
-
-def render_csv(rows, schema) -> str:
-    width = len(schema)
-    rows = [tuple(row) for row in rows]
-    lines = _template_lines(rows, width)
-    if lines is None:
-        lines = []
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise CsvWriteError(
-                    f"row {i} has {len(row)} fields, schema has {width}"
-                )
-            lines.append(",".join(format_value(v) for v in row))
+    cells = [format_value(v) for row in zip(*(cols[j] for j in slow)) for v in row]
+    for k, j in enumerate(slow):
+        cols[j] = cells[k::len(slow)]
+    lines = map(",".join(conv).__mod__, zip(*cols))
     return "\n".join([",".join(str(c) for c in schema), *lines]) + "\n"
 
 
-def emit_csv(rows, schema, destination) -> None:
-    """Write rows under the declared column schema.
+def emit_csv(columns, schema, destination) -> None:
+    """Write columns under the declared column schema.
 
     ``destination`` is a path or a writable text file object.
     """
-    text = render_csv(rows, schema)
+    text = render_csv(columns, schema)
     if hasattr(destination, "write"):
         destination.write(text)
         return

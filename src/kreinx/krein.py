@@ -50,24 +50,36 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Check ``m`` is hermitian and return (m + m^H)/2.
 
     Raises NotHermitian when the defect exceeds
-    ``HERMITICITY_RTOL * (1 + |m|)``.  A real ``m`` stays real.  A scan
-    checks its window ends and roots only: see ``spectral``.
+    ``HERMITICITY_RTOL * (1 + |m|)``.  A real ``m`` stays real.  An entry
+    whose sum overflows is halved before adding; every other entry has
+    the bits of (m + m^H)/2.  A scan checks its window ends and roots
+    only: see ``spectral``.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
     mh = m.conj().T
-    defect = _maxabs(m - mh)
+    # an infinite defect is refused below, and an overflowing sum (inf, or
+    # nan from the complex halving of inf) is replaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = _maxabs(m - mh)
+        h = (m + mh) / 2.0
     if defect > HERMITICITY_RTOL * (1.0 + _maxabs(m)):
         raise NotHermitian(
             f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.1e} * (1 + |m|)"
         )
-    return (m + mh) / 2.0
+    finite = np.isfinite(h)
+    return h if finite.all() else np.where(finite, h, m / 2.0 + mh / 2.0)
 
 
-def _real_if_exact(x: np.ndarray) -> np.ndarray:
-    """``x`` as float64 when every imaginary part is exactly zero, else ``x``."""
-    return x if x.imag.any() else x.real.copy()
+def _real_if_exact(x) -> np.ndarray:
+    """A new array of ``x`` in the dtype numpy infers, widened to float64
+    or complex128; complex input, the only kind inspected, is float64 when
+    every imaginary part is exactly zero."""
+    x = np.array(x)
+    if x.dtype.kind != "c":
+        return x.astype(float, copy=False)
+    return x.astype(complex, copy=False) if x.imag.any() else x.real.astype(float)
 
 
 class ThetaMatrix:
@@ -75,14 +87,16 @@ class ThetaMatrix:
 
     Construction demands exact hermiticity (entries must equal their
     conjugate transpose bit for bit); build inputs as (m + m^H)/2 if
-    needed, which is exact in IEEE arithmetic.  ``entries`` are float64
-    when every imaginary part is exactly zero (a real pencil stays real).
+    needed, which is exact in IEEE arithmetic.  ``entries`` take the dtype
+    numpy infers from the input: float64 for real input, which is never
+    widened to complex, and for complex input whose imaginary parts are
+    all exactly zero (a real pencil stays real).
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        m = _real_if_exact(np.array(entries, dtype=complex))
+        m = _real_if_exact(entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvariantError(
                 f"coupling matrix must be square and nonempty, got shape {m.shape}"

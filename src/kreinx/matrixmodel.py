@@ -57,18 +57,20 @@ class MatrixModel:
     value bounded away from zero), and records the
     trace-domination constant ``|tau a^{-1}|_2 = |traces diag(1/eigs)|_2``.
 
-    ``a`` and ``tau`` are each kept as float64 when every imaginary part
-    is exactly zero, so a real symmetric ``a`` is diagonalized in real
-    arithmetic and ``basis`` (and ``traces``, for real ``tau``) come out
-    real.  Nothing selects this: the data do.  The maps below need no
+    ``a`` and ``tau`` each take the dtype numpy infers from the input,
+    and are float64 for real input (never widened to complex on the way)
+    and for complex input whose imaginary parts are all exactly zero, so
+    a real symmetric ``a`` is diagonalized in real arithmetic and
+    ``basis`` (and ``traces``, for real ``tau``) come out real.  Nothing
+    selects this: the data do.  The maps below need no
     case split, because their diagonal weights carry the complex z.
     """
 
     __slots__ = ("a", "tau", "eigs", "basis", "traces", "pad", "trace_bound_constant")
 
     def __init__(self, a, tau):
-        a = _real_if_exact(np.array(a, dtype=complex))
-        tau = _real_if_exact(np.atleast_2d(np.array(tau, dtype=complex)))
+        a = _real_if_exact(a)
+        tau = np.atleast_2d(_real_if_exact(tau))
         problems = []
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvariantError(f"base matrix must be square, got {a.shape}")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kreinx import CsvWriteError, PointSet, gamma_matrix
 from kreinx.cli import main
-from kreinx.csvio import _template_lines, emit_csv, format_value, render_csv
+from kreinx.csvio import emit_csv, format_value, render_csv
 
 from conftest import count_eighs
 
@@ -31,9 +31,9 @@ def read_csv(path):
 
 
 class TestEmitCsv:
-    def test_header_only_for_empty_rows(self, tmp_path):
+    def test_header_only_for_empty_columns(self, tmp_path):
         out = tmp_path / "empty.csv"
-        emit_csv([], ["a", "b"], out)
+        emit_csv([[], np.empty(0)], ["a", "b"], out)
         assert out.read_bytes() == b"a,b\n"
 
     def test_17_digit_round_trip(self):
@@ -47,12 +47,16 @@ class TestEmitCsv:
         with pytest.raises(CsvWriteError):
             render_csv([[float("inf")]], ["v"])
 
-    def test_refuses_ragged_rows(self):
-        with pytest.raises(CsvWriteError):
+    def test_refuses_a_column_count_off_the_schema(self):
+        with pytest.raises(CsvWriteError, match="table has 1 columns, schema has 2"):
             render_csv([[1.0]], ["a", "b"])
 
+    def test_refuses_unequal_column_lengths(self):
+        with pytest.raises(CsvWriteError, match=r"columns have unequal lengths \[1, 2\]"):
+            render_csv([[1.0, 2.0], np.array([3.0])], ["a", "b"])
+
     def test_unix_line_endings(self):
-        text = render_csv([[1.0], [2.0]], ["v"])
+        text = render_csv([[1.0, 2.0]], ["v"])
         assert "\r" not in text and text.endswith("\n")
 
     def test_negative_zero_normalized(self):
@@ -77,76 +81,97 @@ class TestEmitCsv:
         assert str(err.value) == message
 
 
-def _per_value_csv(rows, schema):
-    # the slow path: every cell through format_value, joined here
+def _per_value_csv(columns, schema):
+    # the reference: every cell through format_value, in row order, joined
+    # here; an array's cells are read as Python floats, as errors name them
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     lines = [",".join(schema)] + [",".join(format_value(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
+def _outcome(render, columns, schema):
+    """The text ``render`` gives, or the message of the CsvWriteError it raises."""
+    try:
+        return render(columns, schema)
+    except CsvWriteError as exc:
+        return ("error", str(exc))
+
+
 _EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-    1.7976931348623157e308, 2.0**53, 2.0**53 + 2.0, -3.0, 0.1 + 0.2, 1e16, 1e17,
+    1.7976931348623157e308, -1.7976931348623157e308, 2.0**53, 2.0**53 + 2.0,
+    -3.0, 0.1 + 0.2, 1e16, 1e17,
 ]
 _finite = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-_cells = {
-    float: _finite,
-    int: st.one_of(st.integers(-10**20, 10**20), st.sampled_from([0, -1, 2**53 + 1, 10**400])),
+_ints = st.one_of(st.integers(-10**20, 10**20), st.sampled_from([0, -1, 2**53 + 1, 10**400]))
+_strings = st.sampled_from(["a,b", 'say "x"', "plain", "x\ny", "cr\r", "", "50%", "%d"])
+# one strategy per column kind, for a column of n cells
+_columns = {
+    "floats": lambda n: st.lists(_finite, min_size=n, max_size=n),
+    "float64": lambda n: st.lists(_finite, min_size=n, max_size=n).map(np.array),
+    "ints": lambda n: st.lists(_ints, min_size=n, max_size=n),
+    "bools": lambda n: st.lists(st.booleans(), min_size=n, max_size=n),
+    "strings": lambda n: st.lists(_strings, min_size=n, max_size=n),
+    "mixed": lambda n: st.lists(
+        st.one_of(_finite, _ints, st.booleans(), _strings), min_size=n, max_size=n
+    ),
 }
 
 
 @st.composite
-def _numeric_table(draw):
-    sig = draw(st.lists(st.sampled_from(list(_cells)), min_size=1, max_size=6))
-    rows = draw(st.lists(st.tuples(*(_cells[t] for t in sig)), max_size=12))
-    return [f"c{j}" for j in range(len(sig))], rows
+def _table(draw, bad=None):
+    """Schema and columns of the kinds above; given ``bad``, each cell may
+    be replaced by a draw from it (a float64 array takes only floats)."""
+    n = draw(st.integers(0, 10))
+    kinds = draw(st.lists(st.sampled_from(sorted(_columns)), min_size=1, max_size=7))
+    columns = []
+    for kind in kinds:
+        col = list(draw(_columns[kind](n)))
+        for i in range(n):
+            if bad is not None and draw(st.integers(0, 9)) == 0:
+                v = draw(bad)
+                if kind != "float64" or isinstance(v, float):
+                    col[i] = v
+        columns.append(np.array(col, dtype=float) if kind == "float64" else col)
+    return [f"c{j}" for j in range(len(kinds))], columns
 
 
-class TestTemplatePath:
-    """``render_csv`` against a per-value ``format_value`` join."""
+class TestColumnWriter:
+    """``render_csv`` against a per-cell ``format_value`` join in row order."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(table=_numeric_table())
-    def test_numeric_tables_match_per_value_bytes(self, table):
-        schema, rows = table
-        assert _template_lines(rows, len(schema)) is not None
-        assert render_csv(rows, schema) == _per_value_csv(rows, schema)
+    @settings(max_examples=300, deadline=None)
+    @given(table=_table())
+    def test_tables_match_per_cell_bytes(self, table):
+        schema, columns = table
+        assert render_csv(columns, schema) == _per_value_csv(columns, schema)
 
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(
-        st.lists(st.one_of(_finite, st.integers(-5, 5), st.booleans(),
-                           st.sampled_from(["a,b", 'say "x"', "plain", "x\ny"])),
-                 min_size=3, max_size=3),
-        min_size=1, max_size=8,
-    ))
-    def test_mixed_tables_match_per_value_bytes(self, rows):
-        schema = ["a", "b", "c"]
-        signatures = {tuple(map(type, row)) for row in rows}
-        if len(signatures) > 1 or {str, bool} & set(next(iter(signatures))):
-            assert _template_lines(rows, 3) is None
-        assert render_csv(rows, schema) == _per_value_csv(rows, schema)
+    @settings(max_examples=300, deadline=None)
+    @given(table=_table(bad=st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), 1.0 + 2.0j, object(), [1.0]]
+    )))
+    def test_refusals_name_the_first_bad_cell_in_row_order(self, table):
+        schema, columns = table
+        assert _outcome(render_csv, columns, schema) == _outcome(_per_value_csv, columns, schema)
 
     def test_negative_zero_and_subnormals(self):
-        rows = [(0, -0.0, 5e-324), (1, 0.0, -5e-324)]
-        assert render_csv(rows, ["i", "x", "y"]) == (
+        columns = [range(2), np.array([-0.0, 0.0]), [5e-324, -5e-324]]
+        assert render_csv(columns, ["i", "x", "y"]) == (
             "i,x,y\n0,0,4.9406564584124654e-324\n1,0,-4.9406564584124654e-324\n"
         )
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_refused_with_the_per_value_message(self, bad):
-        rows = [(0, 1.0, 2.0), (1, 3.0, bad), (2, bad, 4.0)]
+    @pytest.mark.parametrize("array", [False, True], ids=["lists", "arrays"])
+    def test_non_finite_refusal_names_the_first_in_row_order(self, array):
+        # inf in row 2 of the first float column, nan in row 1 of the second
+        x, y = [1.0, 2.0, float("inf")], [3.0, float("nan"), 4.0]
+        if array:
+            x, y = np.array(x), np.array(y)
         with pytest.raises(CsvWriteError) as err:
-            render_csv(rows, ["i", "x", "y"])
-        with pytest.raises(CsvWriteError) as want:
-            format_value(bad)
-        assert str(err.value) == str(want.value)
+            render_csv([range(3), x, y], ["i", "x", "y"])
+        assert str(err.value) == "non-finite value nan refused"
 
-    def test_ragged_rows_keep_their_error(self):
-        with pytest.raises(CsvWriteError, match="row 1 has 1 fields, schema has 2"):
-            render_csv([(1.0, 2.0), (3.0,), (4.0, 5.0)], ["a", "b"])
-
-    def test_generators_and_zips_are_accepted(self):
-        rows = zip(range(3), [0.5, -0.0, 0.1])
-        assert render_csv(rows, ["i", "v"]) == "i,v\n0,0.5\n1,0\n2,0.10000000000000001\n"
+    def test_iterables_are_accepted_as_columns(self):
+        columns = [range(3), (v for v in [0.5, -0.0, 0.1])]
+        assert render_csv(columns, ["i", "v"]) == "i,v\n0,0.5\n1,0\n2,0.10000000000000001\n"
 
 
 class TestGreenCommand:
@@ -565,6 +590,25 @@ class TestHugeBaseMatrix:
         assert not out.exists()
 
 
+    def test_huge_coupling_reports_finite_branch_values(self, tmp_path, capsys):
+        # theta + theta^H overflowed: numpy warned twice and the pencil
+        # branches read inf at both window ends
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "backend": "laplacian3d", "points": [[0, 0, 0]], "theta": [[1e308]],
+            "scan": {"a": 0.1, "b": 1.0},
+        }))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", str(cfg), "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: pencil branch 0 does not increase over [0.1, 1.0]: "
+            "1.000e+308 at a, 1.000e+308 at b\n"
+        )
+        assert not out.exists()
+
+
 class TestCommittedResolventConfigs:
     """The configs the CI console step reruns and compares byte for byte."""
 
@@ -781,6 +825,30 @@ class TestUnreadableConfigExits2:
         assert f"error: cannot read config {cfg}: " in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfe{}", "cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+                         "in position 0: invalid start byte"),
+        (b"\xef\xbb\xbf{}", "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                            "line 1 column 1 (char 0)"),
+    ], ids=["0xff", "bom"])
+    def test_undecodable_and_bom_messages(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(data)
+        out = tmp_path / "r.csv"
+        assert main(["resolvent", "--config", str(cfg), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(cfg=cfg) + "\n"
+        assert not out.exists()
+
+    def test_the_config_reaches_the_parser_as_bytes(self, tmp_path, monkeypatch):
+        import kreinx.cli
+
+        seen = []
+        parse = kreinx.cli.parse_config
+        monkeypatch.setattr(kreinx.cli, "parse_config", lambda data: seen.append(data) or parse(data))
+        path = SCRIPTS / "resolvent_matrix6.json"
+        assert main(["resolvent", "--config", str(path), "-o", str(tmp_path / "r.csv")]) == 0
+        assert seen == [path.read_bytes()]
 
 
 class TestRequestPath:

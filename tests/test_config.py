@@ -458,6 +458,40 @@ class TestParsers:
             _stdlib_route(text)
         assert err.value.violations == want.value.violations
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=_valid_configs() | _json_value,
+        ascii=st.booleans(),
+        cut=st.integers(0, 2**16),
+        insert=st.sampled_from([
+            b"", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", b"\x80",
+            "\u00e9".encode(), "\u2028".encode(), "\U0001f600".encode(),
+        ]),
+    )
+    def test_bytes_read_as_their_utf8_text(self, value, ascii, cut, insert):
+        data = json.dumps(value, ensure_ascii=ascii).encode("utf-8")
+        cut %= len(data) + 1
+        data = data[:cut] + insert + data[cut:]
+
+        def outcome(parse):
+            try:
+                return _bits(astuple(parse(data)))
+            except (SchemaError, UnicodeDecodeError) as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(parse_config) == outcome(lambda d: parse_config(d.decode("utf-8")))
+
+    @pytest.mark.parametrize("data, error, message", [
+        (b"\xef\xbb\xbf" + json.dumps(MATRIX_2).encode(), SchemaError,
+         "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'{"backend": "\xff"}', UnicodeDecodeError,
+         "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+    ], ids=["bom", "0xff"])
+    def test_bytes_errors(self, data, error, message):
+        with pytest.raises(error) as err:
+            parse_config(data)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("depth", [sys.getrecursionlimit(), 5000, 100_000])
     def test_deep_nesting_is_a_schema_error(self, depth):
         # orjson may read the text, but formatting the bad entry would

@@ -111,6 +111,39 @@ class TestHermitianPart:
         with pytest.raises(NotHermitian):
             hermitian_part(m)
 
+    @pytest.mark.parametrize("off", [1e308, 1e308 + 1e308j], ids=["real", "complex"])
+    def test_an_overflowing_sum_is_halved_first(self, off):
+        m = np.array([[1e308, off], [np.conj(off), 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hermitian_part(m)
+        assert np.array_equal(h, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        entries=st.lists(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([5e-324, -5e-324, 1e-310, -0.0, 1.7976931348623157e308, -1e308]),
+        ), min_size=16, max_size=16),
+        nudge=st.lists(st.booleans(), min_size=16, max_size=16),
+    )
+    def test_bits_of_every_finite_sum_are_unchanged(self, n, entries, nudge):
+        m = np.array(entries[: n * n]).reshape(n, n)
+        m = np.triu(m) + np.triu(m, 1).T
+        # a one-ulp defect below the diagonal, within the tolerance
+        lower = np.tril(np.array(nudge[: n * n]).reshape(n, n), -1)
+        m = np.where(lower, np.nextafter(m, 0.0), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hermitian_part(m)
+        with np.errstate(over="ignore"):
+            plain = (m + m.T) / 2.0
+        finite = np.isfinite(plain)
+        assert np.isfinite(h).all()
+        assert h[finite].tobytes() == plain[finite].tobytes()
+        assert np.array_equal(h[~finite], (m / 2.0 + m.T / 2.0)[~finite])
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_laplacian_pencil_is_real_at_real_z_with_real_coupling(self, dim):
         ps = PointSet(dim, np.eye(3, dim) if dim > 1 else [0.0, 1.0, 2.5])

@@ -344,6 +344,34 @@ class TestRealModel:
             for arr in (model.a, model.tau, model.eigs, model.basis, model.traces):
                 assert arr.dtype == np.float64
 
+    def test_every_real_input_form_gives_the_same_bits(self):
+        # config rows arrive as tuples of floats; numpy infers float64 from
+        # them, and a complex input with zero imaginary parts reads alike
+        a, tau = _real_data(np.random.default_rng(5), 6, 2)
+        want = MatrixModel(a, tau)
+        theta = np.array([[0.5, -0.25], [-0.25, 2.0]])
+        forms = [
+            tuple(tuple(map(tuple, m.tolist())) for m in (a, tau, theta)),
+            (a + 0j, tau + 0j, theta + 0j),
+        ]
+        for a_in, tau_in, theta_in in forms:
+            model = MatrixModel(a_in, tau_in)
+            for got, ref in zip(
+                (model.a, model.tau, model.eigs, model.basis, model.traces),
+                (want.a, want.tau, want.eigs, want.basis, want.traces),
+            ):
+                assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+            entries = ThetaMatrix(theta_in).entries
+            assert entries.dtype == np.float64 and entries.tobytes() == theta.tobytes()
+
+    def test_inputs_are_copied_not_frozen(self):
+        a, tau = _real_data(np.random.default_rng(6), 4, 1)
+        theta = np.eye(1)
+        model, coupling = MatrixModel(a, tau), ThetaMatrix(theta)
+        assert a.flags.writeable and tau.flags.writeable and theta.flags.writeable
+        a[0, 0] = tau[0, 0] = theta[0, 0] = 99.0
+        assert model.a[0, 0] != 99.0 and model.tau[0, 0] != 99.0 and coupling.entries[0, 0] == 1.0
+
     @pytest.mark.parametrize("seed", [2, 7, 11, 19])
     def test_maps_and_actions_against_complex_dense_inverse(self, seed):
         rng = np.random.default_rng(seed)
