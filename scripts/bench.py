@@ -38,7 +38,9 @@ and ``parse_config`` on a generated 400 x 400 matrix config and a
 requests), given as UTF-8 bytes as the CLI reads them, once by the
 orjson route and once by the stdlib route (orjson refusing the text),
 the two interleaved in one process so that each pair of timings sees
-the same machine; and ``csvio.render_csv`` on the two table shapes the
+the same machine, and then ``build_problem`` on each parsed config (the
+matrix model with its ``eigh``, or the grid evaluator with its nodes);
+and ``csvio.render_csv`` on the two table shapes the
 CLI writes most: a 3000 x 5 table of float64 array columns (a
 3000-node ``resolvent`` on the 1-d grid) and the 8 x 37 table of a
 16-charge ``spectrum`` with eight roots (lists of roots and float64
@@ -156,7 +158,7 @@ def r_apply_layer() -> dict:
     ps = PointSet(1, [[-0.8], [0.6]])
     out = {}
     for n in LAYER_SIZES:
-        ev = LaplacianGrid1DEvaluator(ps, np.linspace(-8.0, 8.0, n))
+        ev = LaplacianGrid1DEvaluator(ps, -8.0, 8.0, n)
         f = np.exp(-ev.xs**2) * (1.0 + 0.5j)
         out[f"n={n}"] = _timed(lambda: ev.r_apply(1.0 + 0.5j, f))
     return out
@@ -274,10 +276,11 @@ def _layer_configs() -> dict:
 
 def config_layer() -> dict:
     """One warm-up parse, then RUNS rounds of one parse per route, the
-    route that goes first alternating; the median of each route."""
+    route that goes first alternating; the median of each route.  Then
+    ``build_problem`` on the parsed config, timed as ``_timed`` does."""
     import orjson
 
-    from kreinx.config import parse_config
+    from kreinx.config import build_problem, parse_config
 
     def refuse(text):
         raise orjson.JSONDecodeError("refused", "", 0)
@@ -299,6 +302,9 @@ def config_layer() -> dict:
             for route, runs in times.items():
                 out[f"{name},{route}"] = {"median_s": statistics.median(runs), "runs_s": runs,
                                           "text_bytes": len(text)}
+            orjson.loads = loads
+            parsed = parse_config(text)
+            out[f"{name},build_problem"] = _timed(lambda: build_problem(parsed))
     finally:
         orjson.loads = loads
     return out

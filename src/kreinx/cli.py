@@ -123,17 +123,15 @@ def cmd_resolvent(args):
             [f"resolvent supports the matrix and laplacian1d backends, not {cfg.backend!r}"]
         )
     problem = build_problem(cfg)
-    f = np.array(cfg.f, dtype=complex)
-    result = krein_apply(problem, cfg.z, f)
+    result = krein_apply(problem, cfg.z, cfg.f)  # every backend casts f to complex
     if cfg.backend == "matrix":
-        nodes, label = range(f.size), "index"
+        nodes, label = range(cfg.f.size), "index"
         where = f"matrix backend, n={problem.evaluator.model.n}"
     else:
-        xs = problem.evaluator.xs
-        nodes, label = xs, "x"
-        where = f"laplacian1d backend, {xs.size} nodes"
+        nodes, label = problem.evaluator.xs, "x"
+        where = f"laplacian1d backend, {nodes.size} nodes"
     schema = [label, "f_re", "f_im", "rf_re", "rf_im"]
-    columns = [nodes, f.real, f.imag, result.real, result.imag]
+    columns = [nodes, cfg.f.real, cfg.f.imag, result.real, result.imag]
     return schema, columns, f"resolvent: {where}, z={cfg.z}", 0
 
 

@@ -1,9 +1,11 @@
 """JSON-shaped problem configuration: parsing and validation.
 
 Complex scalars are written as ``[re, im]`` pairs (plain numbers are
-accepted on input for real values); a row of plain floats is kept as
-floats, which compare equal to the complex values.  A config passes two
-phases, and each raises one error carrying every violation it found:
+accepted on input for real values).  ``theta``, ``matrix.a``,
+``matrix.tau`` and ``f`` are read-only arrays, float64 if every entry is
+a plain float, else complex128, so configs compare by identity.  A
+config passes two phases, and each raises one error carrying every
+violation it found:
 
 * ``parse_config`` is the schema phase.  It checks the JSON shape
   (unknown or missing keys, wrong types, ragged rows) and raises only
@@ -44,9 +46,10 @@ limit (a schema error).  Bytes are decoded as UTF-8 for the stdlib
 route, so a BOM is a JSON error, as in a str, and bytes that are not
 UTF-8 raise UnicodeDecodeError.  Where both parsers accept, they agree
 but on integers beyond 64 bits, which orjson reads as the correctly rounded
-double: every number field turns an integer into that same ``float``,
-and the two integer fields (``scan.grid``, ``grid1d.n``) reject a
-float, which sends the text to the stdlib.
+double: every number field turns an integer into that same ``float``
+(an array holding one is float64 on orjson's route if its other entries
+are floats), and the two integer fields (``scan.grid``, ``grid1d.n``)
+reject a float, which sends the text to the stdlib.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import cmath
 import json
 import sys
 from dataclasses import dataclass, replace
+from operator import countOf
 from typing import Optional
 
 import numpy as np
@@ -86,12 +90,12 @@ class Grid1D:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemConfig:
     backend: str
-    theta: tuple
-    matrix_a: Optional[tuple] = None
-    matrix_tau: Optional[tuple] = None
+    theta: np.ndarray
+    matrix_a: Optional[np.ndarray] = None
+    matrix_tau: Optional[np.ndarray] = None
     points: Optional[tuple] = None
     symbol_poly: Optional[tuple] = None
     symbol_cos: tuple = ()
@@ -100,7 +104,7 @@ class ProblemConfig:
     tol_linear: float = ExtensionProblem.tol_linear
     tol_root: float = ExtensionProblem.tol_root
     z: Optional[complex] = None
-    f: Optional[tuple] = None
+    f: Optional[np.ndarray] = None
     grid1d: Optional[Grid1D] = None
 
     def with_scan(self, a=None, b=None) -> "ProblemConfig":
@@ -145,29 +149,30 @@ def _int_entry(v, path, errs) -> int:
     return 0
 
 
-def _complex_row(row, path, errs) -> tuple:
-    # a row of plain JSON floats needs no per-entry check, and its floats
-    # compare equal to the complex values the entry path would give
-    if set(map(type, row)) == {float}:
-        return tuple(row)
-    # any other row goes entry by entry; the entry path is formatted only
-    # for an entry that needs checking
-    return tuple([
-        complex(c) if type(c) is float
-        else _complex_entry(c, f"{path}[{j}]", errs)
-        for j, c in enumerate(row)
-    ])
+def _complex_array(rows, paths, errs) -> np.ndarray:
+    """``rows`` as one read-only array: float64 if every entry is a plain
+    float, else complex128, checked entry by entry under ``paths``."""
+    if all(countOf(map(type, row), float) == len(row) for row in rows):
+        out = np.array(rows, dtype=float)
+    else:
+        # the entry path is formatted only for an entry that needs checking
+        out = np.array([
+            [complex(c) if type(c) is float else _complex_entry(c, f"{path}[{j}]", errs)
+             for j, c in enumerate(row)]
+            for row, path in zip(rows, paths)
+        ], dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
-def _complex_matrix(v, path, errs) -> tuple:
+def _complex_matrix(v, path, errs) -> Optional[np.ndarray]:
     if not (isinstance(v, list) and v and all(isinstance(r, list) for r in v)):
         errs.append(f"{path}: expected a nested list of rows, got {v!r}")
-        return ()
-    widths = {len(r) for r in v}
-    if len(widths) != 1:
+    elif len(widths := {len(r) for r in v}) != 1:
         errs.append(f"{path}: rows have unequal lengths {sorted(widths)}")
-        return ()
-    return tuple([_complex_row(row, f"{path}[{i}]", errs) for i, row in enumerate(v)])
+    else:
+        return _complex_array(v, (f"{path}[{i}]" for i in range(len(v))), errs)
+    return None
 
 
 def _point_rows(v, dim, path, errs) -> tuple:
@@ -328,7 +333,7 @@ def _schema(raw) -> ProblemConfig:
     f = None
     if "f" in raw:
         if isinstance(raw["f"], list) and raw["f"]:
-            f = _complex_row(raw["f"], "f", errs)
+            f = _complex_array([raw["f"]], ["f"], errs)[0]
         else:
             errs.append("f: expected a nonempty list")
 
@@ -428,9 +433,8 @@ def build_problem(cfg: ProblemConfig, *, nodes: bool = True) -> ExtensionProblem
                 # IndexError, not MemoryError
                 if 8 * n > np.iinfo(np.intp).max:
                     raise MemoryError
-                evaluator = attempt(
-                    lambda: LaplacianGrid1DEvaluator(ps, np.linspace(lo, hi, n))
-                ) if nodes else LaplacianPointEvaluator(ps)
+                evaluator = (LaplacianGrid1DEvaluator(ps, lo, hi, n) if nodes
+                             else LaplacianPointEvaluator(ps))
             except MemoryError:
                 viols.append(f"grid1d.n: {n} nodes do not fit in memory")
     elif ps is not None:
@@ -450,7 +454,7 @@ def build_problem(cfg: ProblemConfig, *, nodes: bool = True) -> ExtensionProblem
 
     if cfg.z is not None and not cmath.isfinite(cfg.z):
         viols.append(f"z must be finite, got {cfg.z}")
-    if cfg.f is not None and not all(map(cmath.isfinite, cfg.f)):
+    if cfg.f is not None and not np.isfinite(cfg.f).all():
         viols.append("f entries must be finite")
 
     problem = None

@@ -148,7 +148,8 @@ def renormalized_diagonal(dim: int, z: complex) -> complex:
 
 
 class PointSet:
-    """Finitely many pairwise-distinct interaction points in dim 1, 2 or 3.
+    """Finitely many pairwise-distinct interaction points in dim 1, 2 or 3,
+    whose squared pairwise distances neither overflow nor underflow to 0.
 
     One-dimensional points may be given as plain floats.  ``distances``
     is the read-only matrix of pairwise Euclidean distances; ``gamma_matrix``
@@ -180,12 +181,12 @@ class PointSet:
                 d = pts[:, None, :] - pts[None, :, :]
                 dist = np.sqrt((d * d).sum(-1))
             if not np.all(np.isfinite(dist)):
-                problems.append(
-                    "points are too far apart: a pairwise distance overflows"
-                )
-            off_diagonal = dist[~np.eye(pts.shape[0], dtype=bool)]
-            if off_diagonal.size and float(off_diagonal.min()) <= 0.0:
+                problems.append("points are too far apart: a squared pairwise distance overflows")
+            distinct = (d != 0.0).any(-1)
+            if not distinct[~np.eye(pts.shape[0], dtype=bool)].all():
                 problems.append("coincident points are not allowed")
+            if (dist[distinct] == 0.0).any():
+                problems.append("points are too close: a squared pairwise distance underflows to 0")
         if problems:
             raise InvariantError(problems)
         pts.flags.writeable = False
@@ -224,16 +225,6 @@ def gamma_matrix(ps: PointSet, z: complex) -> np.ndarray:
     out = ps._g0 - _gz_array(ps.dim, ps._radii, kappa)
     out.reshape(-1)[:: ps.n_points + 1] = _diagonal(ps.dim, kappa)
     return out
-
-
-def _uniform_step(xs: np.ndarray) -> float:
-    if xs.ndim != 1 or xs.size < 2:
-        raise InvariantError("grid must be a 1-d array of at least two nodes")
-    steps = np.diff(xs)
-    h = float(steps[0])
-    if h <= 0.0 or np.max(np.abs(steps - h)) > 1e-9 * abs(h):
-        raise InvariantError("grid must be uniform and increasing")
-    return h
 
 
 def _resolved_kappa(h: float, z: complex) -> complex:
@@ -414,20 +405,23 @@ class LaplacianPointEvaluator(GammaEvaluator):
 class LaplacianGrid1DEvaluator(LaplacianPointEvaluator):
     """Dim-1 point backend with a fixed sample grid for function actions.
 
-    Functions are represented by their samples on the grid; the base
-    resolvent action is trapezoid convolution with the decaying kernel,
-    done in O(n) time and memory by the exponential-kernel recurrence, so
-    all actions (and hence the assembled perturbed resolvent) carry
-    O(h^2) quadrature error.
+    The grid is ``xs = np.linspace(lo, hi, n)`` with step
+    ``h = xs[1] - xs[0]``, for finite ``lo < hi`` and ``n >= 2``
+    (InvariantError otherwise).  Functions are represented by their
+    samples on the grid; the base resolvent action is trapezoid
+    convolution with the decaying kernel, done in O(n) time and memory by
+    the exponential-kernel recurrence, so all actions (and hence the
+    assembled perturbed resolvent) carry O(h^2) quadrature error.
     """
 
-    def __init__(self, ps: PointSet, xs):
+    def __init__(self, ps: PointSet, lo: float, hi: float, n: int):
         if ps.dim != 1:
             raise InvariantError("the grid backend requires a dim-1 point set")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 2):
+            raise InvariantError(f"grid needs finite lo < hi and n >= 2, got ({lo}, {hi}, {n})")
         super().__init__(ps)
-        xs = np.asarray(xs, dtype=float)
-        self.h = _uniform_step(xs)
-        self.xs = xs
+        self.xs = np.linspace(lo, hi, n)
+        self.h = float(self.xs[1] - self.xs[0])
 
     def r_apply(self, z: complex, f):
         """Trapezoid convolution of the samples with ``gz(|x - y|)``.

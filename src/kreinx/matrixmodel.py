@@ -54,8 +54,8 @@ class MatrixModel:
     once (``a = basis diag(eigs) basis^H``, with ``traces = tau basis``),
     verifies injectivity (no eigenvalue within the spectral-distance
     floor ``pad`` of 0) and surjectivity of ``tau`` (smallest singular
-    value bounded away from zero), and records the
-    trace-domination constant ``|tau a^{-1}|_2 = |traces diag(1/eigs)|_2``.
+    value bounded away from zero).  The trace-domination constant
+    ``|tau a^{-1}|_2`` is computed when it is read.
 
     ``a`` and ``tau`` each take the dtype numpy infers from the input,
     and are float64 for real input (never widened to complex on the way)
@@ -66,7 +66,7 @@ class MatrixModel:
     case split, because their diagonal weights carry the complex z.
     """
 
-    __slots__ = ("a", "tau", "eigs", "basis", "traces", "pad", "trace_bound_constant")
+    __slots__ = ("a", "tau", "eigs", "basis", "traces", "pad")
 
     def __init__(self, a, tau):
         a = _real_if_exact(a)
@@ -113,7 +113,6 @@ class MatrixModel:
         self.basis = basis
         self.traces = traces
         self.pad = pad
-        self.trace_bound_constant = float(np.linalg.norm(traces / eigs, ord=2))
 
     @property
     def n(self) -> int:
@@ -122,6 +121,11 @@ class MatrixModel:
     @property
     def n_charges(self) -> int:
         return self.tau.shape[0]
+
+    @property
+    def trace_bound_constant(self) -> float:
+        """``|tau a^{-1}|_2 = |traces diag(1/eigs)|_2``, one SVD per read."""
+        return float(np.linalg.norm(self.traces / self.eigs, ord=2))
 
     def spectrum_distance(self, z: complex) -> np.ndarray:
         """Distance from z to the spectrum; one per point for an array z."""

@@ -544,9 +544,17 @@ class TestValidationMessages:
                          "theta": [[1.0]], "z": [0.3, 0.8], "f": [1.0, 0.0],
                          "grid1d": {"lo": 5, "hi": 1, "n": 1}},
          "'grid1d' is invalid for backend 'matrix'"),
+        # distinct points whose squared distance underflows to 0
+        (["spectrum"], {"backend": "laplacian3d", "points": [[0, 0, 0], [1e-300, 0, 0]],
+                        "theta": [[1.0, 0.0], [0.0, 1.0]], "scan": {"a": 0.1, "b": 1.0}},
+         "points are too close: a squared pairwise distance underflows to 0"),
+        # a finite distance whose square overflows
+        (["spectrum"], {"backend": "laplacian2d", "points": [[0, 0], [1e300, 0]],
+                        "theta": [[1.0, 0.0], [0.0, 1.0]], "scan": {"a": 0.1, "b": 1.0}},
+         "points are too far apart: a squared pairwise distance overflows"),
     ], ids=["z-text", "radii-empty", "a-without-window", "no-window", "resolvent-no-z",
             "resolvent-no-f", "scan-no-a", "matrix-no-tau", "grid1d-no-lo", "points-nan",
-            "grid1d-on-matrix"])
+            "grid1d-on-matrix", "points-underflow-3d", "points-overflow-2d"])
     def test_exits_2_with_its_message(self, tmp_path, capsys, argv, raw, message):
         if raw is not None:
             cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
 import orjson
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,8 @@ from kreinx import (
 from kreinx.config import (
     ProblemConfig,
     ScanWindow,
+    _complex_array,
     _complex_entry,
-    _complex_row,
     build_problem,
     parse_config,
 )
@@ -223,9 +224,33 @@ class TestMatrixEntries:
     def test_integer_and_float_entries_parse_alike(self):
         cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1, [2, -3]])))
         same = parse_config(json.dumps(dict(MATRIX_2, f=[1.0, [2.0, -3.0]])))
-        assert cfg == same
-        assert cfg.f == (1.0 + 0j, 2.0 - 3.0j)
-        assert cfg.matrix_a == ((1.0 + 0j, 0j), (0j, -1.0 + 0j))
+        assert _bits(cfg) == _bits(same)
+        assert _bits(cfg.f) == _bits(np.array([1.0 + 0j, 2.0 - 3.0j]))
+        assert _bits(cfg.matrix_a) == _bits(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_plain_float_matrix_is_float64(self):
+        cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1.0, -0.0])))
+        for arr in (cfg.theta, cfg.matrix_a, cfg.matrix_tau, cfg.f):
+            assert arr.dtype == np.float64
+        assert _bits(cfg.f) == _bits(np.array([1.0, -0.0]))
+
+    @pytest.mark.parametrize("entry", [[2.0, 0.0], 2], ids=["pair", "integer"])
+    def test_one_pair_or_integer_makes_the_matrix_complex128(self, entry):
+        a = [[1.0, 0.0, 0.0], [0.0, entry, 0.0], [0.0, 0.0, -1.0]]
+        cfg = parse_config(json.dumps(dict(
+            MATRIX_2, matrix={"a": a, "tau": [[1.0, 1.0, 0.0]]}, f=[1.0, entry, 0.5],
+        )))
+        want = np.diag([1.0, 2.0, -1.0]).astype(complex)
+        assert _bits(cfg.matrix_a) == _bits(want)
+        assert _bits(cfg.f) == _bits(np.array([1.0, 2.0, 0.5], dtype=complex))
+        assert cfg.matrix_tau.dtype == np.float64
+
+    def test_all_four_arrays_are_read_only(self):
+        cfg = parse_config(json.dumps(dict(MATRIX_2, f=[1, [2, -3]])))
+        for arr in (cfg.theta, cfg.matrix_a, cfg.matrix_tau, cfg.f):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 5.0
 
 
 # JSON values a matrix row may hold: finite floats (the fast branch takes
@@ -245,7 +270,9 @@ _json_entry = st.one_of(
 
 
 class TestRowFastBranch:
-    """``_complex_row`` against the per-entry path it short-cuts."""
+    """``_complex_array`` against the per-entry path it short-cuts: a row
+    of plain floats is float64 with the entry path's values, any other
+    row complex128."""
 
     @settings(max_examples=200, deadline=None)
     @given(row=st.one_of(
@@ -255,11 +282,14 @@ class TestRowFastBranch:
     def test_fast_branch_matches_entry_path(self, row):
         row = json.loads(json.dumps(row))
         errs, want_errs = [], []
-        got = _complex_row(row, "matrix.a[3]", errs)
-        want = tuple(
-            _complex_entry(c, f"matrix.a[3][{j}]", want_errs) for j, c in enumerate(row)
+        got = _complex_array([row], ["matrix.a[3]"], errs)[0]
+        want = np.array(
+            [_complex_entry(c, f"matrix.a[3][{j}]", want_errs) for j, c in enumerate(row)],
+            dtype=complex,
         )
-        assert got == want
+        plain = all(type(c) is float for c in row)
+        assert got.dtype == (np.float64 if plain else np.complex128)
+        assert _bits(got.astype(complex)) == _bits(want)
         assert errs == want_errs
 
     @settings(max_examples=50, deadline=None)
@@ -278,7 +308,10 @@ class TestRowFastBranch:
                 parse_config(payload)
             assert list(err.value.violations) == want_errs
         else:
-            assert parse_config(payload).f == want
+            got = parse_config(payload).f
+            plain = all(type(c) is float for c in json.loads(json.dumps(f)))
+            assert got.dtype == (np.float64 if plain else np.complex128)
+            assert _bits(got.astype(complex)) == _bits(np.array(want))
 
 
 class TestNumberRange:
@@ -349,11 +382,17 @@ def _parsers_called(monkeypatch, text):
     return parse_config(text), calls
 
 
-def _bits(x):
-    """Every number as the hex of its complex value, so -0.0, and a float
-    row against the complex row of the entry path, compare exactly."""
+def _bits(x, dtype=None):
+    """A config (by fields) or a value, every number exactly: a scalar as
+    the hex of its complex value, an array as its dtype, shape and bytes
+    (cast to ``dtype`` first, if given), so -0.0 and 0.0 differ."""
+    if isinstance(x, ProblemConfig):
+        x = astuple(x)
     if isinstance(x, tuple):
-        return tuple(_bits(v) for v in x)
+        return tuple(_bits(v, dtype) for v in x)
+    if isinstance(x, np.ndarray):
+        x = x if dtype is None else x.astype(dtype)
+        return x.dtype.str, x.shape, x.tobytes()
     if isinstance(x, (float, complex)):
         return (complex(x).real.hex(), complex(x).imag.hex())
     return x
@@ -404,21 +443,27 @@ class TestParsers:
     @given(cfg=_valid_configs())
     def test_both_routes_give_the_same_config(self, cfg):
         text = json.dumps(cfg)
-        assert _bits(astuple(parse_config(text))) == _bits(astuple(_stdlib_route(text)))
+        # orjson reads an integer beyond 64 bits as its double, so an array
+        # holding one may be float64 on that route and complex128 on the
+        # stdlib's, with the same values
+        exact = repr(_as_orjson_reads(cfg)) == repr(cfg)
+        dtype = None if exact else complex
+        assert _bits(parse_config(text), dtype) == _bits(_stdlib_route(text), dtype)
 
     @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.json")), ids=lambda p: p.name)
     def test_committed_configs_read_alike_on_the_orjson_route(self, monkeypatch, path):
         text = path.read_text(encoding="utf-8")
         cfg, calls = _parsers_called(monkeypatch, text)
         assert calls == ["orjson"]  # no silent fallback
-        assert _bits(astuple(cfg)) == _bits(astuple(_stdlib_route(text)))
+        assert _bits(cfg) == _bits(_stdlib_route(text))
 
     def test_integer_scan_grid_beyond_64_bits_is_accepted(self, monkeypatch):
         text = json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0, "grid": 10**20}))
         cfg, calls = _parsers_called(monkeypatch, text)
         # orjson reads 1e20, a float, which the integer field rejects
         assert calls == ["orjson", "json"]
-        assert cfg == parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0})))
+        want = parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0})))
+        assert _bits(cfg) == _bits(want)
 
     def test_integer_grid1d_n_beyond_64_bits_reaches_the_memory_check(self, monkeypatch):
         text = json.dumps({
@@ -475,7 +520,7 @@ class TestParsers:
 
         def outcome(parse):
             try:
-                return _bits(astuple(parse(data)))
+                return _bits(parse(data))
             except (SchemaError, UnicodeDecodeError) as exc:
                 return type(exc).__name__, str(exc)
 
@@ -563,7 +608,8 @@ class TestSemanticPhase:
     def test_scan_grid_checked_once(self):
         # old configs carry a sampling grid: a schema check, then dropped
         cfg = parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0, "grid": 3})))
-        assert cfg == parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0})))
+        want = parse_config(json.dumps(dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0})))
+        assert _bits(cfg) == _bits(want)
         for grid in (2, 64.0, True, "64"):
             bad = dict(MINIMAL_3D, scan={"a": 0.5, "b": 2.0, "grid": grid})
             with pytest.raises(SchemaError, match="scan.grid: expected an integer >= 3"):

@@ -234,6 +234,19 @@ class TestPointSet:
             with pytest.raises(InvariantError, match="too far apart"):
                 PointSet(dim, points)
 
+    @pytest.mark.parametrize("dim, points, violations", [
+        (3, [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0]],
+         ("points are too close: a squared pairwise distance underflows to 0",)),
+        (1, [0.0, 1e-170, 0.0],
+         ("coincident points are not allowed",
+          "points are too close: a squared pairwise distance underflows to 0")),
+        (2, [[1.0, 2.0], [1.0, 2.0]], ("coincident points are not allowed",)),
+    ], ids=["underflow-3d", "both-1d", "coincident-2d"])
+    def test_underflow_is_not_coincidence(self, dim, points, violations):
+        with pytest.raises(InvariantError) as err:
+            PointSet(dim, points)
+        assert err.value.violations == violations
+
 
 class TestGammaMatrix:
     def test_single_point_3d(self):
@@ -346,16 +359,16 @@ class TestRealAxis:
         assert gamma_matrix(ps, np.complex128(2.5)).dtype == np.float64
 
 
-def _trace(ps, z, xs, fs):
-    """The grid backend's trace map at z applied to the samples fs."""
-    return LaplacianGrid1DEvaluator(ps, xs).at(z).actions()[1](fs)
+def _trace(ps, z, grid, fs):
+    """The grid backend's trace map at z on the grid ``(lo, hi, n)``
+    applied to the samples fs."""
+    return LaplacianGrid1DEvaluator(ps, *grid).at(z).actions()[1](fs)
 
 
 class TestGridTraceMap:
     def test_zero_input(self):
         ps = PointSet(1, [0.0])
-        xs = np.linspace(-5.0, 5.0, 2001)
-        out = _trace(ps, 1.0, xs, np.zeros_like(xs))
+        out = _trace(ps, 1.0, (-5.0, 5.0, 2001), np.zeros(2001))
         assert np.all(out == 0)
 
     def test_delta_sequence_limit(self):
@@ -363,11 +376,12 @@ class TestGridTraceMap:
         # in the width removes the O(w) kink term and the O(w^2) tail
         z = 2.0
         ps = PointSet(1, [0.0])
-        xs = np.arange(-30.0, 30.0 + 1e-3, 1e-3)
+        grid = (-30.0, 30.0, 60_001)
+        xs = np.linspace(*grid)
 
         def trace_of_hat(width):
             hat = np.where(np.abs(xs) <= width, (1.0 - np.abs(xs) / width) / width, 0.0)
-            return _trace(ps, z, xs, hat)[0]
+            return _trace(ps, z, grid, hat)[0]
 
         v1, v2, v3 = trace_of_hat(0.08), trace_of_hat(0.04), trace_of_hat(0.02)
         extrap = (4.0 * (2.0 * v3 - v2) - (2.0 * v2 - v1)) / 3.0
@@ -376,35 +390,31 @@ class TestGridTraceMap:
 
     def test_translation_covariance(self):
         z = 1.5
-        xs = np.arange(-20.0, 20.0 + 1e-2, 1e-2)
+        xs = np.linspace(-20.0, 20.0, 4001)
         f = np.exp(-((xs - 0.3) ** 2))
-        out = _trace(PointSet(1, [0.4, -1.0]), z, xs, f)
+        out = _trace(PointSet(1, [0.4, -1.0]), z, (-20.0, 20.0, 4001), f)
         shift = 3.0
-        out_shifted = _trace(PointSet(1, [0.4 + shift, -1.0 + shift]), z, xs + shift, f)
+        out_shifted = _trace(
+            PointSet(1, [0.4 + shift, -1.0 + shift]), z, (-20.0 + shift, 20.0 + shift, 4001), f
+        )
         assert np.max(np.abs(out - out_shifted)) <= 1e-12
 
     def test_grid_too_coarse(self):
-        xs = np.linspace(-10.0, 10.0, 21)  # step 1.0 > 1/(4 sqrt(z))
+        # step 1.0 > 1/(4 sqrt(z))
         with pytest.raises(GridTooCoarse):
-            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).at(1.0).actions()
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -10.0, 10.0, 21).at(1.0).actions()
 
     def test_rejects_point_set_outside_dim_1_when_built(self):
         # before, this was accepted and the first resolvent apply died
         # with a raw numpy reshape error
         ps = PointSet(2, [[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(InvariantError, match="dim-1 point set"):
-            LaplacianGrid1DEvaluator(ps, np.linspace(-5.0, 5.0, 201))
-
-    def test_rejects_a_grid_that_is_not_1d(self):
-        xs = np.linspace(-1.0, 1.0, 11).reshape(11, 1)
-        with pytest.raises(InvariantError, match="1-d array"):
-            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
+            LaplacianGrid1DEvaluator(ps, -5.0, 5.0, 201)
 
     @pytest.mark.parametrize("shape", [(10,), (12,), (11, 1)])
     def test_rejects_mismatched_samples(self, shape):
-        xs = np.linspace(-1.0, 1.0, 11)
         with pytest.raises(InvariantError, match="does not match the grid"):
-            _trace(PointSet(1, [0.0]), 1.0, xs, np.zeros(shape))
+            _trace(PointSet(1, [0.0]), 1.0, (-1.0, 1.0, 11), np.zeros(shape))
 
 
 class TestGridSourceMap:
@@ -419,11 +429,11 @@ class TestGridSourceMap:
         # the source map reuses the trace kernel the actions built
         rng = np.random.default_rng(seed)
         lo = rng.uniform(-4.0, 0.0)
-        xs = np.linspace(lo, lo + 0.05 * (n - 1), n)
-        ps = PointSet(1, np.sort(rng.uniform(lo, lo + 0.05 * (n - 1), n_points)))
+        hi = lo + 0.05 * (n - 1)
+        ps = PointSet(1, np.sort(rng.uniform(lo, hi, n_points)))
         ell = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
-        got = LaplacianGrid1DEvaluator(ps, xs).at(z).actions()[2](ell)
-        assert np.array_equal(got, point_source_sum(ps, z, ell, xs))
+        got = LaplacianGrid1DEvaluator(ps, lo, hi, n).at(z).actions()[2](ell)
+        assert np.array_equal(got, point_source_sum(ps, z, ell, np.linspace(lo, hi, n)))
 
 
 def _dense_r_apply(xs, z, f):
@@ -463,40 +473,52 @@ class TestGridResolvent1D:
     @pytest.mark.parametrize("z", [2.0, 1.3 + 0.8j, -1.0 + 0.5j])
     def test_recurrence_matches_dense_kernel(self, n, z):
         rng = np.random.default_rng(n)
-        xs = np.linspace(-2.0, -2.0 + 0.05 * (n - 1), n)
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
-        assert rel_err(ev.r_apply(z, f), _dense_r_apply(xs, z, f)) <= 1e-12
+        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -2.0, -2.0 + 0.05 * (n - 1), n)
+        assert rel_err(ev.r_apply(z, f), _dense_r_apply(ev.xs, z, f)) <= 1e-12
 
     def test_gaussian_on_1e5_nodes_within_h_squared(self):
-        xs = np.linspace(-20.0, 20.0, 100_000)
-        h = xs[1] - xs[0]
+        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -20.0, 20.0, 100_000)
+        xs, h = ev.xs, ev.h
         z = 1.5 + 0.7j
         f = np.exp(-(xs**2) / (2.0 * 0.7**2))
-        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
         err = np.max(np.abs(ev.r_apply(z, f) - _gaussian_resolvent(xs, z, 0.7)))
         assert err <= h * h
 
     def test_grid_too_coarse(self):
-        xs = np.linspace(-10.0, 10.0, 21)  # step 1.0 > 1/(4 sqrt(z))
-        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
-        with pytest.raises(GridTooCoarse, match="exceeds"):
-            ev.r_apply(1.0, np.zeros_like(xs))
+        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -10.0, 10.0, 21)
+        with pytest.raises(GridTooCoarse, match="exceeds"):  # step 1.0 > 1/(4 sqrt(z))
+            ev.r_apply(1.0, np.zeros(21))
 
     def test_step_is_kept_from_the_constructor(self):
         xs = np.linspace(-1.0, 2.0, 31)
-        assert LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).h == float(xs[1] - xs[0])
+        assert LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -1.0, 2.0, 31).h == float(xs[1] - xs[0])
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (-1.0, 2.0, 31), (-14.0, 14.0, 3000), (0.1, 0.3, 2), (-8.0, 8.0, 1000), (-1e-300, 1e300, 7),
+    ])
+    def test_nodes_are_linspace(self, lo, hi, n):
+        ev = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), lo, hi, n)
+        assert ev.xs.tobytes() == np.linspace(lo, hi, n).tobytes()
 
     def test_one_node_grid_is_invariant_error(self):
-        with pytest.raises(InvariantError, match="two nodes"):
-            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.array([0.0]))
+        with pytest.raises(InvariantError, match="n >= 2"):
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), 0.0, 1.0, 1)
 
-    @pytest.mark.parametrize(
-        "xs", [np.array([0.0, 0.1, 0.3]), np.linspace(1.0, -1.0, 11), np.zeros(5)]
-    )
-    def test_nonuniform_or_decreasing_grid_is_invariant_error(self, xs):
-        with pytest.raises(InvariantError, match="uniform and increasing"):
-            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs)
+    @pytest.mark.parametrize("lo, hi, n", [(1.0, -1.0, 11), (0.0, 0.0, 5)],
+                             ids=["decreasing", "zero-width"])
+    def test_nonuniform_or_decreasing_grid_is_invariant_error(self, lo, hi, n):
+        with pytest.raises(InvariantError, match="finite lo < hi"):
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), lo, hi, n)
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (-np.inf, 1.0, 5), (-1.0, np.inf, 5), (np.nan, 1.0, 5), (-1.0, np.nan, 5),
+        (-1.0, 1.0, 0), (-1.0, 1.0, -3),
+    ])
+    def test_non_finite_or_degenerate_grid_is_invariant_error(self, lo, hi, n):
+        with pytest.raises(InvariantError) as err:
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), lo, hi, n)
+        assert str(err.value) == f"grid needs finite lo < hi and n >= 2, got ({lo}, {hi}, {n})"
 
 
 _PLANE = PointSet(2, [[0.0, 0.0], [1.0, 0.0]])
@@ -519,7 +541,7 @@ class TestWrongFace:
          "no product-matrix quadrature in dim 2"),
         (lambda: eigenfunction_l2_norm(_LINE, [1.0, 0.0], 1.0 + 0.5j), InvariantError,
          "l2 norm implemented for real z0 > 0 only"),
-        (lambda: LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.linspace(-1.0, 1.0, 11))
+        (lambda: LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -1.0, 1.0, 11)
          .r_apply(1.0, np.zeros(10)), InvariantError, "sample vector does not match the grid"),
     ], ids=["displacements-2d", "radial-1d", "line-3d", "l2-norm-2d", "l2-norm-complex",
             "r-apply-off-grid"])
@@ -647,7 +669,7 @@ class TestUnderflowNextToBranchCut:
 
     @pytest.mark.parametrize("z", UNDERFLOW_Z)
     def test_grid_backend_rejects_the_point(self, z):
-        ev = LaplacianGrid1DEvaluator(_point_set(1), np.linspace(-4.0, 4.0, 9))
+        ev = LaplacianGrid1DEvaluator(_point_set(1), -4.0, 4.0, 9)
         with pytest.raises(OutsideResolventSet, match="is outside the resolvent set"):
             ev.at(z)
         with pytest.raises(BranchCut):

@@ -254,7 +254,7 @@ class TestKreinResolvent:
     def test_grid_backend_binds_the_evaluator_methods(self):
         xs = np.linspace(-6.0, 6.0, 301)
         problem = ExtensionProblem(
-            LaplacianGrid1DEvaluator(PointSet(1, [-0.5, 0.5]), xs),
+            LaplacianGrid1DEvaluator(PointSet(1, [-0.5, 0.5]), -6.0, 6.0, 301),
             ThetaMatrix([[0.5, 0.0], [0.0, -0.25]]),
         )
         z = 1.5 + 0.4j
@@ -268,7 +268,7 @@ class TestKreinResolvent:
 
         # step 2.0 against 1/(4 sqrt(4)) = 0.125
         problem = ExtensionProblem(
-            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.linspace(-8.0, 8.0, 9)),
+            LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -8.0, 8.0, 9),
             ThetaMatrix([[0.5]]),
         )
         with pytest.raises(GridTooCoarse):
@@ -276,7 +276,7 @@ class TestKreinResolvent:
 
     def test_grid_trace_map_rejects_samples_off_the_grid(self):
         xs = np.linspace(-6.0, 6.0, 301)
-        _, gbreve, _ = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), xs).at(1.5).actions()
+        _, gbreve, _ = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -6.0, 6.0, 301).at(1.5).actions()
         assert gbreve(np.exp(-(xs**2))).shape == (1,)
         with pytest.raises(InvariantError, match="does not match the grid"):
             gbreve(np.ones(300))
@@ -395,7 +395,7 @@ class TestEvaluationPoint:
             MatrixEvaluator(two_level_model),
             LaplacianPointEvaluator(ps),
             LaplacianPointEvaluator(PointSet(2, [[0.0, 0.0]])),
-            LaplacianGrid1DEvaluator(ps, np.linspace(-4.0, 4.0, 81)),
+            LaplacianGrid1DEvaluator(ps, -4.0, 4.0, 81),
             MultiplierAnchoredEvaluator(Multiplier1D(poly=(0.0, 0.0, -1.0)), ps, 1.0),
         )
         with warnings.catch_warnings():
@@ -410,7 +410,7 @@ class TestEvaluationPoint:
         built = []
         gz_array = greens._gz_array
         monkeypatch.setattr(greens, "_gz_array", lambda *a: built.append(1) or gz_array(*a))
-        point = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), np.linspace(-4.0, 4.0, 81)).at(1.5)
+        point = LaplacianGrid1DEvaluator(PointSet(1, [0.0]), -4.0, 4.0, 81).at(1.5)
         assert built == [1]  # the gamma_matrix row only
         point.actions()
         assert built == [1, 1]
@@ -430,7 +430,7 @@ class TestEvaluationPoint:
             LaplacianPointEvaluator(ps),
             LaplacianPointEvaluator(PointSet(2, [[0.0, 0.0]])),
             LaplacianPointEvaluator(PointSet(3, [[0.0, 0.0, 0.0]])),
-            LaplacianGrid1DEvaluator(ps, np.linspace(-4.0, 4.0, 81)),
+            LaplacianGrid1DEvaluator(ps, -4.0, 4.0, 81),
             MultiplierAnchoredEvaluator(Multiplier1D(poly=(0.0, 0.0, -1.0)), ps, 1.0),
         )
         for ev in backends:
@@ -452,7 +452,7 @@ class TestGridBackendApply:
         xs = np.linspace(-12.0, 12.0, 1201)
         ps = PointSet(1, [0.0])
         problem = ExtensionProblem(
-            LaplacianGrid1DEvaluator(ps, xs), ThetaMatrix([[0.5]])
+            LaplacianGrid1DEvaluator(ps, -12.0, 12.0, 1201), ThetaMatrix([[0.5]])
         )
         f = np.exp(-((xs - 0.4) ** 2))
         z, w = 2.0 + 0.3j, 1.0 - 0.6j
@@ -473,7 +473,7 @@ class TestGridBackendApply:
         ps = PointSet(1, [0.0])
         theta = 0.5
         problem = ExtensionProblem(
-            LaplacianGrid1DEvaluator(ps, xs), ThetaMatrix([[theta]])
+            LaplacianGrid1DEvaluator(ps, -12.0, 12.0, 2401), ThetaMatrix([[theta]])
         )
         z = 2.0
         f_fn = lambda t: np.exp(-((t - 0.4) ** 2))
